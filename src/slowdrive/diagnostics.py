@@ -23,7 +23,7 @@ from .operators import (
     operator_norm,
 )
 from .propagation import GeneratorPath, PropagatorResult, comparison_family
-from .spectral import band_projection, projection_eq
+from .spectral import band_projection, projection_eq, projection_geq, projection_leq
 
 __all__ = [
     "TestVectorSet",
@@ -258,19 +258,11 @@ def offdiagonal_block_decay(
     if e2 <= e1:
         raise ValueError("requires e2 > e1")
     d = decomposition or hermitian_eigendecomposition(h_o)
-    eigs = d.eigenvalues
-    low = eigs <= e1 + d.cluster_tol
-    high = eigs >= e2 - d.cluster_tol
-    p1 = np.zeros((d.dim, d.dim), dtype=complex)
-    p2 = np.zeros((d.dim, d.dim), dtype=complex)
-    for lv, is_low, is_high in zip(d.levels, low, high):
-        if is_low:
-            p1 += lv.projection
-        if is_high:
-            p2 += lv.projection
+    p1 = projection_leq(d, e1).matrix
+    p2 = projection_geq(d, e2).matrix
     wt = result.at(t)
     ws = result.at(s)
-    vals, vecs = np.linalg.eigh(h_o.matrix)
+    vals, vecs = h_o.spectrum
     omega = vecs @ (
         np.exp(1j * result.tau * (t - s) * vals)[:, None] * (vecs.conj().T @ (wt @ ws.conj().T))
     )
@@ -369,13 +361,9 @@ def schrodinger_limit_distance(
     omegas = comparison_family(h_o, result)
 
     # Level-block mask in the eigenbasis: same-level index pairs.
-    vals, vecs = np.linalg.eigh(d.operator)
+    vals, vecs = h_o.spectrum
     vh = vecs.conj().T
-    labels = np.empty(d.dim, dtype=int)
-    for idx, lv in enumerate(d.levels):
-        # Assign eigh indices to clustered levels by eigenvalue proximity.
-        labels[np.abs(vals - lv.eigenvalue) <= d.cluster_tol + 1e-12] = idx
-    mask = (labels[:, None] == labels[None, :]).astype(float)
+    mask = d.block_mask().astype(float)
 
     grid = result.s_grid
     n = grid.size

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import io
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -86,9 +87,19 @@ class HermitianOperator:
     def dim(self) -> int:
         return self.matrix.shape[0]
 
+    @cached_property
+    def spectrum(self) -> tuple[np.ndarray, np.ndarray]:
+        """(eigenvalues, eigenvectors) from one ``eigh`` of the matrix, taken on
+        first use and shared, read-only, by every later caller."""
+        try:
+            w, v = np.linalg.eigh(self.matrix)
+        except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK rarely fails
+            raise EigensolverError(f"eigensolver did not converge: {exc}") from exc
+        return _freeze(w), _freeze(v)
+
     def norm(self) -> float:
         """Spectral norm, computed from the (real) eigenvalues."""
-        return float(np.abs(np.linalg.eigvalsh(self.matrix)).max())
+        return float(np.abs(self.spectrum[0]).max())
 
 
 @dataclass(frozen=True)
@@ -121,42 +132,53 @@ class UnitaryOperator:
 class SpectralLevel:
     eigenvalue: float
     multiplicity: int
-    projection: np.ndarray  # rank-`multiplicity` orthogonal projection
+    vectors: np.ndarray  # (dim, multiplicity) orthonormal columns spanning the level
+
+    @cached_property
+    def projection(self) -> np.ndarray:
+        """The rank-``multiplicity`` orthogonal projection, formed on first use."""
+        proj = self.vectors @ self.vectors.conj().T
+        return _freeze(0.5 * (proj + proj.conj().T))
 
 
 @dataclass(frozen=True)
 class SpectralDecomposition:
-    """Eigenvalues clustered into distinct levels with orthogonal projections.
+    """Eigenvectors grouped into distinct levels: H = V diag(w) V†, where the
+    columns ``offsets[k]:offsets[k+1]`` of V span level k and w repeats each
+    level's eigenvalue over its columns.
 
-    Invariants (validated at construction, all at 1e-10):
-    the projections are idempotent, mutually orthogonal, and sum to the
-    identity; sum(E * P_E) reconstructs the operator; level eigenvalues are
-    strictly increasing with gaps > cluster_tol.
+    Invariants (validated at construction, all at 1e-10, in O(dim^3)):
+    ||V†V - 1|| is small, V is square and the level slices partition its
+    columns, so the level projections are idempotent, mutually orthogonal and
+    sum to the identity; V diag(w) V† reconstructs the operator; level
+    eigenvalues are strictly increasing with gaps > cluster_tol.
     """
 
-    levels: tuple[SpectralLevel, ...]
+    vectors: np.ndarray  # V, (dim, dim)
+    eigenvalues: np.ndarray  # one per level, increasing
+    offsets: tuple[int, ...]  # level k owns columns offsets[k]:offsets[k+1]
     cluster_tol: float
     operator: np.ndarray  # the decomposed matrix, kept for residual checks
+    levels: tuple[SpectralLevel, ...] = field(init=False)
 
     def __post_init__(self):
         dim = self.operator.shape[0]
-        eye = np.eye(dim)
-        acc = np.zeros((dim, dim), dtype=complex)
-        rebuilt = np.zeros((dim, dim), dtype=complex)
-        values = [lv.eigenvalue for lv in self.levels]
-        for i, lv in enumerate(self.levels):
-            p = lv.projection
-            if operator_norm(p @ p - p) > DECOMPOSITION_TOL:
-                raise EigensolverError(f"projection {i} is not idempotent")
-            for other in self.levels[i + 1:]:
-                if operator_norm(p @ other.projection) > DECOMPOSITION_TOL:
-                    raise EigensolverError("projections are not mutually orthogonal")
-            acc += p
-            rebuilt += lv.eigenvalue * p
-        if operator_norm(acc - eye) > DECOMPOSITION_TOL:
-            raise EigensolverError("projections do not sum to the identity")
+        v = _freeze(np.array(self.vectors, dtype=complex))
+        values = _freeze(np.array(self.eigenvalues, dtype=float))
+        offsets = tuple(int(o) for o in self.offsets)
+        if (
+            v.shape != (dim, dim)
+            or len(offsets) != values.size + 1
+            or offsets[0] != 0
+            or offsets[-1] != dim
+            or any(b <= a for a, b in zip(offsets, offsets[1:]))
+        ):
+            raise EigensolverError("level slices do not partition the eigenvector columns")
+        if operator_norm(v.conj().T @ v - np.eye(dim)) > DECOMPOSITION_TOL:
+            raise EigensolverError("eigenvectors are not orthonormal")
         scale = max(operator_norm(self.operator), 1.0)
-        residual = operator_norm(rebuilt - self.operator)
+        column_values = np.repeat(values, np.diff(offsets))
+        residual = operator_norm((v * column_values) @ v.conj().T - self.operator)
         if residual > DECOMPOSITION_TOL * scale:
             raise EigensolverError(
                 f"spectral reconstruction residual {residual:.3e} exceeds "
@@ -165,18 +187,35 @@ class SpectralDecomposition:
         gaps = np.diff(values)
         if len(gaps) and gaps.min() <= self.cluster_tol:
             raise EigensolverError("level eigenvalues are not separated by > cluster_tol")
-        object.__setattr__(self, "levels", tuple(self.levels))
+        levels = tuple(
+            SpectralLevel(eigenvalue=float(e), multiplicity=b - a, vectors=v[:, a:b])
+            for e, a, b in zip(values, offsets, offsets[1:])
+        )
+        object.__setattr__(self, "vectors", v)
+        object.__setattr__(self, "eigenvalues", values)
+        object.__setattr__(self, "offsets", offsets)
+        object.__setattr__(self, "levels", levels)
 
     @property
     def dim(self) -> int:
         return self.operator.shape[0]
 
     @property
-    def eigenvalues(self) -> np.ndarray:
-        return np.array([lv.eigenvalue for lv in self.levels])
+    def multiplicities(self) -> np.ndarray:
+        return np.diff(self.offsets)
 
-    def identity(self) -> np.ndarray:
-        return np.eye(self.dim, dtype=complex)
+    def block_mask(self) -> np.ndarray:
+        """(dim, dim) boolean mask of the column pairs that share a level."""
+        labels = np.repeat(np.arange(len(self.levels)), self.multiplicities)
+        return labels[:, None] == labels[None, :]
+
+    def compose(self, coefficients) -> np.ndarray:
+        """sum_E c_E P_E for one coefficient per level, formed as V diag(c) V†
+        over the columns whose coefficient is nonzero."""
+        c = np.repeat(np.asarray(coefficients), self.multiplicities)
+        keep = c != 0
+        v = self.vectors[:, keep]
+        return (v * c[keep]) @ v.conj().T
 
 
 def operator_norm(a) -> float:
@@ -201,30 +240,16 @@ def hermitian_eigendecomposition(
     a = h.matrix
     if cluster_tol is None:
         cluster_tol = 1e-9 * h.norm()
-    try:
-        w, v = np.linalg.eigh(a)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK rarely fails
-        raise EigensolverError(f"eigensolver did not converge: {exc}") from exc
+    w, v = h.spectrum
     residual = operator_norm(a @ v - v * w)
     if residual > 1e-8 * max(1.0, float(np.abs(w).max(initial=0.0))):
         raise EigensolverError(f"eigenpair residual too large: {residual:.3e}")
-
-    levels: list[SpectralLevel] = []
-    start = 0
-    for i in range(1, len(w) + 1):
-        if i == len(w) or w[i] - w[i - 1] > cluster_tol:
-            block = v[:, start:i]
-            proj = block @ block.conj().T
-            proj = 0.5 * (proj + proj.conj().T)
-            levels.append(
-                SpectralLevel(
-                    eigenvalue=float(w[start:i].mean()),
-                    multiplicity=i - start,
-                    projection=_freeze(proj),
-                )
-            )
-            start = i
-    return SpectralDecomposition(levels=tuple(levels), cluster_tol=cluster_tol, operator=a)
+    splits = np.flatnonzero(np.diff(w) > cluster_tol) + 1
+    offsets = (0, *splits.tolist(), len(w))
+    values = [w[start:stop].mean() for start, stop in zip(offsets, offsets[1:])]
+    return SpectralDecomposition(
+        vectors=v, eigenvalues=values, offsets=offsets, cluster_tol=cluster_tol, operator=a
+    )
 
 
 def unitary_exponential(
@@ -239,12 +264,10 @@ def unitary_exponential(
     eigensolver error even for large phases t*||H||; a series would not.
     """
     if decomposition is None:
-        w, v = np.linalg.eigh(h.matrix)
+        w, v = h.spectrum
         u = (v * np.exp(-1j * t * w)) @ v.conj().T
     else:
-        u = np.zeros((decomposition.dim, decomposition.dim), dtype=complex)
-        for lv in decomposition.levels:
-            u += np.exp(-1j * t * lv.eigenvalue) * lv.projection
+        u = decomposition.compose(np.exp(-1j * t * decomposition.eigenvalues))
     return UnitaryOperator(u, drift_tol=drift_tol)
 
 

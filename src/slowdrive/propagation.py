@@ -23,7 +23,7 @@ import json
 import math
 import warnings
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -100,6 +100,11 @@ class GeneratorPath:
     kappa_dot: float | None = None
     l1_norm: float | None = None
     kinks: tuple[float, ...] = ()
+    # Set only by :meth:`constant`; evolve then exponentiates the generator
+    # exactly instead of stepping.
+    constant_matrix: np.ndarray | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self):
         if self.smoothness not in (SMOOTH_C1, SMOOTH_L1):
@@ -151,22 +156,23 @@ class GeneratorPath:
 
     @classmethod
     def constant(cls, matrix) -> "GeneratorPath":
-        m = np.asarray(matrix, dtype=complex)
-        h = HermitianOperator(m)  # validates
+        h = HermitianOperator(np.asarray(matrix, dtype=complex))  # validates
         kappa = h.norm()
         mat = h.matrix
 
         def sampler(_s: float) -> np.ndarray:
             return mat
 
-        return cls(
-            dim=m.shape[0],
+        path = cls(
+            dim=h.dim,
             sampler=sampler,
             smoothness=SMOOTH_C1,
             kappa=kappa,
             kappa_dot=0.0,
             l1_norm=kappa,
         )
+        object.__setattr__(path, "constant_matrix", mat)
+        return path
 
     @classmethod
     def zero(cls, dim: int) -> "GeneratorPath":
@@ -373,12 +379,17 @@ def evolve(
 ) -> PropagatorResult:
     """Integrate i dW/ds = (tau*H_o + Lambda(s)) W over the s-grid.
 
-    Exponential midpoint scheme: W_{k+1} = exp(-i h (tau*H_o + Lambda(s_mid))) W_k
+    A constant path (:meth:`GeneratorPath.constant`) is solved exactly:
+    W(s) = V exp(-i s w) V† from one eigendecomposition V diag(w) V† of
+    tau*H_o + Lambda; ``step`` has no effect and the result's ``step`` is the
+    largest grid interval. Any other path uses the
+    exponential midpoint scheme W_{k+1} = exp(-i h (tau*H_o + Lambda(s_mid))) W_k
     with the exponential via eigendecomposition, so every step is exactly
     unitary up to eigensolver error. Local error is O(h^3); the default step
     comes from :func:`default_step`. L1 paths are integrated directly from
     midpoint samples and flagged lower-accuracy in the scheme descriptor
-    (prefer :func:`mollify` first).
+    (prefer :func:`mollify` first). Either way the unitarity drift is
+    measured at every grid point.
     """
     if tau <= 0:
         raise ValueError("tau must be positive")
@@ -389,27 +400,65 @@ def evolve(
         raise ValueError("s_grid must be strictly increasing")
     if grid[0] != 0.0 or grid[-1] > 1.0:
         raise ValueError("s_grid must start at 0 and stay within [0, 1]")
-    h_mat = h_o.matrix
-    if step is None:
-        step = default_step(tau, h_o.norm(), path.kappa)
-    if step <= 0:
+    if step is not None and step <= 0:
         raise ValueError("step must be positive")
+    spans = np.diff(grid)
 
-    scheme = "midpoint-exponential"
-    if path.smoothness == SMOOTH_L1:
-        scheme += "/L1-direct"
+    if path.constant_matrix is not None:
+        scheme = "exact-constant"
+        taken = float(spans.max(initial=0.0))
+        remedy = "the eigendecomposition of the constant generator is inaccurate"
+        states = _exact_states(tau * h_o.matrix + path.constant_matrix, grid)
+    else:
+        scheme = "midpoint-exponential"
+        if path.smoothness == SMOOTH_L1:
+            scheme += "/L1-direct"
+        if step is None:
+            step = default_step(tau, h_o.norm(), path.kappa)
+        nsubs = [max(1, math.ceil(span / step)) for span in spans]
+        taken = max((span / n for span, n in zip(spans, nsubs)), default=0.0)
+        remedy = f"retry with step <= {step / 2:.3e}"
+        states = _midpoint_states(h_o.matrix, path, tau, grid, nsubs)
 
-    dim = h_o.dim
-    eye = np.eye(dim)
-    w_cur = np.eye(dim, dtype=complex)
-    unitaries = [w_cur]
+    eye = np.eye(h_o.dim)
+    unitaries = [np.eye(h_o.dim, dtype=complex)]
     max_drift = 0.0
-    max_sub = 0.0
-    for s0, s1 in zip(grid, grid[1:]):
-        span = s1 - s0
-        nsub = max(1, math.ceil(span / step))
-        h = span / nsub
-        max_sub = max(max_sub, h)
+    for s1, w in zip(grid[1:], states):
+        drift = operator_norm(w.conj().T @ w - eye)
+        max_drift = max(max_drift, drift)
+        if drift > drift_tol:
+            raise PropagationError(
+                f"unitarity drift {drift:.3e} exceeded {drift_tol:.0e} at s={s1}; {remedy}"
+            )
+        unitaries.append(w)
+    return PropagatorResult(
+        tau=tau,
+        s_grid=grid,
+        unitaries=np.stack(unitaries),
+        step=taken,
+        max_drift=max_drift,
+        scheme=scheme,
+        drift_tol=drift_tol,
+    )
+
+
+def _exact_states(gen: np.ndarray, grid: np.ndarray) -> Iterator[np.ndarray]:
+    """exp(-i s gen) at every grid point after the first, from one eigh."""
+    vals, vecs = np.linalg.eigh(gen)
+    vh = vecs.conj().T
+    for s in grid[1:]:
+        yield vecs @ (np.exp(-1j * s * vals)[:, None] * vh)
+
+
+def _midpoint_states(
+    h_mat: np.ndarray, path: GeneratorPath, tau: float, grid: np.ndarray, nsubs: list[int]
+) -> Iterator[np.ndarray]:
+    """W at every grid point after the first, stepping each interval in
+    ``nsubs`` equal exponential-midpoint steps."""
+    dim = h_mat.shape[0]
+    w_cur = np.eye(dim, dtype=complex)
+    for s0, s1, nsub in zip(grid, grid[1:], nsubs):
+        h = (s1 - s0) / nsub
         for k in range(nsub):
             mid = s0 + (k + 0.5) * h
             gen = tau * h_mat + _hermitian_sample(path.sampler, mid, dim)
@@ -421,23 +470,7 @@ def evolve(
             else:
                 vals, vecs = np.linalg.eigh(gen.real)
                 w_cur = vecs @ (np.exp(-1j * h * vals)[:, None] * (vecs.T @ w_cur))
-        drift = operator_norm(w_cur.conj().T @ w_cur - eye)
-        max_drift = max(max_drift, drift)
-        if drift > drift_tol:
-            raise PropagationError(
-                f"unitarity drift {drift:.3e} exceeded {drift_tol:.0e} at s={s1}; "
-                f"retry with step <= {step / 2:.3e}"
-            )
-        unitaries.append(w_cur)
-    return PropagatorResult(
-        tau=tau,
-        s_grid=grid,
-        unitaries=np.stack(unitaries),
-        step=max_sub,
-        max_drift=max_drift,
-        scheme=scheme,
-        drift_tol=drift_tol,
-    )
+        yield w_cur
 
 
 def richardson_error(
@@ -469,14 +502,14 @@ def comparison_operator(
     """Omega_tau(t,s) = exp(i tau (t-s) H_o) W_tau(t) W_tau(s)^+ for grid t, s."""
     wt = result.at(t)
     ws = result.at(s)
-    vals, vecs = np.linalg.eigh(h_o.matrix)
+    vals, vecs = h_o.spectrum
     phase = vecs @ (np.exp(1j * result.tau * (t - s) * vals)[:, None] * vecs.conj().T)
     return UnitaryOperator(phase @ wt @ ws.conj().T, drift_tol=max(DRIFT_TOL, 3 * result.max_drift + 1e-12))
 
 
 def comparison_family(h_o: HermitianOperator, result: PropagatorResult) -> np.ndarray:
     """Omega_tau(s_j, 0) for every grid point, as an (n, dim, dim) array."""
-    vals, vecs = np.linalg.eigh(h_o.matrix)
+    vals, vecs = h_o.spectrum
     vh = vecs.conj().T
     out = np.empty_like(result.unitaries)
     for j, (s, w) in enumerate(zip(result.s_grid, result.unitaries)):
@@ -514,7 +547,7 @@ def _dyson_levels(
     eye = np.eye(dim, dtype=complex)
     if t == s or order == 0:
         return [eye] + [np.zeros((dim, dim), dtype=complex) for _ in range(order)]
-    vals, vecs = np.linalg.eigh(h_o.matrix)
+    vals, vecs = h_o.spectrum
     vh = vecs.conj().T
     q = quad_points
     h = (t - s) / q

@@ -269,7 +269,7 @@ def _build_two_level_rotating(params: dict, seed: int) -> ScenarioInstance:
         return vecs @ (np.exp(-1j * s * vals)[:, None] * vecs.conj().T)
 
     eigvecs = TestVectorSet.from_columns(
-        [np.linalg.eigh(h_o.matrix)[1][:, i] for i in range(2)],
+        [h_o.spectrum[1][:, i] for i in range(2)],
         labels=("lower", "upper"),
         provenance=("eigenvector", "eigenvector"),
     )

@@ -320,41 +320,33 @@ class SpectralFunction:
 # --- spectral projections ------------------------------------------------
 
 
+def _levels_within(d: SpectralDecomposition, e: float) -> np.ndarray:
+    """Indices of the levels within cluster_tol of e (at most one is allowed)."""
+    hits = np.flatnonzero(np.abs(d.eigenvalues - e) <= d.cluster_tol)
+    if hits.size > 1:
+        raise AmbiguousLevelError(
+            f"{hits.size} levels lie within cluster_tol of {e}: "
+            f"{d.eigenvalues[hits].tolist()}"
+        )
+    return hits
+
+
 def projection_leq(d: SpectralDecomposition, e: float) -> HermitianOperator:
     """chi(H <= e); membership decided with cluster_tol slack toward inclusion."""
-    out = np.zeros((d.dim, d.dim), dtype=complex)
-    for lv in d.levels:
-        if lv.eigenvalue <= e + d.cluster_tol:
-            out += lv.projection
-    return HermitianOperator(out)
+    return HermitianOperator(d.compose(d.eigenvalues <= e + d.cluster_tol))
 
 
 def projection_geq(d: SpectralDecomposition, e: float) -> HermitianOperator:
     """chi(H >= e); membership decided with cluster_tol slack toward inclusion."""
-    out = np.zeros((d.dim, d.dim), dtype=complex)
-    for lv in d.levels:
-        if lv.eigenvalue >= e - d.cluster_tol:
-            out += lv.projection
-    return HermitianOperator(out)
+    return HermitianOperator(d.compose(d.eigenvalues >= e - d.cluster_tol))
 
 
 def projection_eq(d: SpectralDecomposition, e: float) -> HermitianOperator:
     """chi(H = e): the projection of the unique level within cluster_tol of e,
     or zero if no level matches."""
-    hits = [lv for lv in d.levels if abs(lv.eigenvalue - e) <= d.cluster_tol]
-    if len(hits) > 1:
-        raise AmbiguousLevelError(
-            f"{len(hits)} levels lie within cluster_tol of {e}: "
-            f"{[lv.eigenvalue for lv in hits]}"
-        )
-    if not hits:
-        return HermitianOperator(np.zeros((d.dim, d.dim), dtype=complex))
-    return HermitianOperator(hits[0].projection.copy())
-
-
-def _projection_lt(d: SpectralDecomposition, e: float) -> np.ndarray:
-    """chi(H < e) = chi(H <= e) - chi(H = e), with consistent tol slack."""
-    return projection_leq(d, e).matrix - projection_eq(d, e).matrix
+    hit = np.zeros(len(d.levels), dtype=bool)
+    hit[_levels_within(d, e)] = True
+    return HermitianOperator(d.compose(hit))
 
 
 def band_projection(
@@ -368,13 +360,10 @@ def band_projection(
     with either end optionally closed."""
     if a > b:
         raise ValueError(f"band requires a <= b, got ({a}, {b})")
-    out = np.zeros((d.dim, d.dim), dtype=complex)
-    for lv in d.levels:
-        lo = lv.eigenvalue >= a if closed_left else lv.eigenvalue > a
-        hi = lv.eigenvalue <= b if closed_right else lv.eigenvalue < b
-        if lo and hi:
-            out += lv.projection
-    return HermitianOperator(out)
+    e = d.eigenvalues
+    lo = e >= a if closed_left else e > a
+    hi = e <= b if closed_right else e < b
+    return HermitianOperator(d.compose(lo & hi))
 
 
 # --- functional calculus --------------------------------------------------
@@ -382,13 +371,13 @@ def band_projection(
 
 def calculus_continuous(d: SpectralDecomposition, f: Callable[[float], float]) -> HermitianOperator:
     """f(H) = sum_E f(E) P_E for a pointwise-finite f."""
-    out = np.zeros((d.dim, d.dim), dtype=complex)
-    for lv in d.levels:
-        val = float(f(lv.eigenvalue))
+    values = []
+    for e in d.eigenvalues:
+        val = float(f(float(e)))
         if not math.isfinite(val):
-            raise ValueError(f"f is not finite at eigenvalue {lv.eigenvalue}")
-        out += val * lv.projection
-    return HermitianOperator(out)
+            raise ValueError(f"f is not finite at eigenvalue {float(e)}")
+        values.append(val)
+    return HermitianOperator(d.compose(values))
 
 
 def calculus_bv(
@@ -400,8 +389,9 @@ def calculus_bv(
     eigenvalues, so the continuous part of the Stieltjes integral reduces to
     exact endpoint differences of the continuous component on the partition
     induced by the spectrum; jump atoms and at-point corrections are added
-    exactly. ``quadrature_points`` sizes the grid of the declared-variation
-    validation sweep over the spectral window.
+    exactly. Every term is a combination of level projections, so the result
+    is assembled as one coefficient per level. ``quadrature_points`` sizes the
+    grid of the declared-variation validation sweep over the spectral window.
     """
     if quadrature_points < 2:
         raise ValueError("quadrature_points must be >= 2")
@@ -416,29 +406,26 @@ def calculus_bv(
             f"the declared variation ({f.variation:.6g})"
         )
 
-    eye = d.identity()
-    out = f.at_infinity * eye
-
-    # Continuous part of -int df(E) chi(H <= E): between consecutive
-    # eigenvalues chi is constant, so each segment contributes
-    # (g(next) - g(this)) * chi(H <= this); the upper tail uses g(+inf).
+    # f(inf)*1 on every level. Continuous part of -int df(E) chi(H <= E):
+    # between consecutive eigenvalues chi is constant, so segment j
+    # contributes (g(next) - g(this)) * chi(H <= this), which telescopes to
+    # (g(+inf) - g(E)) on level E.
     g = f.continuous
-    g_vals = [g(float(e)) for e in eigs]
-    g_vals.append(f.continuous_at_infinity())
-    running = np.zeros((d.dim, d.dim), dtype=complex)
-    for j, lv in enumerate(d.levels):
-        running = running + lv.projection
-        out -= (g_vals[j + 1] - g_vals[j]) * running
+    g_inf = f.continuous_at_infinity()
+    coef = np.array([f.at_infinity - (g_inf - g(float(e))) for e in eigs])
 
     for j in f.jumps:
         w = j.atom_weight
         if w != 0.0:
-            out -= w * _projection_lt(d, j.at)
+            # chi(H < at) = chi(H <= at) - chi(H = at), with the same tol slack
+            below = eigs <= j.at + d.cluster_tol
+            below[_levels_within(d, j.at)] = False
+            coef[below] -= w
         c = j.point_correction
         if c != 0.0:
-            out += c * projection_eq(d, j.at).matrix
+            coef[_levels_within(d, j.at)] += c
 
-    return HermitianOperator(out)
+    return HermitianOperator(d.compose(coef))
 
 
 def total_variation(f: BVFunction, grid) -> float:
@@ -467,13 +454,12 @@ def total_variation(f: BVFunction, grid) -> float:
 
 
 def block_compress(d: SpectralDecomposition, a: np.ndarray) -> np.ndarray:
-    """sum_E P_E a P_E on raw matrices."""
+    """sum_E P_E a P_E on raw matrices, as the same-level mask applied in the
+    eigenbasis: V (mask * V† a V) V†."""
     if a.shape != (d.dim, d.dim):
         raise ValueError(f"dimension mismatch: {a.shape} vs {d.dim}")
-    out = np.zeros_like(a, dtype=complex)
-    for lv in d.levels:
-        out += lv.projection @ a @ lv.projection
-    return out
+    v = d.vectors
+    return v @ (d.block_mask() * (v.conj().T @ a @ v)) @ v.conj().T
 
 
 def block_diagonal_part(d: SpectralDecomposition, a: HermitianOperator) -> HermitianOperator:
@@ -498,14 +484,16 @@ def kato_commutator_solution(
         raise ValueError(f"requires e2 > e1, got gap {delta}")
     if delta <= d.cluster_tol:
         raise ValueError(f"gap {delta} must exceed cluster_tol {d.cluster_tol}")
-    lower = [lv for lv in d.levels if lv.eigenvalue <= e1 + d.cluster_tol]
-    upper = [lv for lv in d.levels if lv.eigenvalue >= e2 - d.cluster_tol]
-    if set(id(lv) for lv in lower) & set(id(lv) for lv in upper):
+    # Levels are sorted, so the lower band is a prefix of the columns of V
+    # and the upper band a suffix.
+    n_lower = int(np.count_nonzero(d.eigenvalues <= e1 + d.cluster_tol))
+    n_upper = int(np.count_nonzero(d.eigenvalues >= e2 - d.cluster_tol))
+    if n_lower + n_upper > len(d.levels):
         raise ValueError("bands overlap within cluster tolerance; enlarge the gap")
-    m = lam.matrix
-    x = np.zeros((d.dim, d.dim), dtype=complex)
-    for lo in lower:
-        pm = lo.projection @ m
-        for up in upper:
-            x += (pm @ up.projection) / (lo.eigenvalue - up.eigenvalue)
-    return x
+    lo_end = d.offsets[n_lower]
+    up_start = d.offsets[len(d.levels) - n_upper]
+    w = np.repeat(d.eigenvalues, d.multiplicities)
+    v_lo = d.vectors[:, :lo_end]
+    v_up = d.vectors[:, up_start:]
+    block = (v_lo.conj().T @ lam.matrix @ v_up) / (w[:lo_end, None] - w[None, up_start:])
+    return v_lo @ block @ v_up.conj().T

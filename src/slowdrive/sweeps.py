@@ -270,6 +270,10 @@ def _evaluate_static_metric(
     return data
 
 
+def _not_evaluated(tau: float) -> str:
+    return f"tau={tau:g} was not evaluated in this run"
+
+
 def _fit_and_verdict(
     scenario: str,
     metric: str,
@@ -347,12 +351,15 @@ def _fit_and_verdict(
             want_tau = float(ceiling["tau"])
             vec_names = ceiling.get("vectors")
             limit = float(ceiling["max_value"])
-            sup_map = per_tau[want_tau].per_vector_sup
-            targets = vec_names or list(sup_map)
-            bad = {v: sup_map[v] for v in targets if sup_map[v] > limit}
-            checks["ceiling_ok"] = not bad
-            if bad:
-                failures.append(f"ceiling {limit} exceeded: {bad}")
+            if want_tau not in taus:
+                checks["ceiling_skipped"] = _not_evaluated(want_tau)
+            else:
+                sup_map = per_tau[want_tau].per_vector_sup
+                targets = vec_names or list(sup_map)
+                bad = {v: sup_map[v] for v in targets if sup_map[v] > limit}
+                checks["ceiling_ok"] = not bad
+                if bad:
+                    failures.append(f"ceiling {limit} exceeded: {bad}")
 
     if kind == "heisenberg_norm":
         floor = params.get("floor")
@@ -360,8 +367,13 @@ def _fit_and_verdict(
             s_at = float(floor["s"])
             want = float(floor["min_value"])
             which = [float(t) for t in floor.get("taus", taus)]
+            skipped = {t: _not_evaluated(t) for t in which if t not in taus}
+            if skipped:
+                checks["floor_skipped"] = skipped
             bad = {}
             for t in which:
+                if t in skipped:
+                    continue
                 row = [r for r in per_tau[t].rows if abs(r.s - s_at) <= 1e-12]
                 if not row or row[0].value < want:
                     bad[t] = row[0].value if row else None

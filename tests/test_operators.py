@@ -1,7 +1,10 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from slowdrive.operators import (
+    EigensolverError,
     HermitianOperator,
     OperatorError,
     UnitaryOperator,
@@ -105,6 +108,56 @@ class TestEigendecomposition:
             assert operator_norm(a.projection @ a.projection - a.projection) <= 1e-10
             for b in d.levels[i + 1 :]:
                 assert operator_norm(a.projection @ b.projection) <= 1e-10
+
+
+class TestDecompositionValidation:
+    def test_non_orthonormal_vectors_rejected(self):
+        d = hermitian_eigendecomposition(random_hermitian(6, 90))
+        v = np.array(d.vectors)
+        v[:, 0] *= 1.0 + 1e-6
+        with pytest.raises(EigensolverError, match="orthonormal"):
+            dataclasses.replace(d, vectors=v)
+
+    def test_wrong_reconstruction_rejected(self):
+        d = hermitian_eigendecomposition(random_hermitian(6, 91))
+        values = np.array(d.eigenvalues)
+        values[-1] += 1e-6
+        with pytest.raises(EigensolverError, match="reconstruction"):
+            dataclasses.replace(d, eigenvalues=values)
+
+    def test_unseparated_levels_rejected(self):
+        d = hermitian_eigendecomposition(random_hermitian(6, 92))
+        widest = float(np.diff(d.eigenvalues).max())
+        with pytest.raises(EigensolverError, match="separated"):
+            dataclasses.replace(d, cluster_tol=widest)
+
+    def test_slices_must_partition_the_columns(self):
+        d = hermitian_eigendecomposition(HermitianOperator(np.diag([0.0, 0.0, 1.0])))
+        with pytest.raises(EigensolverError, match="partition"):
+            dataclasses.replace(d, offsets=(0, 1, 2))
+
+    def test_levels_are_eigenvector_slices(self):
+        d = hermitian_eigendecomposition(HermitianOperator(np.diag([2.0, 0.0, 0.0])))
+        assert [lv.vectors.shape for lv in d.levels] == [(3, 2), (3, 1)]
+        assert d.offsets == (0, 2, 3)
+        assert np.allclose(d.levels[0].projection, np.diag([0.0, 1.0, 1.0]), atol=1e-15)
+
+    def test_dense_dim_256_reconstructs(self):
+        h = random_hermitian(256, 93)
+        d = hermitian_eigendecomposition(h)
+        assert len(d.levels) == 256
+        rebuilt = d.compose(d.eigenvalues)
+        assert operator_norm(rebuilt - h.matrix) <= 1e-10 * h.norm()
+
+    def test_one_eigh_per_operator(self, monkeypatch):
+        calls = []
+        eigh = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(1) or eigh(a))
+        h = random_hermitian(5, 94)
+        h.norm()
+        hermitian_eigendecomposition(h)
+        unitary_exponential(h, 0.3)
+        assert len(calls) == 1
 
 
 class TestUnitaryExponential:

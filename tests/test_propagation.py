@@ -30,7 +30,7 @@ from slowdrive.propagation import (
     omega_infinity,
     richardson_error,
 )
-from slowdrive.scenarios import seeded_pair_path, step_path
+from slowdrive.scenarios import ScenarioConfig, build_scenario, seeded_pair_path, step_path
 
 from test_operators import random_hermitian
 
@@ -132,6 +132,56 @@ class TestEvolve:
     def test_default_step_rule(self):
         assert default_step(1e4, 1.0, 1.0) == pytest.approx(0.1 / (1e4 + 1.0))
         assert default_step(1.0, 0.01, 0.0) == pytest.approx(1e-3)
+
+
+class TestExactConstantDrive:
+    @staticmethod
+    def direct_sum_instance():
+        # the criterion-4 counterexample: 64 blocks, constant sigma_x drive
+        cfg = ScenarioConfig(
+            scenario="direct_sum_counterexample", params={"blocks": 64},
+            taus=(8.0, 16.0, 32.0, 64.0), s_grid=(0.0, 0.5, 1.0), metrics=(), seed=1,
+        )
+        return build_scenario(cfg)
+
+    def test_one_eigh_per_tau(self, monkeypatch):
+        inst = self.direct_sum_instance()
+        calls = []
+        eigh = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(1) or eigh(a))
+        for tau in (8.0, 16.0, 32.0, 64.0):
+            res = evolve(inst.h_o, inst.path, tau, np.array([0.0, 0.5, 1.0]))
+            assert res.scheme == "exact-constant"
+        assert len(calls) == 4
+
+    def test_matches_midpoint_stepper(self):
+        # the same drive behind a plain sampler is not marked constant, so it
+        # takes the midpoint loop; both must agree at every grid point
+        inst = self.direct_sum_instance()
+        grid = np.array([0.0, 0.5, 1.0])
+        stepped = GeneratorPath.from_sampler(
+            inst.path.dim, lambda s: inst.path.sampler(s), probe_points=3
+        )
+        for tau in (8.0, 64.0):
+            exact = evolve(inst.h_o, inst.path, tau, grid)
+            mid = evolve(inst.h_o, stepped, tau, grid)
+            assert mid.scheme == "midpoint-exponential"
+            for a, b in zip(exact.unitaries, mid.unitaries):
+                assert operator_norm(a - b) <= 1e-10
+
+    def test_step_has_no_effect(self):
+        h = random_hermitian(4, 30)
+        path = GeneratorPath.constant(random_hermitian(4, 31).matrix)
+        a = evolve(h, path, 40.0, GRID)
+        b = evolve(h, path, 40.0, GRID, step=0.3)
+        assert np.array_equal(a.unitaries, b.unitaries)
+        assert a.step == b.step == GRID[1]
+
+    def test_drift_still_enforced(self):
+        h = random_hermitian(4, 32)
+        path = GeneratorPath.constant(random_hermitian(4, 33).matrix)
+        with pytest.raises(PropagationError, match="drift"):
+            evolve(h, path, 10.0, GRID, drift_tol=1e-18)
 
 
 class TestPropagatorResult:

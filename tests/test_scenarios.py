@@ -1,18 +1,22 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import slowdrive.sweeps
 from slowdrive.cli import main
 from slowdrive.operators import operator_norm, pauli
-from slowdrive.propagation import PropagatorResult, evolve
+from slowdrive.propagation import PropagationError, PropagatorResult, evolve
 from slowdrive.scenarios import (
     ConfigError,
     ScenarioConfig,
     build_scenario,
     list_scenarios,
 )
-from slowdrive.sweeps import run_sweep
+from slowdrive.sweeps import SweepExecutionError, run_sweep
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 def make_config(**overrides):
@@ -238,6 +242,41 @@ class TestRunSweep:
         summary = json.loads((tmp_path / "summary.json").read_text())
         assert "tau=3.5" in summary["error"]
 
+    def test_failure_at_last_tau_writes_summary_then_raises(self, tmp_path, monkeypatch):
+        # the ceiling references the tau that fails: its check is skipped,
+        # the finished taus are written, and the propagation error surfaces
+        real_evolve = slowdrive.sweeps.evolve
+
+        def failing_evolve(h_o, path, tau, s_grid, step=None):
+            if tau == 64.0:
+                raise PropagationError("injected failure")
+            return real_evolve(h_o, path, tau, s_grid, step=step)
+
+        monkeypatch.setattr(slowdrive.sweeps, "evolve", failing_evolve)
+        cfg = ScenarioConfig.from_mapping(
+            dict(json.loads((CONFIGS / "direct_sum_demo.json").read_text()), out_dir=str(tmp_path))
+        )
+        with pytest.raises(SweepExecutionError, match="tau=64.0: injected failure"):
+            run_sweep(cfg)
+        summary = json.loads((tmp_path / "summary.json").read_text())
+        assert "injected failure" in summary["error"]
+        assert summary["taus"] == [8.0, 16.0, 32.0]
+        checks = {r["metric"]: r["checks"] for r in summary["results"]}
+        assert "tau=64" in checks["heisenberg_sot:negative_energies"]["ceiling_skipped"]
+        assert checks["heisenberg_norm:negative_energies"]["floor_ok"] is True
+
+    def test_floor_tau_not_evaluated_is_skipped(self):
+        cfg = make_config(
+            metrics=["heisenberg_norm:p_embedded"],
+            metric_params={
+                "heisenberg_norm:p_embedded": {"floor": {"s": 0.5, "min_value": 0.0, "taus": [5.0, 50.0]}}
+            },
+        )
+        res = run_sweep(cfg, single=True)
+        checks = res.outcomes[0].checks
+        assert checks["floor_skipped"] == {50.0: "tau=50 was not evaluated in this run"}
+        assert checks["floor_ok"] is True
+
     def test_fermi_observable_sweep(self, tmp_path):
         # occupation-function observables at mu = 0 (an eigenvalue) still
         # converge per vector: both the smooth and the filled-sea observable
@@ -306,6 +345,23 @@ class TestCli:
         out = capsys.readouterr().out
         assert "PASS" in out
         assert (tmp_path / "out" / "summary.json").exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["run", "swap_demo.json"],
+            ["sweep", "direct_sum_demo.json"],
+            ["run", "direct_sum_demo.json"],
+        ],
+    )
+    def test_documented_commands(self, argv, tmp_path, capsys):
+        # every invocation the README shows finishes with exit code 0
+        command, config = argv
+        assert main([command, str(CONFIGS / config), "--out", str(tmp_path)]) == 0
+        assert "PASS" in capsys.readouterr().out
+        summary = json.loads((tmp_path / "summary.json").read_text())
+        assert "error" not in summary
+        assert all(r["verdict"] == "PASS" for r in summary["results"])
 
     def test_exit_2_on_fail(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"
