@@ -22,7 +22,12 @@ from .operators import (
     hermitian_eigendecomposition,
     operator_norm,
 )
-from .propagation import GeneratorPath, PropagatorResult, comparison_family
+from .propagation import (
+    GeneratorPath,
+    PropagatorResult,
+    comparison_family,
+    comparison_operator,
+)
 from .spectral import band_projection, projection_eq, projection_geq, projection_leq
 
 __all__ = [
@@ -40,7 +45,9 @@ __all__ = [
     "heisenberg_distance_sot",
     "resolvent_distance",
     "offdiagonal_block_decay",
+    "embedded_offblock_profile",
     "embedded_eigenprojection_decay",
+    "schrodinger_limit_profile",
     "schrodinger_limit_distance",
     "rate_fit",
     "write_metric_csv",
@@ -144,19 +151,18 @@ def conjugation_distance_norm(w: np.ndarray, a: np.ndarray) -> float:
     return operator_norm(w @ a @ w.conj().T - a)
 
 
-def conjugation_distance_sot(w: np.ndarray, a: np.ndarray, psi: np.ndarray) -> float:
-    """||(W A W^+ - A) psi||."""
-    return float(np.linalg.norm(w @ (a @ (w.conj().T @ psi)) - a @ psi))
+def conjugation_distance_sot(
+    w: np.ndarray, a: np.ndarray, psi: np.ndarray
+) -> float | np.ndarray:
+    """||(W A W^+ - A) psi||; for psi a (dim, count) block, one value per column."""
+    return np.linalg.norm(w @ (a @ (w.conj().T @ psi)) - a @ psi, axis=0)
 
 
 def heisenberg_distance_norm(
     result: PropagatorResult, a: HermitianOperator
 ) -> tuple[np.ndarray, float]:
     """||W(s) A W(s)^+ - A|| per grid point, and its sup over the grid."""
-    mat = a.matrix
-    values = np.array(
-        [conjugation_distance_norm(w, mat) for w in result.unitaries]
-    )
+    values = np.array([conjugation_distance_norm(w, a.matrix) for w in result.unitaries])
     return values, float(values.max())
 
 
@@ -166,13 +172,9 @@ def heisenberg_distance_sot(
     """For each probe vector psi: ||(W(s) A W(s)^+ - A) psi|| per grid point.
 
     Returns (values, sups) with values shaped (len(vectors), len(s_grid))."""
-    mat = a.matrix
-    psis = vectors.vectors
-    out = np.empty((len(vectors), result.s_grid.size))
-    base = mat @ psis.T  # (dim, count)
-    for j, w in enumerate(result.unitaries):
-        moved = w @ (mat @ (w.conj().T @ psis.T))
-        out[:, j] = np.linalg.norm(moved - base, axis=0)
+    psis = vectors.vectors.T
+    values = [conjugation_distance_sot(w, a.matrix, psis) for w in result.unitaries]
+    out = np.stack(values, axis=1)
     return out, out.max(axis=1)
 
 
@@ -210,9 +212,7 @@ def resolvent_distance(
         raise ValueError("z must have a nonzero imaginary part")
     dim = h_o.dim
     r = np.linalg.inv(h_o.matrix - z * np.eye(dim))
-    values = np.array(
-        [operator_norm(w @ r @ w.conj().T - r) for w in result.unitaries]
-    )
+    values = np.array([conjugation_distance_norm(w, r) for w in result.unitaries])
     sup = float(values.max())
     constant = bound = ok = None
     if path is not None and path.kappa_dot is not None:
@@ -260,12 +260,7 @@ def offdiagonal_block_decay(
     d = decomposition or hermitian_eigendecomposition(h_o)
     p1 = projection_leq(d, e1).matrix
     p2 = projection_geq(d, e2).matrix
-    wt = result.at(t)
-    ws = result.at(s)
-    vals, vecs = h_o.spectrum
-    omega = vecs @ (
-        np.exp(1j * result.tau * (t - s) * vals)[:, None] * (vecs.conj().T @ (wt @ ws.conj().T))
-    )
+    omega = comparison_operator(h_o, result, t, s).matrix
     return OffDiagonalRecord(
         e1=e1,
         e2=e2,
@@ -288,6 +283,16 @@ class EmbeddedDecayRecord:
     band_mass_below: float  # ||chi(E - delta < H < E) psi||
 
 
+def embedded_offblock_profile(
+    omegas: np.ndarray, p_e: np.ndarray, vectors: TestVectorSet
+) -> np.ndarray:
+    """||(1 - P_E) Omega(s_j, 0) P_E psi|| for every probe vector and grid
+    point, shaped (len(vectors), len(omegas)); one product per grid point."""
+    pe_psis = p_e @ vectors.vectors.T
+    comp = np.eye(p_e.shape[0]) - p_e
+    return np.stack([np.linalg.norm(comp @ (om @ pe_psis), axis=0) for om in omegas], axis=1)
+
+
 def embedded_eigenprojection_decay(
     h_o: HermitianOperator,
     result: PropagatorResult,
@@ -298,33 +303,24 @@ def embedded_eigenprojection_decay(
     """Per-vector SOT decay data for the spectral projection at eigenvalue e,
     with the 1/sqrt(tau) band split recorded alongside."""
     d = decomposition or hermitian_eigendecomposition(h_o)
-    p_e = projection_eq(d, e).matrix
-    if operator_norm(p_e) == 0.0:
+    p_e = projection_eq(d, e)
+    if operator_norm(p_e.matrix) == 0.0:
         raise ValueError(f"{e} is not an eigenvalue of H_o (no level within cluster_tol)")
-    eye = np.eye(d.dim)
-    omegas = comparison_family(h_o, result)
+    off = embedded_offblock_profile(comparison_family(h_o, result), p_e.matrix, vectors)
+    _, proj = heisenberg_distance_sot(result, p_e, vectors)
     delta = 1.0 / math.sqrt(result.tau)
     band_up = band_projection(d, e, e + delta).matrix
     band_dn = band_projection(d, e - delta, e).matrix
-    records = []
-    for label, psi in zip(vectors.labels, vectors.vectors):
-        pe_psi = p_e @ psi
-        off = max(
-            float(np.linalg.norm((eye - p_e) @ (om @ pe_psi))) for om in omegas
+    return [
+        EmbeddedDecayRecord(
+            vector_id=label,
+            offblock_sup=float(off[i].max()),
+            projection_sup=float(proj[i]),
+            band_mass_above=float(np.linalg.norm(band_up @ psi)),
+            band_mass_below=float(np.linalg.norm(band_dn @ psi)),
         )
-        proj = max(
-            conjugation_distance_sot(w, p_e, psi) for w in result.unitaries
-        )
-        records.append(
-            EmbeddedDecayRecord(
-                vector_id=label,
-                offblock_sup=off,
-                projection_sup=proj,
-                band_mass_above=float(np.linalg.norm(band_up @ psi)),
-                band_mass_below=float(np.linalg.norm(band_dn @ psi)),
-            )
-        )
-    return records
+        for i, (label, psi) in enumerate(zip(vectors.labels, vectors.vectors))
+    ]
 
 
 # --- pure-point limit comparison ----------------------------------------------
@@ -336,6 +332,18 @@ class SchrodingerLimitRecord:
     distance_sup: float  # sup_s ||(Omega_tau(s) - Omega_inf(s)) psi||
     block_distance_sup: float  # same with Omega_tau block-compressed
     gronwall_envelope: float  # sup_s ||R_tau(s) psi|| * exp(int ||Lambda||)
+
+
+def schrodinger_limit_profile(
+    omegas: np.ndarray, omega_inf: PropagatorResult, vectors: TestVectorSet
+) -> np.ndarray:
+    """||(Omega_tau(s_j) - Omega_inf(s_j)) psi|| for every probe vector and
+    grid point, shaped (len(vectors), len(omegas)); one product per grid point."""
+    psis = vectors.vectors.T
+    return np.stack(
+        [np.linalg.norm((om - oi) @ psis, axis=0) for om, oi in zip(omegas, omega_inf.unitaries)],
+        axis=1,
+    )
 
 
 def schrodinger_limit_distance(
@@ -368,19 +376,23 @@ def schrodinger_limit_distance(
     grid = result.s_grid
     n = grid.size
     l1 = path.l1_norm if path.l1_norm is not None else path.kappa
-    psis = vectors.vectors
+    psis = vectors.vectors.T
+    eig_psis = vh @ psis
 
     # Remainder integrand D(s) psi = B[K(s) (Omega(s) - B[Omega(s)])] psi,
-    # assembled in the eigenbasis where B[.] is the Schur mask.
+    # assembled in the eigenbasis where B[.] is the Schur mask; the
+    # block-compressed distance is read off the same B[Omega(s)].
     integrand = np.empty((n, d.dim, len(vectors)), dtype=complex)
+    block_dist = np.empty((len(vectors), n))
     for j, s in enumerate(grid):
         om_eig = vh @ omegas[j] @ vecs
-        off = om_eig - mask * om_eig
+        block = mask * om_eig
         lam = vh @ np.asarray(path.sampler(float(s)), dtype=complex) @ vecs
         phase = np.exp(1j * result.tau * s * vals)
         kern = -1j * (phase[:, None] * phase.conj()[None, :]) * lam
-        dmat = mask * (kern @ off)
-        integrand[j] = dmat @ (vh @ psis.T)
+        integrand[j] = (mask * (kern @ (om_eig - block))) @ eig_psis
+        moved = vecs @ (block @ eig_psis) - omega_inf.unitaries[j] @ psis
+        block_dist[:, j] = np.linalg.norm(moved, axis=0)
 
     # Cumulative trapezoid of -i * integrand along the grid.
     r_norm_sup = np.zeros(len(vectors))
@@ -390,29 +402,16 @@ def schrodinger_limit_distance(
         acc = acc + (-1j) * 0.5 * h * (integrand[j - 1] + integrand[j])
         r_norm_sup = np.maximum(r_norm_sup, np.linalg.norm(acc, axis=0))
 
-    records = []
-    for i, (label, psi) in enumerate(zip(vectors.labels, psis)):
-        dist = max(
-            float(np.linalg.norm((om - oi) @ psi))
-            for om, oi in zip(omegas, omega_inf.unitaries)
+    dist = schrodinger_limit_profile(omegas, omega_inf, vectors)
+    return [
+        SchrodingerLimitRecord(
+            vector_id=label,
+            distance_sup=float(dist[i].max()),
+            block_distance_sup=float(block_dist[i].max()),
+            gronwall_envelope=float(r_norm_sup[i] * math.exp(l1)),
         )
-        block_dist = max(
-            float(
-                np.linalg.norm(
-                    vecs @ ((mask * (vh @ om @ vecs)) @ (vh @ psi)) - oi @ psi
-                )
-            )
-            for om, oi in zip(omegas, omega_inf.unitaries)
-        )
-        records.append(
-            SchrodingerLimitRecord(
-                vector_id=label,
-                distance_sup=dist,
-                block_distance_sup=block_dist,
-                gronwall_envelope=float(r_norm_sup[i] * math.exp(l1)),
-            )
-        )
-    return records
+        for i, label in enumerate(vectors.labels)
+    ]
 
 
 # --- rate fitting and CSV -----------------------------------------------------

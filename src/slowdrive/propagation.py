@@ -22,7 +22,7 @@ from __future__ import annotations
 import json
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
@@ -496,24 +496,28 @@ def richardson_error(
 # --- comparison evolution and Dyson expansion ------------------------------
 
 
+def _in_comparison_frame(h_o: HermitianOperator, phase: float, m: np.ndarray) -> np.ndarray:
+    """exp(i phase H_o) m, formed in the eigenbasis of H_o."""
+    vals, vecs = h_o.spectrum
+    return vecs @ (np.exp(1j * phase * vals)[:, None] * (vecs.conj().T @ m))
+
+
 def comparison_operator(
     h_o: HermitianOperator, result: PropagatorResult, t: float, s: float
 ) -> UnitaryOperator:
     """Omega_tau(t,s) = exp(i tau (t-s) H_o) W_tau(t) W_tau(s)^+ for grid t, s."""
-    wt = result.at(t)
-    ws = result.at(s)
-    vals, vecs = h_o.spectrum
-    phase = vecs @ (np.exp(1j * result.tau * (t - s) * vals)[:, None] * vecs.conj().T)
-    return UnitaryOperator(phase @ wt @ ws.conj().T, drift_tol=max(DRIFT_TOL, 3 * result.max_drift + 1e-12))
+    m = result.at(t) @ result.at(s).conj().T
+    return UnitaryOperator(
+        _in_comparison_frame(h_o, result.tau * (t - s), m),
+        drift_tol=max(DRIFT_TOL, 3 * result.max_drift + 1e-12),
+    )
 
 
 def comparison_family(h_o: HermitianOperator, result: PropagatorResult) -> np.ndarray:
     """Omega_tau(s_j, 0) for every grid point, as an (n, dim, dim) array."""
-    vals, vecs = h_o.spectrum
-    vh = vecs.conj().T
     out = np.empty_like(result.unitaries)
     for j, (s, w) in enumerate(zip(result.s_grid, result.unitaries)):
-        out[j] = vecs @ (np.exp(1j * result.tau * s * vals)[:, None] * (vh @ w))
+        out[j] = _in_comparison_frame(h_o, result.tau * s, w)
     return out
 
 
@@ -650,22 +654,23 @@ def dyson_series(
 # --- interaction frame and the limit evolution -----------------------------
 
 
+def _drive_only_evolution(
+    path: GeneratorPath, s_grid, step: float | None, caller: str, prefix: str
+) -> PropagatorResult:
+    """i dV/ds = Lambda(s) V, V(0) = 1: a tau=1, H_o=0 evolution whose scheme
+    is tagged with ``prefix``."""
+    if path.smoothness != SMOOTH_C1:
+        raise ValueError(f"{caller} requires a norm_C1 path; mollify first")
+    h0 = HermitianOperator(np.zeros((path.dim, path.dim)))
+    res = evolve(h0, path, tau=1.0, s_grid=s_grid, step=step)
+    return replace(res, scheme=prefix + res.scheme)
+
+
 def interaction_frame(
     path: GeneratorPath, s_grid, step: float | None = None
 ) -> PropagatorResult:
     """V(s) with i dV/ds = Lambda(s) V, V(0) = 1 (a tau=1, H_o=0 evolution)."""
-    if path.smoothness != SMOOTH_C1:
-        raise ValueError("interaction_frame requires a norm_C1 path; mollify first")
-    h0 = HermitianOperator(np.zeros((path.dim, path.dim)))
-    res = evolve(h0, path, tau=1.0, s_grid=s_grid, step=step)
-    return PropagatorResult(
-        tau=res.tau,
-        s_grid=res.s_grid,
-        unitaries=res.unitaries,
-        step=res.step,
-        max_drift=res.max_drift,
-        scheme="frame-" + res.scheme,
-    )
+    return _drive_only_evolution(path, s_grid, step, "interaction_frame", "frame-")
 
 
 def frame_reconstruction_residual(
@@ -737,16 +742,5 @@ def omega_infinity(
     """The limit evolution: i dOmega/ds = (sum_E P_E Lambda(s) P_E) Omega.
 
     Block-diagonal in the eigenbasis of H_o, hence commutes with H_o."""
-    if path.smoothness != SMOOTH_C1:
-        raise ValueError("omega_infinity requires a norm_C1 path; mollify first")
     bpath = block_diagonal_path(d, path)
-    h0 = HermitianOperator(np.zeros((path.dim, path.dim)))
-    res = evolve(h0, bpath, tau=1.0, s_grid=s_grid, step=step)
-    return PropagatorResult(
-        tau=res.tau,
-        s_grid=res.s_grid,
-        unitaries=res.unitaries,
-        step=res.step,
-        max_drift=res.max_drift,
-        scheme="limit-" + res.scheme,
-    )
+    return _drive_only_evolution(bpath, s_grid, step, "omega_infinity", "limit-")

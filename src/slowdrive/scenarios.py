@@ -55,19 +55,21 @@ class ConfigError(ValueError):
     """Malformed scenario configuration."""
 
 
-_CONFIG_KEYS = {
-    "scenario",
-    "params",
-    "taus",
-    "s_grid",
-    "step",
-    "metrics",
-    "metric_params",
-    "out_dir",
-    "seed",
-    "threads",
-    "save_propagators",
+# Every config key, with the JSON types it accepts.
+_CONFIG_TYPES = {
+    "scenario": str,
+    "params": dict,
+    "taus": list,
+    "s_grid": (dict, list),
+    "step": (int, float, type(None)),
+    "metrics": list,
+    "metric_params": dict,
+    "out_dir": (str, type(None)),
+    "seed": int,
+    "threads": int,
+    "save_propagators": bool,
 }
+_MAX_GRID_POINTS = 100_000
 
 
 @dataclass(frozen=True)
@@ -110,38 +112,40 @@ class ScenarioConfig:
 
     @staticmethod
     def from_mapping(doc: dict) -> "ScenarioConfig":
-        extra = set(doc) - _CONFIG_KEYS
+        """Parse a decoded JSON config; anything malformed raises ConfigError."""
+        if not isinstance(doc, dict):
+            raise ConfigError("a config must be a JSON object")
+        extra = set(doc) - set(_CONFIG_TYPES)
         if extra:
             raise ConfigError(f"unknown config keys: {sorted(extra)}")
         if "scenario" not in doc:
             raise ConfigError("config requires a scenario name")
-        s_grid = doc.get("s_grid", {"points": 21})
-        if isinstance(s_grid, dict):
-            extra = set(s_grid) - {"points", "values"}
-            if extra:
-                raise ConfigError(f"unknown s_grid keys: {sorted(extra)}")
-            if "values" in s_grid:
-                grid = tuple(float(v) for v in s_grid["values"])
-            else:
-                n = int(s_grid.get("points", 21))
-                if n < 2:
-                    raise ConfigError("s_grid.points must be >= 2")
-                grid = tuple(np.linspace(0.0, 1.0, n))
-        else:
-            grid = tuple(float(v) for v in s_grid)
-        return ScenarioConfig(
-            scenario=str(doc["scenario"]),
-            params=dict(doc.get("params", {})),
-            taus=tuple(doc.get("taus", ())),
-            s_grid=grid,
-            step=None if doc.get("step") is None else float(doc["step"]),
-            metrics=tuple(doc.get("metrics", ())),
-            metric_params=dict(doc.get("metric_params", {})),
-            out_dir=doc.get("out_dir"),
-            seed=int(doc.get("seed", 0)),
-            threads=int(doc.get("threads", 1)),
-            save_propagators=bool(doc.get("save_propagators", False)),
-        )
+        wrong = sorted(k for k, v in doc.items() if not isinstance(v, _CONFIG_TYPES[k]))
+        if wrong:
+            raise ConfigError(f"config keys of the wrong JSON type: {wrong}")
+        metrics, metric_params = doc.get("metrics", []), doc.get("metric_params", {})
+        if not all(isinstance(m, str) for m in metrics):
+            raise ConfigError("metrics must be a list of metric names")
+        if not all(isinstance(p, dict) for p in metric_params.values()):
+            raise ConfigError("each metric_params entry must be an object")
+        try:
+            return ScenarioConfig(
+                scenario=doc["scenario"],
+                params=dict(doc.get("params", {})),
+                taus=tuple(doc.get("taus", ())),
+                s_grid=_parse_grid(doc.get("s_grid", {"points": 21})),
+                step=None if doc.get("step") is None else float(doc["step"]),
+                metrics=tuple(metrics),
+                metric_params=dict(metric_params),
+                out_dir=doc.get("out_dir"),
+                seed=doc.get("seed", 0),
+                threads=doc.get("threads", 1),
+                save_propagators=doc.get("save_propagators", False),
+            )
+        except ConfigError:
+            raise
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise ConfigError(f"malformed config: {exc}") from None
 
     @staticmethod
     def from_json(text: str) -> "ScenarioConfig":
@@ -151,6 +155,20 @@ class ScenarioConfig:
     def from_file(path) -> "ScenarioConfig":
         with open(path, "r", encoding="utf-8") as fh:
             return ScenarioConfig.from_json(fh.read())
+
+
+def _parse_grid(s_grid) -> tuple[float, ...]:
+    if isinstance(s_grid, list):
+        return tuple(float(v) for v in s_grid)
+    extra = set(s_grid) - {"points", "values"}
+    if extra:
+        raise ConfigError(f"unknown s_grid keys: {sorted(extra)}")
+    if "values" in s_grid:
+        return tuple(float(v) for v in s_grid["values"])
+    n = int(s_grid.get("points", 21))
+    if not 2 <= n <= _MAX_GRID_POINTS:
+        raise ConfigError(f"s_grid.points must lie in [2, {_MAX_GRID_POINTS}]")
+    return tuple(np.linspace(0.0, 1.0, n))
 
 
 @dataclass(frozen=True)
@@ -173,7 +191,7 @@ class ScenarioInstance:
         for name, op in self.observables:
             if name == label:
                 return op
-        raise KeyError(f"no observable {label!r}; have {[n for n, _ in self.observables]}")
+        raise ConfigError(f"no observable {label!r}; have {[n for n, _ in self.observables]}")
 
 
 def _check_params(params: dict, allowed: dict) -> dict:

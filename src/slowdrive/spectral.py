@@ -18,6 +18,7 @@ import bisect
 import json
 import math
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Callable, Sequence
 
 import numpy as np
@@ -137,26 +138,23 @@ class BVFunction:
                 )
         object.__setattr__(self, "_offsets", tuple(offsets))
 
+    def _limits(self, x: float) -> tuple[float, float, float]:
+        """(f(x-0), f(x), f(x+0)): the stored jump at x, else the segment value."""
+        k = bisect.bisect_left(self.jumps, x, key=attrgetter("at"))
+        if k < len(self.jumps) and self.jumps[k].at == x:
+            j = self.jumps[k]
+            return j.left, j.value, j.right
+        v = self.continuous(x) + self._offsets[k]
+        return v, v, v
+
     def __call__(self, x: float) -> float:
-        ats = [j.at for j in self.jumps]
-        k = bisect.bisect_left(ats, x)
-        if k < len(ats) and ats[k] == x:
-            return self.jumps[k].value
-        return self.continuous(x) + self._offsets[k]
+        return self._limits(x)[1]
 
     def left_limit(self, x: float) -> float:
-        ats = [j.at for j in self.jumps]
-        k = bisect.bisect_left(ats, x)
-        if k < len(ats) and ats[k] == x:
-            return self.jumps[k].left
-        return self.continuous(x) + self._offsets[k]
+        return self._limits(x)[0]
 
     def right_limit(self, x: float) -> float:
-        ats = [j.at for j in self.jumps]
-        k = bisect.bisect_left(ats, x)
-        if k < len(ats) and ats[k] == x:
-            return self.jumps[k].right
-        return self.continuous(x) + self._offsets[k]
+        return self._limits(x)[2]
 
     def continuous_at_infinity(self) -> float:
         """Limit of the continuous part at +inf, implied by f(+inf)."""
@@ -213,20 +211,10 @@ class BVFunction:
     def __add__(self, other: "BVFunction") -> "BVFunction":
         if not isinstance(other, BVFunction):
             return NotImplemented
-        mine = {j.at: j for j in self.jumps}
-        theirs = {j.at: j for j in other.jumps}
         merged = []
-        for at in sorted(set(mine) | set(theirs)):
-            a, b = mine.get(at), theirs.get(at)
-            fa = (a.left, a.value, a.right) if a else tuple(
-                self.continuous(at) + self._offsets[bisect.bisect_left([j.at for j in self.jumps], at)]
-                for _ in range(3)
-            )
-            fb = (b.left, b.value, b.right) if b else tuple(
-                other.continuous(at) + other._offsets[bisect.bisect_left([j.at for j in other.jumps], at)]
-                for _ in range(3)
-            )
-            merged.append(Jump(at, fa[0] + fb[0], fa[2] + fb[2], value=fa[1] + fb[1]))
+        for at in sorted({j.at for j in self.jumps} | {j.at for j in other.jumps}):
+            (la, va, ra), (lb, vb, rb) = self._limits(at), other._limits(at)
+            merged.append(Jump(at, la + lb, ra + rb, value=va + vb))
         f, g = self.continuous, other.continuous
         summed = lambda x: f(x) + g(x)  # noqa: E731
         return BVFunction(
@@ -439,14 +427,7 @@ def total_variation(f: BVFunction, grid) -> float:
         raise ValueError("grid must be sorted")
     jump_ats = {j.at for j in f.jumps if xs[0] <= j.at <= xs[-1]}
     points = sorted(set(xs.tolist()) | jump_ats)
-    values: list[float] = []
-    for x in points:
-        if x in jump_ats:
-            k = bisect.bisect_left([j.at for j in f.jumps], x)
-            j = f.jumps[k]
-            values.extend((j.left, j.value, j.right))
-        else:
-            values.append(f(x))
+    values = [v for x in points for v in f._limits(x)]
     return float(sum(abs(b - a) for a, b in zip(values, values[1:])))
 
 

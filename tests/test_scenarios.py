@@ -3,11 +3,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import slowdrive.sweeps
 from slowdrive.cli import main
+from slowdrive.diagnostics import embedded_eigenprojection_decay, schrodinger_limit_distance
 from slowdrive.operators import operator_norm, pauli
-from slowdrive.propagation import PropagationError, PropagatorResult, evolve
+from slowdrive.propagation import PropagationError, PropagatorResult, evolve, omega_infinity
 from slowdrive.scenarios import (
     ConfigError,
     ScenarioConfig,
@@ -17,6 +20,19 @@ from slowdrive.scenarios import (
 from slowdrive.sweeps import SweepExecutionError, run_sweep
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+
+CONFIG_KEYS = (
+    "params", "taus", "s_grid", "step", "metrics", "metric_params",
+    "out_dir", "seed", "threads", "save_propagators",
+)
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(
+        st.sampled_from(["points", "values", "x"]) | st.text(max_size=6), inner, max_size=4
+    ),
+    max_leaves=12,
+)
 
 
 def make_config(**overrides):
@@ -65,6 +81,38 @@ class TestConfig:
         cfg = make_config(metric_params={"heisenberg_sot:p_embedded": {"huh": 1}})
         with pytest.raises(ConfigError, match="unknown metric_params"):
             run_sweep(cfg)
+
+    @pytest.mark.parametrize(
+        "overrides, message",
+        [
+            ({"taus": 5}, "wrong JSON type: ['taus']"),
+            ({"metrics": "heisenberg_sot:p_embedded"}, "wrong JSON type: ['metrics']"),
+            ({"metric_params": {"heisenberg_sot:p_embedded": 5}}, "must be an object"),
+            ({"s_grid": {"points": 200_001}}, "s_grid.points must lie in"),
+            ({"taus": [5.0, "ten"]}, "malformed config"),
+        ],
+    )
+    def test_malformed_fields_rejected(self, overrides, message):
+        with pytest.raises(ConfigError) as info:
+            make_config(**overrides)
+        assert message in str(info.value)
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(
+        st.one_of(
+            JSON_VALUES,
+            st.fixed_dictionaries(
+                {"scenario": st.sampled_from([n for n, _, _ in list_scenarios()]) | JSON_VALUES},
+                optional={key: JSON_VALUES for key in CONFIG_KEYS},
+            ),
+        )
+    )
+    def test_from_mapping_raises_only_config_error(self, doc):
+        try:
+            cfg = ScenarioConfig.from_mapping(doc)
+        except ConfigError:
+            return
+        assert isinstance(cfg, ScenarioConfig)
 
     def test_from_file(self, tmp_path):
         p = tmp_path / "c.json"
@@ -318,6 +366,142 @@ class TestRunSweep:
         })
         res = run_sweep(cfg)
         assert res.all_pass, [o.checks for o in res.outcomes]
+
+
+SWAP = {"scenario": "swap_sequence", "params": {"half_width": 4}, "taus": [2, 3]}
+DIRECT_SUM = {
+    "scenario": "direct_sum_counterexample", "params": {"blocks": 4}, "taus": [4, 8],
+    "s_grid": {"values": [0.0, 0.5, 1.0]},
+}
+EMBEDDED = {
+    "scenario": "embedded_eigenvalue", "params": {"grid_points": 11}, "taus": [5, 50],
+    "s_grid": {"points": 5},
+}
+PURE_POINT = {"scenario": "pure_point_omega", "params": {"dim": 6}, "taus": [5, 50]}
+
+
+class TestLoadChecks:
+    """Every reference a config makes is checked before the first tau runs."""
+
+    @pytest.mark.parametrize(
+        "doc, message",
+        [
+            (
+                dict(SWAP, metrics=["swap_sot_projection"],
+                     metric_params={"swap_sot_projection": {"constant_vector": "nope"}}),
+                "no probe vector ['nope']",
+            ),
+            (
+                dict(DIRECT_SUM, metrics=["heisenberg_sot"], metric_params={"heisenberg_sot": {
+                    "ceiling": {"tau": 8, "max_value": 1, "vectors": ["nope"]}}}),
+                "no probe vector ['nope']",
+            ),
+            (
+                dict(DIRECT_SUM, metrics=["heisenberg_sot"], metric_params={
+                    "heisenberg_sot": {"ceiling": {"tau": 64, "max_value": 1}}}),
+                "no tau [64]",
+            ),
+            (
+                dict(DIRECT_SUM, metrics=["heisenberg_norm"], metric_params={
+                    "heisenberg_norm": {"floor": {"s": 0.3, "min_value": 0.1}}}),
+                "no s [0.3]",
+            ),
+            (
+                dict(DIRECT_SUM, metrics=["heisenberg_norm"], metric_params={
+                    "heisenberg_norm": {"floor": {"s": 0.5, "min_value": 0.1, "taus": [16]}}}),
+                "no tau [16]",
+            ),
+            (
+                dict(DIRECT_SUM, metrics=["heisenberg_norm"],
+                     metric_params={"heisenberg_norm": {"floor": {"s": 0.5}}}),
+                "floor takes ['min_value', 's']",
+            ),
+            (dict(EMBEDDED, metrics=["heisenberg_sot:nope"]), "no observable 'nope'"),
+            (
+                dict(EMBEDDED, metrics=["offdiag_low_high"],
+                     metric_params={"offdiag_low_high": {"t": 0.33}}),
+                "no s [0.33]",
+            ),
+            (
+                dict(EMBEDDED, metrics=["offdiag_high_low"],
+                     metric_params={"offdiag_high_low": {"s": 0.6}}),
+                "no s [0.6]",
+            ),
+            (
+                dict(EMBEDDED, metrics=["resolvent"], metric_params={"resolvent": {"z_imag": "i"}}),
+                "z_imag must be a number",
+            ),
+            (dict(EMBEDDED, metrics=["swap_norm_shift"]), "needs a static scenario"),
+            (dict(SWAP, metrics=["heisenberg_norm"]), "needs a time-dependent scenario"),
+            (dict(DIRECT_SUM, metrics=["offdiag_low_high"]), "need e1 < e2"),
+            (dict(PURE_POINT, metrics=["embedded_offblock"]), "no embedded level"),
+            (
+                dict(EMBEDDED, metrics=["resolvent"], metric_params={"heisenberg_norm": {}}),
+                "not in the metrics list",
+            ),
+        ],
+    )
+    def test_bad_reference_exits_1_before_any_tau(
+        self, doc, message, tmp_path, capsys, monkeypatch
+    ):
+        calls = []
+        real_evolve = slowdrive.sweeps.evolve
+
+        def counting_evolve(*args, **kwargs):
+            calls.append(args[2])
+            return real_evolve(*args, **kwargs)
+
+        monkeypatch.setattr(slowdrive.sweeps, "evolve", counting_evolve)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(doc))
+        assert main(["sweep", str(cfg_path), "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert message in err
+        assert calls == []
+
+
+class TestLibraryAgreement:
+    """The sweep and the library functions share one implementation of each
+    per-vector metric."""
+
+    @staticmethod
+    def sweep_sups(outcome):
+        sups: dict = {}
+        for r in outcome.rows:
+            key = (r.tau, r.vector_id)
+            sups[key] = max(sups.get(key, 0.0), r.value)
+        return sups
+
+    def test_embedded_offblock_matches_library(self):
+        cfg = ScenarioConfig.from_mapping(dict(EMBEDDED, metrics=["embedded_offblock"], seed=3))
+        sups = self.sweep_sups(run_sweep(cfg).outcomes[0])
+        inst = build_scenario(cfg)
+        for tau in cfg.taus:
+            result = evolve(inst.h_o, inst.path, tau, np.asarray(cfg.s_grid))
+            recs = embedded_eigenprojection_decay(
+                inst.h_o, result, inst.embedded_level, inst.vectors, inst.decomposition
+            )
+            assert len(recs) == len(inst.vectors)
+            for rec in recs:
+                want = rec.offblock_sup
+                assert sups[(tau, rec.vector_id)] == pytest.approx(want, rel=1e-14, abs=1e-14)
+
+    def test_schrodinger_limit_matches_library(self):
+        cfg = ScenarioConfig.from_mapping(dict(PURE_POINT, metrics=["schrodinger_limit"], seed=4))
+        sups = self.sweep_sups(run_sweep(cfg).outcomes[0])
+        inst = build_scenario(cfg)
+        grid = np.asarray(cfg.s_grid)
+        limit = omega_infinity(inst.decomposition, inst.path, grid)
+        for tau in cfg.taus:
+            result = evolve(inst.h_o, inst.path, tau, grid)
+            recs = schrodinger_limit_distance(
+                inst.decomposition, result, limit, inst.vectors, inst.path
+            )
+            assert len(recs) == len(inst.vectors)
+            for rec in recs:
+                want = rec.distance_sup
+                assert sups[(tau, rec.vector_id)] == pytest.approx(want, rel=1e-14, abs=1e-14)
 
 
 class TestCli:

@@ -1,8 +1,12 @@
+import functools
 import json
 import math
+import operator
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from slowdrive.operators import (
     HermitianOperator,
@@ -191,6 +195,31 @@ class TestBVFunction:
         assert f(2.0) == pytest.approx(g(2.0))
         assert f(0.0) == pytest.approx(1.0 + 0.5)
         assert f.variation == pytest.approx(2.0)
+
+    @settings(derandomize=True, max_examples=80, deadline=None)
+    @given(
+        levels=st.lists(st.integers(-8, 8), min_size=1, max_size=7, unique=True),
+        steps=st.lists(st.integers(-9, 9), max_size=3, unique=True),
+        deltas=st.lists(st.integers(-9, 9), max_size=2, unique=True),
+        fermis=st.lists(st.tuples(st.integers(-9, 9), st.floats(0.5, 20.0)), max_size=2),
+    )
+    def test_bv_calculus_is_pointwise_on_random_sums(self, levels, steps, deltas, fermis):
+        # jumps sit on the same quarter grid as the eigenvalues, so they
+        # both hit and miss the spectrum; the expected values come straight
+        # from the definitions of the summands, not from the BVFunction
+        fermis = fermis or [(0, 1.0)]
+        eigs = np.array(sorted(levels), dtype=float) / 4
+        parts = [step_function(k / 4) for k in steps] + [kronecker_delta(k / 4) for k in deltas]
+        parts += [fermi_dirac(mu / 4, beta) for mu, beta in fermis]
+        f = functools.reduce(operator.add, parts)
+
+        def direct(x):
+            value = sum(x <= k / 4 for k in steps) + sum(x == k / 4 for k in deltas)
+            return value + sum(1.0 / (1.0 + math.exp(beta * (x - mu / 4))) for mu, beta in fermis)
+
+        got = calculus_bv(decomp(np.diag(eigs)), f).matrix
+        assert np.allclose(got, np.diag([direct(e) for e in eigs]), atol=1e-12)
+        assert all(f(e) == pytest.approx(direct(e), abs=1e-12) for e in eigs)
 
     def test_json_roundtrip(self):
         f = step_function(0.25)
