@@ -16,12 +16,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .operators import (
-    HermitianOperator,
-    SpectralDecomposition,
-    hermitian_eigendecomposition,
-    operator_norm,
-)
+from .operators import HermitianOperator, operator_norm
 from .propagation import (
     GeneratorPath,
     PropagatorResult,
@@ -251,13 +246,12 @@ def offdiagonal_block_decay(
     e2: float,
     t: float,
     s: float,
-    decomposition: SpectralDecomposition | None = None,
 ) -> OffDiagonalRecord:
     """||P1 Omega_tau(t,s) P2|| and its interchange, where P1 = chi(H_o <= e1)
     and P2 = chi(H_o >= e2) straddle the gap (e1, e2)."""
     if e2 <= e1:
         raise ValueError("requires e2 > e1")
-    d = decomposition or hermitian_eigendecomposition(h_o)
+    d = h_o.decomposition
     p1 = projection_leq(d, e1).matrix
     p2 = projection_geq(d, e2).matrix
     omega = comparison_operator(h_o, result, t, s).matrix
@@ -298,11 +292,10 @@ def embedded_eigenprojection_decay(
     result: PropagatorResult,
     e: float,
     vectors: TestVectorSet,
-    decomposition: SpectralDecomposition | None = None,
 ) -> list[EmbeddedDecayRecord]:
     """Per-vector SOT decay data for the spectral projection at eigenvalue e,
     with the 1/sqrt(tau) band split recorded alongside."""
-    d = decomposition or hermitian_eigendecomposition(h_o)
+    d = h_o.decomposition
     p_e = projection_eq(d, e)
     if operator_norm(p_e.matrix) == 0.0:
         raise ValueError(f"{e} is not an eigenvalue of H_o (no level within cluster_tol)")
@@ -347,7 +340,7 @@ def schrodinger_limit_profile(
 
 
 def schrodinger_limit_distance(
-    d: SpectralDecomposition,
+    h_o: HermitianOperator,
     result: PropagatorResult,
     omega_inf: PropagatorResult,
     vectors: TestVectorSet,
@@ -365,12 +358,11 @@ def schrodinger_limit_distance(
         result.s_grid != omega_inf.s_grid
     ):
         raise ValueError("result and omega_inf must share the same s-grid")
-    h_o = HermitianOperator(d.operator)
+    d = h_o.decomposition
     omegas = comparison_family(h_o, result)
 
     # Level-block mask in the eigenbasis: same-level index pairs.
-    vals, vecs = h_o.spectrum
-    vh = vecs.conj().T
+    vecs, vh = d.vectors, d.vectors.conj().T
     mask = d.block_mask().astype(float)
 
     grid = result.s_grid
@@ -387,9 +379,8 @@ def schrodinger_limit_distance(
     for j, s in enumerate(grid):
         om_eig = vh @ omegas[j] @ vecs
         block = mask * om_eig
-        lam = vh @ np.asarray(path.sampler(float(s)), dtype=complex) @ vecs
-        phase = np.exp(1j * result.tau * s * vals)
-        kern = -1j * (phase[:, None] * phase.conj()[None, :]) * lam
+        lam = np.asarray(path.sampler(float(s)), dtype=complex)
+        kern = d.interaction_kernel(result.tau * s, lam)
         integrand[j] = (mask * (kern @ (om_eig - block))) @ eig_psis
         moved = vecs @ (block @ eig_psis) - omega_inf.unitaries[j] @ psis
         block_dist[:, j] = np.linalg.norm(moved, axis=0)

@@ -88,18 +88,24 @@ class HermitianOperator:
         return self.matrix.shape[0]
 
     @cached_property
-    def spectrum(self) -> tuple[np.ndarray, np.ndarray]:
-        """(eigenvalues, eigenvectors) from one ``eigh`` of the matrix, taken on
-        first use and shared, read-only, by every later caller."""
+    def _eigh(self) -> tuple[np.ndarray, np.ndarray]:
+        # (w, V) from the one eigh of the matrix, shared by norm() and the
+        # decomposition.
         try:
             w, v = np.linalg.eigh(self.matrix)
         except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK rarely fails
             raise EigensolverError(f"eigensolver did not converge: {exc}") from exc
         return _freeze(w), _freeze(v)
 
+    @cached_property
+    def decomposition(self) -> SpectralDecomposition:
+        """The validated spectral decomposition at the default cluster_tol
+        1e-9 * ||H||, built on first use and shared by every later caller."""
+        return hermitian_eigendecomposition(self, 1e-9 * self.norm())
+
     def norm(self) -> float:
         """Spectral norm, computed from the (real) eigenvalues."""
-        return float(np.abs(self.spectrum[0]).max())
+        return float(np.abs(self._eigh[0]).max())
 
 
 @dataclass(frozen=True)
@@ -143,18 +149,24 @@ class SpectralLevel:
 
 @dataclass(frozen=True)
 class SpectralDecomposition:
-    """Eigenvectors grouped into distinct levels: H = V diag(w) V†, where the
-    columns ``offsets[k]:offsets[k+1]`` of V span level k and w repeats each
-    level's eigenvalue over its columns.
+    """Eigenvectors grouped into distinct levels: H = V diag(w) V†, where w
+    holds the per-column eigenvalues of one ``eigh`` (increasing) and the
+    columns ``offsets[k]:offsets[k+1]`` of V span level k, whose eigenvalue
+    :func:`hermitian_eigendecomposition` takes as the mean of w over them.
 
     Invariants (validated at construction, all at 1e-10, in O(dim^3)):
     ||V†V - 1|| is small, V is square and the level slices partition its
     columns, so the level projections are idempotent, mutually orthogonal and
-    sum to the identity; V diag(w) V† reconstructs the operator; level
-    eigenvalues are strictly increasing with gaps > cluster_tol.
+    sum to the identity; sum_E E P_E reconstructs the operator; every w lies
+    within the tolerance of its level's eigenvalue; level eigenvalues are
+    strictly increasing with gaps > cluster_tol.
+
+    Functions of H (projections, calculus) use the level eigenvalues; phases
+    exp(itH) use w, so a merged cluster does not shift them by its width.
     """
 
     vectors: np.ndarray  # V, (dim, dim)
+    column_values: np.ndarray  # w, one per column of V
     eigenvalues: np.ndarray  # one per level, increasing
     offsets: tuple[int, ...]  # level k owns columns offsets[k]:offsets[k+1]
     cluster_tol: float
@@ -164,10 +176,12 @@ class SpectralDecomposition:
     def __post_init__(self):
         dim = self.operator.shape[0]
         v = _freeze(np.array(self.vectors, dtype=complex))
+        w = _freeze(np.array(self.column_values, dtype=float))
         values = _freeze(np.array(self.eigenvalues, dtype=float))
         offsets = tuple(int(o) for o in self.offsets)
         if (
             v.shape != (dim, dim)
+            or w.shape != (dim,)
             or len(offsets) != values.size + 1
             or offsets[0] != 0
             or offsets[-1] != dim
@@ -177,13 +191,15 @@ class SpectralDecomposition:
         if operator_norm(v.conj().T @ v - np.eye(dim)) > DECOMPOSITION_TOL:
             raise EigensolverError("eigenvectors are not orthonormal")
         scale = max(operator_norm(self.operator), 1.0)
-        column_values = np.repeat(values, np.diff(offsets))
-        residual = operator_norm((v * column_values) @ v.conj().T - self.operator)
+        level_values = np.repeat(values, np.diff(offsets))
+        residual = operator_norm((v * level_values) @ v.conj().T - self.operator)
         if residual > DECOMPOSITION_TOL * scale:
             raise EigensolverError(
                 f"spectral reconstruction residual {residual:.3e} exceeds "
                 f"{DECOMPOSITION_TOL:.0e} relative tolerance"
             )
+        if np.abs(w - level_values).max() > DECOMPOSITION_TOL * scale:
+            raise EigensolverError("column eigenvalues stray from their level's eigenvalue")
         gaps = np.diff(values)
         if len(gaps) and gaps.min() <= self.cluster_tol:
             raise EigensolverError("level eigenvalues are not separated by > cluster_tol")
@@ -192,6 +208,7 @@ class SpectralDecomposition:
             for e, a, b in zip(values, offsets, offsets[1:])
         )
         object.__setattr__(self, "vectors", v)
+        object.__setattr__(self, "column_values", w)
         object.__setattr__(self, "eigenvalues", values)
         object.__setattr__(self, "offsets", offsets)
         object.__setattr__(self, "levels", levels)
@@ -217,6 +234,18 @@ class SpectralDecomposition:
         v = self.vectors[:, keep]
         return (v * c[keep]) @ v.conj().T
 
+    def exp_times(self, t: float, m: np.ndarray) -> np.ndarray:
+        """exp(i t H) m, formed as V diag(exp(i t w)) V† m."""
+        v = self.vectors
+        return v @ (np.exp(1j * t * self.column_values)[:, None] * (v.conj().T @ m))
+
+    def interaction_kernel(self, t: float, lam: np.ndarray) -> np.ndarray:
+        """V† K V for the interaction-frame kernel K = -i exp(i t H) lam
+        exp(-i t H), the integrand of the Dyson (Volterra) iteration."""
+        v = self.vectors
+        phase = np.exp(1j * t * self.column_values)
+        return -1j * (phase[:, None] * phase.conj()[None, :]) * (v.conj().T @ lam @ v)
+
 
 def operator_norm(a) -> float:
     """Largest singular value of a (not necessarily square) complex matrix."""
@@ -232,43 +261,37 @@ def hermitian_eigendecomposition(
     """Full eigendecomposition of a Hermitian operator, clustered into levels.
 
     Eigenvalues closer than ``cluster_tol`` (chained) merge into a single
-    level whose projection spans the joint eigenspace. Default tolerance is
-    1e-9 * ||H||, so exactly degenerate levels always merge.
+    level whose projection spans the joint eigenspace; its eigenvalue is the
+    mean of the merged ones. The default tolerance, 1e-9 * ||H||, returns
+    the operator's own ``h.decomposition``, so exactly degenerate levels
+    always merge; another tolerance re-clusters the operator's one eigh.
     """
-    if cluster_tol is not None and cluster_tol < 0:
-        raise ValueError("cluster_tol must be >= 0")
-    a = h.matrix
     if cluster_tol is None:
-        cluster_tol = 1e-9 * h.norm()
-    w, v = h.spectrum
-    residual = operator_norm(a @ v - v * w)
-    if residual > 1e-8 * max(1.0, float(np.abs(w).max(initial=0.0))):
-        raise EigensolverError(f"eigenpair residual too large: {residual:.3e}")
+        return h.decomposition
+    if cluster_tol < 0:
+        raise ValueError("cluster_tol must be >= 0")
+    w, v = h._eigh
     splits = np.flatnonzero(np.diff(w) > cluster_tol) + 1
     offsets = (0, *splits.tolist(), len(w))
-    values = [w[start:stop].mean() for start, stop in zip(offsets, offsets[1:])]
     return SpectralDecomposition(
-        vectors=v, eigenvalues=values, offsets=offsets, cluster_tol=cluster_tol, operator=a
+        vectors=v,
+        column_values=w,
+        eigenvalues=[w[start:stop].mean() for start, stop in zip(offsets, offsets[1:])],
+        offsets=offsets,
+        cluster_tol=cluster_tol,
+        operator=h.matrix,
     )
 
 
 def unitary_exponential(
-    h: HermitianOperator,
-    t: float,
-    decomposition: SpectralDecomposition | None = None,
-    drift_tol: float = 1e-10,
+    h: HermitianOperator, t: float, drift_tol: float = 1e-10
 ) -> UnitaryOperator:
     """exp(-i t H), assembled from the eigendecomposition of H.
 
     The eigendecomposition route keeps the result exactly unitary up to
     eigensolver error even for large phases t*||H||; a series would not.
     """
-    if decomposition is None:
-        w, v = h.spectrum
-        u = (v * np.exp(-1j * t * w)) @ v.conj().T
-    else:
-        u = decomposition.compose(np.exp(-1j * t * decomposition.eigenvalues))
-    return UnitaryOperator(u, drift_tol=drift_tol)
+    return UnitaryOperator(h.decomposition.exp_times(-t, np.eye(h.dim)), drift_tol=drift_tol)
 
 
 # --- matrix text format -------------------------------------------------

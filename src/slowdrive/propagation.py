@@ -496,28 +496,23 @@ def richardson_error(
 # --- comparison evolution and Dyson expansion ------------------------------
 
 
-def _in_comparison_frame(h_o: HermitianOperator, phase: float, m: np.ndarray) -> np.ndarray:
-    """exp(i phase H_o) m, formed in the eigenbasis of H_o."""
-    vals, vecs = h_o.spectrum
-    return vecs @ (np.exp(1j * phase * vals)[:, None] * (vecs.conj().T @ m))
-
-
 def comparison_operator(
     h_o: HermitianOperator, result: PropagatorResult, t: float, s: float
 ) -> UnitaryOperator:
     """Omega_tau(t,s) = exp(i tau (t-s) H_o) W_tau(t) W_tau(s)^+ for grid t, s."""
     m = result.at(t) @ result.at(s).conj().T
     return UnitaryOperator(
-        _in_comparison_frame(h_o, result.tau * (t - s), m),
+        h_o.decomposition.exp_times(result.tau * (t - s), m),
         drift_tol=max(DRIFT_TOL, 3 * result.max_drift + 1e-12),
     )
 
 
 def comparison_family(h_o: HermitianOperator, result: PropagatorResult) -> np.ndarray:
     """Omega_tau(s_j, 0) for every grid point, as an (n, dim, dim) array."""
+    d = h_o.decomposition
     out = np.empty_like(result.unitaries)
     for j, (s, w) in enumerate(zip(result.s_grid, result.unitaries)):
-        out[j] = _in_comparison_frame(h_o, result.tau * s, w)
+        out[j] = d.exp_times(result.tau * s, w)
     return out
 
 
@@ -551,22 +546,19 @@ def _dyson_levels(
     eye = np.eye(dim, dtype=complex)
     if t == s or order == 0:
         return [eye] + [np.zeros((dim, dim), dtype=complex) for _ in range(order)]
-    vals, vecs = h_o.spectrum
-    vh = vecs.conj().T
+    d = h_o.decomposition
     q = quad_points
     h = (t - s) / q
     cur = [eye] + [np.zeros((dim, dim), dtype=complex) for _ in range(order)]
     for j in range(q):
         mid = s + (j + 0.5) * h
-        lam = vh @ _hermitian_sample(path.sampler, mid, dim) @ vecs
-        phase = np.exp(1j * tau * (mid - s) * vals)
-        kernel = -1j * (phase[:, None] * phase.conj()[None, :]) * lam
+        kernel = d.interaction_kernel(tau * (mid - s), _hermitian_sample(path.sampler, mid, dim))
         prev_old = cur[0]
         for n in range(1, order + 1):
             old_n = cur[n]
             cur[n] = old_n + h * (kernel @ (0.5 * (prev_old + cur[n - 1])))
             prev_old = old_n
-    return [vecs @ m @ vh for m in cur]
+    return [d.vectors @ m @ d.vectors.conj().T for m in cur]
 
 
 def dyson_term(

@@ -32,10 +32,10 @@ import numpy as np
 from .diagnostics import TestVectorSet
 from .operators import (
     HermitianOperator,
-    SpectralDecomposition,
     direct_sum,
     hermitian_eigendecomposition,
     pauli,
+    unitary_exponential,
 )
 from .propagation import GeneratorPath, SMOOTH_L1
 from .spectral import calculus_continuous, fermi_dirac, projection_eq, projection_leq
@@ -95,18 +95,18 @@ class ScenarioConfig:
                 f"unknown scenario {self.scenario!r}; known: {sorted(SCENARIOS)}"
             )
         taus = tuple(float(t) for t in self.taus)
-        if any(t <= 0 for t in taus):
-            raise ConfigError("tau values must be positive")
+        if not all(0 < t < math.inf for t in taus):
+            raise ConfigError("tau values must be finite and positive")
         if len(set(taus)) != len(taus):
             raise ConfigError("tau values must be distinct")
         object.__setattr__(self, "taus", taus)
         grid = tuple(float(s) for s in self.s_grid)
-        if grid:
-            if grid[0] != 0.0 or grid[-1] > 1.0 or any(
-                b <= a for a, b in zip(grid, grid[1:])
-            ):
-                raise ConfigError("s_grid must increase within [0, 1] and include 0")
+        # Chained comparisons are False on NaN, so a NaN point is rejected too.
+        if grid and (grid[0] != 0.0 or not all(a < b <= 1.0 for a, b in zip(grid, grid[1:]))):
+            raise ConfigError("s_grid must increase within [0, 1] and include 0")
         object.__setattr__(self, "s_grid", grid)
+        if self.step is not None and not 0 < self.step < math.inf:
+            raise ConfigError("step must be finite and positive")
         if self.threads < 1:
             raise ConfigError("threads must be >= 1")
 
@@ -149,12 +149,23 @@ class ScenarioConfig:
 
     @staticmethod
     def from_json(text: str) -> "ScenarioConfig":
-        return ScenarioConfig.from_mapping(json.loads(text))
+        """Parse JSON text; NaN and infinite numbers, which Python's json
+        accepts, raise ConfigError."""
+        return ScenarioConfig.from_mapping(
+            json.loads(text, parse_constant=_finite_number, parse_float=_finite_number)
+        )
 
     @staticmethod
     def from_file(path) -> "ScenarioConfig":
         with open(path, "r", encoding="utf-8") as fh:
             return ScenarioConfig.from_json(fh.read())
+
+
+def _finite_number(token: str) -> float:
+    value = float(token)
+    if not math.isfinite(value):
+        raise ConfigError(f"config holds a non-finite number: {token}")
+    return value
 
 
 def _parse_grid(s_grid) -> tuple[float, ...]:
@@ -178,7 +189,6 @@ class ScenarioInstance:
 
     name: str
     h_o: HermitianOperator
-    decomposition: SpectralDecomposition
     path: GeneratorPath | None
     observables: tuple[tuple[str, HermitianOperator], ...]
     vectors: TestVectorSet
@@ -282,12 +292,10 @@ def _build_two_level_rotating(params: dict, seed: int) -> ScenarioInstance:
     lower = projection_leq(d, -abs(b))
 
     def reference_propagator(tau: float, s: float) -> np.ndarray:
-        gen = tau * h_o.matrix + lam
-        vals, vecs = np.linalg.eigh(gen)
-        return vecs @ (np.exp(-1j * s * vals)[:, None] * vecs.conj().T)
+        return unitary_exponential(HermitianOperator(tau * h_o.matrix + lam), s).matrix
 
     eigvecs = TestVectorSet.from_columns(
-        [h_o.spectrum[1][:, i] for i in range(2)],
+        [d.vectors[:, i] for i in range(2)],
         labels=("lower", "upper"),
         provenance=("eigenvector", "eigenvector"),
     )
@@ -295,7 +303,6 @@ def _build_two_level_rotating(params: dict, seed: int) -> ScenarioInstance:
     return ScenarioInstance(
         name="two_level_rotating",
         h_o=h_o,
-        decomposition=d,
         path=path,
         observables=(("lower_level", lower),),
         vectors=vectors,
@@ -318,9 +325,7 @@ def _build_direct_sum(params: dict, seed: int) -> ScenarioInstance:
     )
 
     def block_evolution(tau: float, s: float, k: int) -> np.ndarray:
-        gen = (tau / k) * sz + sx
-        vals, vecs = np.linalg.eigh(gen)
-        return vecs @ (np.exp(-1j * s * vals)[:, None] * vecs.conj().T)
+        return unitary_exponential(HermitianOperator((tau / k) * sz + sx), s).matrix
 
     dim = 2 * n_blocks
     e_up = np.zeros(dim, dtype=complex)
@@ -336,7 +341,6 @@ def _build_direct_sum(params: dict, seed: int) -> ScenarioInstance:
     return ScenarioInstance(
         name="direct_sum_counterexample",
         h_o=h_o,
-        decomposition=d,
         path=path,
         observables=(("negative_energies", negative),),
         vectors=vectors,
@@ -379,7 +383,6 @@ def _build_swap_sequence(params: dict, seed: int) -> ScenarioInstance:
     return ScenarioInstance(
         name="swap_sequence",
         h_o=h_o,
-        decomposition=d,
         path=None,
         observables=(("p_zero", p_zero),),
         vectors=vectors,
@@ -421,7 +424,6 @@ def _build_embedded(params: dict, seed: int, name: str = "embedded_eigenvalue"):
     return ScenarioInstance(
         name=name,
         h_o=h_o,
-        decomposition=d,
         path=path,
         observables=tuple(observables),
         vectors=vectors,
@@ -455,7 +457,6 @@ def _build_pure_point(params: dict, seed: int) -> ScenarioInstance:
     return ScenarioInstance(
         name="pure_point_omega",
         h_o=h_o,
-        decomposition=d,
         path=path,
         observables=(("lower_half", p_low),),
         vectors=vectors,

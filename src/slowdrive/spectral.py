@@ -89,6 +89,9 @@ def _zero(_x: float) -> float:
     return 0.0
 
 
+_zero._bv_name = "zero"
+
+
 @dataclass(frozen=True)
 class BVFunction:
     """A bounded-variation function split into a continuous part plus jumps.
@@ -165,12 +168,17 @@ class BVFunction:
     #                  "at_infinity": v, "variation": v}
 
     def to_json(self) -> dict:
+        """Raises MalformedBVFunctionError when the continuous part has no
+        JSON name (a callable supplied by hand, or a sum of two named parts)."""
+        name = getattr(self.continuous, "_bv_name", None)
+        if name is None:
+            raise MalformedBVFunctionError(f"continuous part {self.continuous!r} has no JSON form")
         return {
             "jumps": [
                 {"at": j.at, "left": j.left, "right": j.right, "value": j.value}
                 for j in self.jumps
             ],
-            "continuous": getattr(self.continuous, "_bv_name", "custom"),
+            "continuous": name,
             "at_infinity": self.at_infinity,
             "variation": self.variation,
         }
@@ -197,7 +205,7 @@ class BVFunction:
             continuous = _piecewise_linear(cont["table"])
         elif isinstance(cont, dict) and cont.get("name") == "fermi":
             continuous = _fermi_callable(float(cont["mu"]), float(cont["beta"]))
-        elif cont in ("zero", "custom"):
+        elif cont == "zero":
             continuous = _zero
         else:
             raise MalformedBVFunctionError(f"unknown continuous part spec: {cont!r}")
@@ -216,7 +224,8 @@ class BVFunction:
             (la, va, ra), (lb, vb, rb) = self._limits(at), other._limits(at)
             merged.append(Jump(at, la + lb, ra + rb, value=va + vb))
         f, g = self.continuous, other.continuous
-        summed = lambda x: f(x) + g(x)  # noqa: E731
+        # A zero side keeps the other side's (named, serializable) part.
+        summed = g if f is _zero else f if g is _zero else lambda x: f(x) + g(x)
         return BVFunction(
             continuous=summed,
             jumps=tuple(merged),

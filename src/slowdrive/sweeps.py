@@ -31,6 +31,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
@@ -203,9 +204,7 @@ def _bind_offdiag(field_name: str):
         t, s = float(params.get("t", config.s_grid[-1])), float(params.get("s", 0.0))
 
         def evaluate(inputs: _TauInputs):
-            rec = offdiagonal_block_decay(
-                inst.h_o, inputs.result, e1, e2, t, s, decomposition=inst.decomposition
-            )
+            rec = offdiagonal_block_decay(inst.h_o, inputs.result, e1, e2, t, s)
             return (t,), _NORM, np.array([[getattr(rec, field_name)]]), {}
 
         return evaluate
@@ -216,7 +215,7 @@ def _bind_offdiag(field_name: str):
 def _bind_embedded_offblock(inst, config, obs, params):
     if inst.embedded_level is None:
         raise ConfigError("scenario has no embedded level for embedded_offblock")
-    p_e = projection_eq(inst.decomposition, inst.embedded_level).matrix
+    p_e = projection_eq(inst.h_o.decomposition, inst.embedded_level).matrix
 
     def evaluate(t: _TauInputs):
         values = embedded_offblock_profile(t.omegas, p_e, inst.vectors)
@@ -226,7 +225,7 @@ def _bind_embedded_offblock(inst, config, obs, params):
 
 
 def _bind_schrodinger_limit(inst, config, obs, params):
-    omega_inf = omega_infinity(inst.decomposition, inst.path, config.s_grid, step=config.step)
+    omega_inf = omega_infinity(inst.h_o.decomposition, inst.path, config.s_grid, step=config.step)
     h = inst.h_o.matrix
     defect = max(operator_norm(u @ h - h @ u) for u in omega_inf.unitaries)
     defect /= max(inst.h_o.norm(), 1e-300)
@@ -447,6 +446,9 @@ def _check_metric_params(
     for key, value in [*fields.items(), *(("floor.taus", t) for t in floor_taus)]:
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise ConfigError(f"{metric}: {key} must be a number, got {value!r}")
+        # Comparisons are False on NaN, and exact for integers past the float range.
+        if not -sys.float_info.max <= value <= sys.float_info.max:
+            raise ConfigError(f"{metric}: {key} must be finite")
     taus = [fields["ceiling.tau"]] if "ceiling.tau" in fields else []
     s_points = [fields[k] for k in ("floor.s", "t", "s") if k in fields]
     unknown = {

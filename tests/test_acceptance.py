@@ -118,7 +118,6 @@ def test_criterion_02_offdiagonal_block_decay(pure_point_instance, pure_point_ru
     for tau in TAU_GRID:
         rec = offdiagonal_block_decay(
             inst.h_o, pure_point_runs[tau], -0.25, 0.25, 1.0, 0.0,
-            decomposition=inst.decomposition,
         )
         rows12.append((tau, rec.value_low_high))
         rows21.append((tau, rec.value_high_low))
@@ -142,7 +141,7 @@ def test_criterion_03_embedded_sot_convergence():
     for tau in (10.0, 1e4):
         res = _evolve("embedded-m3", inst.h_o, inst.path, tau, S_GRID)
         recs = embedded_eigenprojection_decay(
-            inst.h_o, res, 0.0, inst.vectors, decomposition=inst.decomposition
+            inst.h_o, res, 0.0, inst.vectors
         )
         sups[tau] = {r.vector_id: r.projection_sup for r in recs}
     ratios = {k: sups[1e4][k] / sups[10.0][k] for k in sups[10.0]}
@@ -255,7 +254,7 @@ def test_criterion_08_pure_point_limit(pure_point_instance, pure_point_runs):
     # nondegenerate dim 16: per-vector sup_s ||(Omega_tau - Omega_inf) psi||
     # decays by 5x from tau=10 to tau=1e4; Omega_inf commutes with H_o.
     inst = pure_point_instance
-    oinf = omega_infinity(inst.decomposition, inst.path, S_GRID)
+    oinf = omega_infinity(inst.h_o.decomposition, inst.path, S_GRID)
     h_norm = inst.h_o.norm()
     comm = max(
         operator_norm(u @ inst.h_o.matrix - inst.h_o.matrix @ u) for u in oinf.unitaries
@@ -264,7 +263,7 @@ def test_criterion_08_pure_point_limit(pure_point_instance, pure_point_runs):
     sups = {}
     for tau in (10.0, 1e4):
         recs = schrodinger_limit_distance(
-            inst.decomposition, pure_point_runs[tau], oinf, inst.vectors, inst.path
+            inst.h_o, pure_point_runs[tau], oinf, inst.vectors, inst.path
         )
         sups[tau] = {r.vector_id: r.distance_sup for r in recs}
     ratios = {k: sups[1e4][k] / sups[10.0][k] for k in sups[10.0]}

@@ -1,0 +1,98 @@
+"""Cost and tooling contracts: the library diagnostics reuse the scenario's
+one decomposition of H_o, and every name the benchmark's tracer rebinds is
+still bound where it looks for it."""
+
+import importlib.util
+import sys
+from importlib import import_module
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+import slowdrive.scenarios
+from slowdrive.diagnostics import (
+    embedded_eigenprojection_decay,
+    offdiagonal_block_decay,
+    schrodinger_limit_distance,
+)
+from slowdrive.operators import SpectralDecomposition
+from slowdrive.propagation import evolve, omega_infinity
+from slowdrive.scenarios import ScenarioConfig, build_scenario
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def load_perfbench(name: str):
+    """Import perfbench/<name>.py by path, without touching the file."""
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    # dataclasses resolve the module's annotations through sys.modules
+    sys.modules[spec.name] = module
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        del sys.modules[spec.name]
+    return module
+
+
+TRACING = load_perfbench("tracing")
+WORKLOADS = load_perfbench("workloads").WORKLOADS
+
+
+def scenario(doc):
+    return build_scenario(ScenarioConfig.from_mapping(doc))
+
+
+class TestEighBudget:
+    def test_library_diagnostics_reuse_the_scenario_decomposition(self, monkeypatch):
+        grid = np.linspace(0.0, 1.0, 5)
+        pure = scenario({"scenario": "pure_point_omega", "params": {"dim": 6}, "taus": [20]})
+        emb = scenario(
+            {"scenario": "embedded_eigenvalue", "params": {"grid_points": 11}, "taus": [20]}
+        )
+        pure_run = evolve(pure.h_o, pure.path, 20.0, grid)
+        emb_run = evolve(emb.h_o, emb.path, 20.0, grid)
+        limit = omega_infinity(pure.h_o.decomposition, pure.path, grid)
+
+        calls = {"eigh": 0, "decompositions": 0}
+        eigh = np.linalg.eigh
+        post_init = SpectralDecomposition.__post_init__
+
+        def counted_eigh(*args, **kwargs):
+            calls["eigh"] += 1
+            return eigh(*args, **kwargs)
+
+        def counted_post_init(self):
+            calls["decompositions"] += 1
+            post_init(self)
+
+        monkeypatch.setattr(np.linalg, "eigh", counted_eigh)
+        monkeypatch.setattr(SpectralDecomposition, "__post_init__", counted_post_init)
+        schrodinger_limit_distance(pure.h_o, pure_run, limit, pure.vectors, pure.path)
+        offdiagonal_block_decay(pure.h_o, pure_run, -0.25, 0.25, 1.0, 0.0)
+        embedded_eigenprojection_decay(emb.h_o, emb_run, 0.0, emb.vectors)
+        assert calls == {"eigh": 0, "decompositions": 0}
+
+
+class TestTraceContract:
+    def test_every_target_is_bound(self):
+        for module_name, attr, _span, _counts in TRACING.TARGETS:
+            assert callable(getattr(import_module(module_name), attr, None)), (module_name, attr)
+
+    @pytest.mark.parametrize("name", sorted(WORKLOADS))
+    def test_workload_build_decomposes_once(self, name, monkeypatch):
+        # The tracer times operators.decomp on this one call, so the build
+        # must make it exactly once and the decomposition must be new there.
+        calls = []
+        real = slowdrive.scenarios.hermitian_eigendecomposition
+
+        def counted(h, *args, **kwargs):
+            calls.append((h, "decomposition" in vars(h)))
+            return real(h, *args, **kwargs)
+
+        monkeypatch.setattr(slowdrive.scenarios, "hermitian_eigendecomposition", counted)
+        inst = scenario(WORKLOADS[name].make_config(0))
+        assert len(calls) == 1
+        h, already_built = calls[0]
+        assert h is inst.h_o and not already_built

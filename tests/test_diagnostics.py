@@ -330,7 +330,7 @@ class TestSchrodingerLimit:
         path = GeneratorPath.constant(np.diag([0.4, -0.3, 0.2]))
         res = evolve(h, path, 50.0, GRID)
         oi = omega_infinity(d, path, GRID)
-        recs = schrodinger_limit_distance(d, res, oi, TestVectorSet.seeded_gaussian(3, 2, 40), path)
+        recs = schrodinger_limit_distance(h, res, oi, TestVectorSet.seeded_gaussian(3, 2, 40), path)
         assert all(r.distance_sup <= 1e-8 for r in recs)
 
     def test_two_level_identity_limit(self):
@@ -344,7 +344,7 @@ class TestSchrodingerLimit:
         vs = TestVectorSet.seeded_gaussian(2, 2, 41)
         for tau in (10.0, 1000.0):
             res = evolve(h, path, tau, GRID)
-            recs = schrodinger_limit_distance(d, res, oi, vs, path)
+            recs = schrodinger_limit_distance(h, res, oi, vs, path)
             sups.append(max(r.distance_sup for r in recs))
         assert sups[1] <= 0.1 * sups[0]
 
@@ -355,7 +355,7 @@ class TestSchrodingerLimit:
         fine = np.linspace(0, 1, 81)
         res = evolve(h, path, 60.0, fine)
         oi = omega_infinity(d, path, fine)
-        recs = schrodinger_limit_distance(d, res, oi, TestVectorSet.seeded_gaussian(6, 4, 44), path)
+        recs = schrodinger_limit_distance(h, res, oi, TestVectorSet.seeded_gaussian(6, 4, 44), path)
         for r in recs:
             assert r.block_distance_sup <= r.gronwall_envelope + 5e-3
 
@@ -366,7 +366,7 @@ class TestSchrodingerLimit:
         res = evolve(h, path, 10.0, GRID)
         oi = omega_infinity(d, path, np.linspace(0, 1, 5))
         with pytest.raises(ValueError, match="grid"):
-            schrodinger_limit_distance(d, res, oi, TestVectorSet.seeded_gaussian(2, 1, 0), path)
+            schrodinger_limit_distance(h, res, oi, TestVectorSet.seeded_gaussian(2, 1, 0), path)
 
 
 class TestRateFit:

@@ -159,6 +159,36 @@ class TestDecompositionValidation:
         unitary_exponential(h, 0.3)
         assert len(calls) == 1
 
+    def test_stray_column_value_rejected(self):
+        # moves two columns of one level apart while keeping the level's mean
+        d = hermitian_eigendecomposition(HermitianOperator(np.diag([0.0, 0.0, 1.0])))
+        w = np.array(d.column_values)
+        w[:2] += [-1e-6, 1e-6]
+        with pytest.raises(EigensolverError, match="stray"):
+            dataclasses.replace(d, column_values=w)
+
+    def test_operator_owns_its_decomposition(self, monkeypatch):
+        calls = []
+        eigh = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(1) or eigh(a))
+        h = HermitianOperator(np.diag([0.0, 1e-12, 1.0]))
+        h.norm()
+        assert "decomposition" not in vars(h)  # the norm needs only the eigh
+        assert hermitian_eigendecomposition(h) is h.decomposition
+        assert [lv.multiplicity for lv in h.decomposition.levels] == [2, 1]
+        assert len(hermitian_eigendecomposition(h, cluster_tol=0.0).levels) == 3
+        assert len(calls) == 1
+
+    def test_phases_use_column_eigenvalues(self):
+        # 0 and 1e-12 share a level of eigenvalue 5e-13, yet exp(itH) keeps
+        # each column's own phase: 1e-3 rad apart at t = 1e9, not 0
+        w = np.array([0.0, 1e-12, 1.0])
+        d = HermitianOperator(np.diag(w)).decomposition
+        assert d.eigenvalues[0] == pytest.approx(5e-13, rel=1e-12)
+        t = 1e9
+        got = d.exp_times(t, np.eye(3))
+        assert np.allclose(got, np.diag(np.exp(1j * t * w)), atol=1e-12)
+
 
 class TestUnitaryExponential:
     def test_diagonal_phases(self):
@@ -187,12 +217,11 @@ class TestUnitaryExponential:
     def test_group_law(self, dim, seed):
         rng = np.random.default_rng(seed)
         h = random_hermitian(dim, seed + 10)
-        d = hermitian_eigendecomposition(h)
         for _ in range(3):
             t1, t2 = rng.uniform(-1e3, 1e3, 2)
-            u1 = unitary_exponential(h, t1, d).matrix
-            u2 = unitary_exponential(h, t2, d).matrix
-            u12 = unitary_exponential(h, t1 + t2, d).matrix
+            u1 = unitary_exponential(h, t1).matrix
+            u2 = unitary_exponential(h, t2).matrix
+            u12 = unitary_exponential(h, t1 + t2).matrix
             assert operator_norm(u1 @ u2 - u12) <= 1e-9
 
 

@@ -1,4 +1,5 @@
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -90,6 +91,12 @@ class TestConfig:
             ({"metric_params": {"heisenberg_sot:p_embedded": 5}}, "must be an object"),
             ({"s_grid": {"points": 200_001}}, "s_grid.points must lie in"),
             ({"taus": [5.0, "ten"]}, "malformed config"),
+            ({"taus": [5.0, math.nan]}, "tau values must be finite"),
+            ({"taus": [math.inf]}, "tau values must be finite"),
+            ({"s_grid": {"values": [0.0, math.nan, 1.0]}}, "s_grid must increase"),
+            ({"s_grid": [0.0, 0.5, math.inf]}, "s_grid must increase"),
+            ({"step": math.nan}, "step must be finite and positive"),
+            ({"step": 0.0}, "step must be finite and positive"),
         ],
     )
     def test_malformed_fields_rejected(self, overrides, message):
@@ -149,10 +156,10 @@ class TestBuilders:
             taus=(1.0,), s_grid=(0.0, 1.0), metrics=(),
         )
         inst = build_scenario(cfg)
-        assert len(inst.decomposition.levels) == 64
+        assert len(inst.h_o.decomposition.levels) == 64
         assert inst.h_o.dim == 64
         # the embedded level itself exists with the requested multiplicity
-        level = [lv for lv in inst.decomposition.levels if abs(lv.eigenvalue) < 1e-12]
+        level = [lv for lv in inst.h_o.decomposition.levels if abs(lv.eigenvalue) < 1e-12]
         assert len(level) == 1 and level[0].multiplicity == 1
 
     def test_embedded_multiplicity(self):
@@ -161,8 +168,8 @@ class TestBuilders:
             taus=(1.0,), s_grid=(0.0, 1.0), metrics=(),
         )
         inst = build_scenario(cfg)
-        assert len(inst.decomposition.levels) == 13
-        level = [lv for lv in inst.decomposition.levels if abs(lv.eigenvalue) < 1e-12]
+        assert len(inst.h_o.decomposition.levels) == 13
+        level = [lv for lv in inst.h_o.decomposition.levels if abs(lv.eigenvalue) < 1e-12]
         assert level[0].multiplicity == 3
 
     def test_two_level_reference_matches_evolution(self):
@@ -182,7 +189,7 @@ class TestBuilders:
             s_grid=(0.0, 1.0), metrics=(), seed=0,
         )
         inst = build_scenario(cfg)
-        assert len(inst.decomposition.levels) == 16
+        assert len(inst.h_o.decomposition.levels) == 16
 
     def test_pure_point_degenerate_pairs(self):
         cfg = ScenarioConfig(
@@ -190,8 +197,8 @@ class TestBuilders:
             taus=(1.0,), s_grid=(0.0, 1.0), metrics=(), seed=0,
         )
         inst = build_scenario(cfg)
-        assert len(inst.decomposition.levels) == 6
-        mults = sorted(lv.multiplicity for lv in inst.decomposition.levels)
+        assert len(inst.h_o.decomposition.levels) == 6
+        mults = sorted(lv.multiplicity for lv in inst.h_o.decomposition.levels)
         assert mults == [1, 1, 1, 1, 2, 2]
 
     def test_fermi_observables_present(self):
@@ -439,6 +446,25 @@ class TestLoadChecks:
                 dict(EMBEDDED, metrics=["resolvent"], metric_params={"heisenberg_norm": {}}),
                 "not in the metrics list",
             ),
+            (
+                dict(SWAP, metrics=["swap_sot_projection"], metric_params={"swap_sot_projection": {
+                    "constant_vector": "e0", "constant_value": 0.5, "constant_tol": math.nan}}),
+                "non-finite number: NaN",
+            ),
+            (
+                dict(DIRECT_SUM, metrics=["heisenberg_norm", "heisenberg_sot"], metric_params={
+                    "heisenberg_norm": {"floor": {"s": 0.5, "min_value": math.nan}},
+                    "heisenberg_sot": {"ceiling": {"tau": 8, "max_value": math.nan}}}),
+                "non-finite number: NaN",
+            ),
+            (dict(EMBEDDED, metrics=["resolvent"], taus=[5, math.nan]), "non-finite number: NaN"),
+            (dict(EMBEDDED, metrics=["resolvent"], taus=[5, math.inf]), "number: Infinity"),
+            (dict(EMBEDDED, metrics=["resolvent"], step=-math.inf), "number: -Infinity"),
+            (
+                dict(EMBEDDED, metrics=["resolvent"], metric_params={"resolvent": {
+                    "z_imag": 10**400}}),
+                "z_imag must be finite",
+            ),
         ],
     )
     def test_bad_reference_exits_1_before_any_tau(
@@ -480,7 +506,7 @@ class TestLibraryAgreement:
         for tau in cfg.taus:
             result = evolve(inst.h_o, inst.path, tau, np.asarray(cfg.s_grid))
             recs = embedded_eigenprojection_decay(
-                inst.h_o, result, inst.embedded_level, inst.vectors, inst.decomposition
+                inst.h_o, result, inst.embedded_level, inst.vectors
             )
             assert len(recs) == len(inst.vectors)
             for rec in recs:
@@ -492,11 +518,11 @@ class TestLibraryAgreement:
         sups = self.sweep_sups(run_sweep(cfg).outcomes[0])
         inst = build_scenario(cfg)
         grid = np.asarray(cfg.s_grid)
-        limit = omega_infinity(inst.decomposition, inst.path, grid)
+        limit = omega_infinity(inst.h_o.decomposition, inst.path, grid)
         for tau in cfg.taus:
             result = evolve(inst.h_o, inst.path, tau, grid)
             recs = schrodinger_limit_distance(
-                inst.decomposition, result, limit, inst.vectors, inst.path
+                inst.h_o, result, limit, inst.vectors, inst.path
             )
             assert len(recs) == len(inst.vectors)
             for rec in recs:

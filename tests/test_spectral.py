@@ -244,6 +244,23 @@ class TestBVFunction:
         with pytest.raises(MalformedBVFunctionError, match="unknown"):
             BVFunction.from_json({"jumps": [], "weird": 1})
 
+    def test_sum_with_one_continuous_part_roundtrips(self):
+        f = step_function(0.0) + fermi_dirac(0.0, 1.0)
+        g = BVFunction.from_json(json.dumps(f.to_json()))
+        assert f(1.0) == pytest.approx(1.0 / (1.0 + math.e), abs=1e-15)
+        for x in (-2.0, 0.0, 1.0, 3.0):
+            assert g(x) == f(x)
+
+    def test_json_rejects_unnamed_continuous_part(self):
+        with pytest.raises(MalformedBVFunctionError, match="no JSON form"):
+            (fermi_dirac(0.0, 1.0) + fermi_dirac(1.0, 2.0)).to_json()
+        with pytest.raises(MalformedBVFunctionError, match="no JSON form"):
+            BVFunction(continuous=math.sin, variation=2.0).to_json()
+
+    def test_json_custom_is_not_zero(self):
+        with pytest.raises(MalformedBVFunctionError, match="custom"):
+            BVFunction.from_json({"jumps": [], "continuous": "custom"})
+
 
 class TestBVCalculus:
     def test_step_equals_projection_leq(self):
