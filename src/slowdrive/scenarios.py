@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -70,6 +71,9 @@ _CONFIG_TYPES = {
     "save_propagators": bool,
 }
 _MAX_GRID_POINTS = 100_000
+# Integer scenario params are sizes (levels, blocks, pairs); each scenario's
+# dimension is at most 2 * _MAX_SIZE_PARAM + 1.
+_MAX_SIZE_PARAM = 4096
 
 
 @dataclass(frozen=True)
@@ -205,9 +209,24 @@ class ScenarioInstance:
 
 
 def _check_params(params: dict, allowed: dict) -> dict:
+    """Merge ``params`` over the defaults in ``allowed``. Each value must be a
+    finite number, and a whole number up to _MAX_SIZE_PARAM where the default
+    is an integer."""
     extra = set(params) - set(allowed)
     if extra:
         raise ConfigError(f"unknown scenario params: {sorted(extra)}")
+    for key, value in params.items():
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise ConfigError(f"scenario param {key} must be a number, got {value!r}")
+        # Comparisons are False on NaN, and exact for integers past the float range.
+        if not -sys.float_info.max <= value <= sys.float_info.max:
+            raise ConfigError(f"scenario param {key} must be finite")
+        if isinstance(allowed[key], int) and not (
+            value == int(value) and value <= _MAX_SIZE_PARAM
+        ):
+            raise ConfigError(
+                f"scenario param {key} must be a whole number <= {_MAX_SIZE_PARAM}"
+            )
     merged = dict(allowed)
     merged.update(params)
     return merged

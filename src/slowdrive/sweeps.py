@@ -536,7 +536,8 @@ def run_sweep(config: ScenarioConfig, single: bool = False) -> SweepResult:
     if out_dir:
         os.makedirs(out_dir, exist_ok=True)
 
-    def job(tau: float) -> dict[str, _TauData]:
+    def job(tau: float) -> tuple[dict | None, dict[str, _TauData]]:
+        record = None
         if inst.static_family is not None:
             if tau != int(tau):
                 raise ConfigError("static sweeps use integer indices in the tau list")
@@ -546,8 +547,16 @@ def run_sweep(config: ScenarioConfig, single: bool = False) -> SweepResult:
             if config.save_propagators and out_dir:
                 result.save(os.path.join(out_dir, f"run_{inst.name}_{tau:g}.prop"))
             inputs = _TauInputs(inst.h_o, result=result)
-        return {m: _tau_data(tau, *evaluate(inputs)) for m, evaluate in evaluations.items()}
+            record = {
+                "tau": tau,
+                "scheme": result.scheme,
+                "steps": result.steps,
+                "step": result.step,
+                "max_drift": result.max_drift,
+            }
+        return record, {m: _tau_data(tau, *evaluate(inputs)) for m, evaluate in evaluations.items()}
 
+    propagation: list[dict] = []
     done: dict[float, dict[str, _TauData]] = {}
     failure: Exception | None = None
     failed_tau: float | None = None
@@ -555,10 +564,12 @@ def run_sweep(config: ScenarioConfig, single: bool = False) -> SweepResult:
         jobs = pool.map(job, taus) if config.threads > 1 else map(job, taus)
         for tau in taus:
             try:
-                done[tau] = next(jobs)
+                record, done[tau] = next(jobs)
             except Exception as exc:  # noqa: BLE001 - reported with context below
                 failure, failed_tau = exc, tau
                 break
+            if record is not None:
+                propagation.append(record)
     completed = tuple(done)
     outcomes = [
         _fit_and_verdict(inst.name, m, config, {t: done[t][m] for t in completed})
@@ -579,6 +590,7 @@ def run_sweep(config: ScenarioConfig, single: bool = False) -> SweepResult:
             "scenario": inst.name,
             "seed": config.seed,
             "taus": list(completed),
+            "propagation": propagation,
             "timestamp": datetime.now(timezone.utc).isoformat(),
             "results": [
                 {

@@ -74,6 +74,23 @@ class TestEighBudget:
         embedded_eigenprojection_decay(emb.h_o, emb_run, 0.0, emb.vectors)
         assert calls == {"eigh": 0, "decompositions": 0}
 
+    def test_sampler_paths_step_without_eigh(self, monkeypatch):
+        grid = np.linspace(0.0, 1.0, 5)
+        pure = scenario({"scenario": "pure_point_omega", "params": {"dim": 6}, "taus": [20]})
+        emb = scenario(
+            {"scenario": "embedded_eigenvalue", "params": {"grid_points": 11}, "taus": [20]}
+        )
+        calls = []
+        eigh = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda *a, **k: calls.append(1) or eigh(*a, **k))
+        runs = [
+            evolve(pure.h_o, pure.path, 20.0, grid),
+            evolve(emb.h_o, emb.path, 20.0, grid),
+            omega_infinity(pure.h_o.decomposition, pure.path, grid),
+        ]
+        assert all(r.scheme.endswith("midpoint-exponential") for r in runs)
+        assert calls == []
+
 
 class TestTraceContract:
     def test_every_target_is_bound(self):

@@ -17,6 +17,7 @@ from slowdrive.propagation import (
     MollifierSpec,
     PropagationError,
     PropagatorResult,
+    _exp_step,
     comparison_operator,
     default_bump,
     default_step,
@@ -35,6 +36,33 @@ from slowdrive.scenarios import ScenarioConfig, build_scenario, seeded_pair_path
 from test_operators import random_hermitian
 
 GRID = np.linspace(0.0, 1.0, 9)
+
+
+def eigh_exp_step(gen, h, w):
+    """Reference step: exp(-i h gen) @ w from the eigendecomposition of gen."""
+    vals, vecs = np.linalg.eigh(gen)
+    return vecs @ (np.exp(-1j * h * vals)[:, None] * (vecs.conj().T @ w))
+
+
+def eigh_stepped(h_o, path, tau, grid, step=None):
+    """Reference midpoint propagator: the same steps as ``evolve``, each
+    exponentiated by eigendecomposition. Returns W at every grid point."""
+    if step is None:
+        step = default_step(tau, h_o.norm(), path.kappa)
+    w = np.eye(h_o.dim, dtype=complex)
+    out = [w]
+    for s0, s1 in zip(grid, grid[1:]):
+        nsub = max(1, math.ceil((s1 - s0) / step))
+        h = (s1 - s0) / nsub
+        for k in range(nsub):
+            w = eigh_exp_step(tau * h_o.matrix + path.sampler(s0 + (k + 0.5) * h), h, w)
+        out.append(w)
+    return out
+
+
+def scenario_instance(name, **params):
+    cfg = ScenarioConfig(scenario=name, params=params, taus=(1.0,), metrics=(), seed=0)
+    return build_scenario(cfg)
 
 
 class TestGeneratorPath:
@@ -132,6 +160,67 @@ class TestEvolve:
     def test_default_step_rule(self):
         assert default_step(1e4, 1.0, 1.0) == pytest.approx(0.1 / (1e4 + 1.0))
         assert default_step(1.0, 0.01, 0.0) == pytest.approx(1e-3)
+
+
+class TestTaylorStep:
+    """The step kernel applies exp(-i h G) to W to unit-roundoff accuracy."""
+
+    @pytest.mark.parametrize("real", [True, False])
+    @pytest.mark.parametrize("dim", [4, 16, 66])
+    def test_matches_eigh_reference(self, real, dim):
+        rng = np.random.default_rng(dim + 100 * real)
+        g = rng.standard_normal((dim, dim))
+        if not real:
+            g = g + 1j * rng.standard_normal((dim, dim))
+        gen = ((g + g.conj().T) / 2).astype(complex)
+        w = np.linalg.qr(rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)))[0]
+        norm1 = np.abs(gen).sum(axis=0).max()
+        for theta in (0.0, 1e-6, 0.1, 0.5, 2.0, 50.0):
+            h = theta / norm1
+            assert operator_norm(_exp_step(gen, h, w) - eigh_exp_step(gen, h, w)) <= 1e-13
+
+
+class TestAgainstEighStepper:
+    """On sampler paths evolve agrees with the same midpoint steps
+    exponentiated by eigh, counts its steps and still checks the drift."""
+
+    @staticmethod
+    def assert_close(inst, tau, step=None):
+        grid = np.linspace(0.0, 1.0, 11)
+        res = evolve(inst.h_o, inst.path, tau, grid, step=step)
+        ref = eigh_stepped(inst.h_o, inst.path, tau, grid, step=step)
+        for a, b in zip(res.unitaries, ref):
+            assert operator_norm(a - b) <= 1e-10
+
+    @pytest.mark.parametrize("tau", [10.0, 100.0])
+    def test_embedded(self, tau):
+        inst = scenario_instance("embedded_eigenvalue", grid_points=63, multiplicity=3)
+        self.assert_close(inst, tau)
+
+    @pytest.mark.parametrize("tau", [10.0, 100.0, 1000.0])
+    def test_pure_point(self, tau):
+        self.assert_close(scenario_instance("pure_point_omega", dim=16), tau)
+
+    def test_step_100x_default(self):
+        inst = scenario_instance("pure_point_omega", dim=16)
+        tau = 100.0
+        step = 100 * default_step(tau, inst.h_o.norm(), inst.path.kappa)
+        self.assert_close(inst, tau, step=step)
+
+    def test_drift_still_enforced(self):
+        inst = scenario_instance("pure_point_omega", dim=6)
+        with pytest.raises(PropagationError, match="drift"):
+            evolve(inst.h_o, inst.path, 10.0, GRID, drift_tol=1e-18)
+
+    def test_steps_counted(self, tmp_path):
+        inst = scenario_instance("pure_point_omega", dim=6)
+        step = default_step(20.0, inst.h_o.norm(), inst.path.kappa)
+        res = evolve(inst.h_o, inst.path, 20.0, GRID)
+        assert res.steps == 8 * math.ceil(0.125 / step)
+        res.save(tmp_path / "run.prop")
+        assert PropagatorResult.load(tmp_path / "run.prop").steps == res.steps
+        constant = evolve(inst.h_o, GeneratorPath.constant(inst.path.sampler(0.5)), 20.0, GRID)
+        assert constant.steps == 0
 
 
 class TestExactConstantDrive:

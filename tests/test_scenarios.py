@@ -251,6 +251,24 @@ class TestRunSweep:
         entry = doc["results"][0]
         assert set(entry) >= {"scenario", "metric", "slope", "constant", "verdict"}
 
+    def test_summary_records_propagation(self, tmp_path):
+        res = run_sweep(make_config(out_dir=str(tmp_path / "emb")))
+        records = json.loads(open(res.summary_path).read())["propagation"]
+        assert [r["tau"] for r in records] == [5.0, 50.0]
+        for r in records:
+            assert set(r) == {"tau", "scheme", "steps", "step", "max_drift"}
+            assert r["scheme"] == "midpoint-exponential" and r["steps"] >= 20
+            assert 0 < r["step"] <= 0.05 and 0 <= r["max_drift"] <= 1e-8
+        doc = dict(DIRECT_SUM, metrics=["heisenberg_norm"], out_dir=str(tmp_path / "sum"))
+        res = run_sweep(ScenarioConfig.from_mapping(doc))
+        records = json.loads(open(res.summary_path).read())["propagation"]
+        assert [(r["scheme"], r["steps"], r["step"]) for r in records] == [
+            ("exact-constant", 0, 0.5), ("exact-constant", 0, 0.5)
+        ]
+        doc = dict(SWAP, metrics=["swap_norm_shift"], out_dir=str(tmp_path / "swap"))
+        res = run_sweep(ScenarioConfig.from_mapping(doc))
+        assert json.loads(open(res.summary_path).read())["propagation"] == []
+
     def test_save_propagators(self, tmp_path):
         cfg = make_config(out_dir=str(tmp_path), save_propagators=True, taus=[5.0])
         run_sweep(cfg)
@@ -464,6 +482,23 @@ class TestLoadChecks:
                 dict(EMBEDDED, metrics=["resolvent"], metric_params={"resolvent": {
                     "z_imag": 10**400}}),
                 "z_imag must be finite",
+            ),
+            (
+                dict(PURE_POINT, metrics=["heisenberg_norm"], params={"dim": 6, "kappa": 10**400}),
+                "scenario param kappa must be finite",
+            ),
+            (
+                dict(PURE_POINT, metrics=["heisenberg_norm"], params={"dim": 6.5}),
+                "scenario param dim must be a whole number <= 4096",
+            ),
+            (
+                dict(PURE_POINT, metrics=["heisenberg_norm"],
+                     params={"dim": 6, "degenerate_pairs": 4097}),
+                "scenario param degenerate_pairs must be a whole number <= 4096",
+            ),
+            (
+                dict(PURE_POINT, metrics=["heisenberg_norm"], params={"dim": "6"}),
+                "scenario param dim must be a number, got '6'",
             ),
         ],
     )
