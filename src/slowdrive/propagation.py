@@ -10,8 +10,12 @@ Provides:
   the unperturbed-frame comparison evolution.
 * ``dyson_term`` / ``dyson_series`` — the time-ordered Volterra iterates of
   Omega_tau, used as an independent oracle for moderate tau.
-* ``mollify`` — convolution smoothing of an L1-in-norm generator path into a
-  C1 path with the propagator deviation controlled by int ||Lambda_eps - Lambda||.
+* ``GeneratorPath.drive`` — the drive form Lambda(s) = A + p(s) B (fixed
+  Hermitian A, B; a ramp, step or mollified-step profile p, or no B for a
+  constant drive), whose metadata follow from the form.
+* ``mollify`` — convolution smoothing of a step drive into a C1 drive by
+  convolving its profile, with the propagator deviation controlled by
+  int ||Lambda_eps - Lambda||.
 * ``interaction_frame`` — V(s) with i dV/ds = Lambda(s) V.
 * ``omega_infinity`` — the limit evolution generated by the block-diagonal
   part of Lambda(s) (pure-point H_o).
@@ -23,7 +27,7 @@ import json
 import math
 import warnings
 from dataclasses import dataclass, field, replace
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -33,6 +37,7 @@ from .operators import (
     format_matrix,
     operator_norm,
     parse_matrix,
+    unitarity_drift,
 )
 from .spectral import SpectralDecomposition, block_compress
 
@@ -41,6 +46,7 @@ __all__ = [
     "GridError",
     "DysonResolutionWarning",
     "GeneratorPath",
+    "DriveForm",
     "MollifierSpec",
     "PropagatorResult",
     "DysonExpansion",
@@ -88,9 +94,10 @@ class GeneratorPath:
     """The perturbation path s -> Lambda(s) on [0,1] with smoothness metadata.
 
     ``kappa`` = sup_s ||Lambda(s)||, ``kappa_dot`` = sup_s ||dLambda/ds||
-    (C1 paths only), ``l1_norm`` = int_0^1 ||Lambda(s)|| ds; all measured on a
-    probe grid by :meth:`from_sampler`. ``kinks`` lists known discontinuity or
-    kink locations of L1 paths, used by :func:`mollify` for exact splitting.
+    (C1 paths only), ``l1_norm`` = int_0^1 ||Lambda(s)|| ds. A drive built by
+    :meth:`drive` (or :meth:`constant`) has a :class:`DriveForm` as its
+    sampler and derives all three from that form; :meth:`from_sampler`
+    measures them on a probe grid for an opaque sampler.
     """
 
     dim: int
@@ -99,12 +106,6 @@ class GeneratorPath:
     kappa: float
     kappa_dot: float | None = None
     l1_norm: float | None = None
-    kinks: tuple[float, ...] = ()
-    # Set only by :meth:`constant`; evolve then exponentiates the generator
-    # exactly instead of stepping.
-    constant_matrix: np.ndarray | None = field(
-        default=None, init=False, repr=False, compare=False
-    )
 
     def __post_init__(self):
         if self.smoothness not in (SMOOTH_C1, SMOOTH_L1):
@@ -114,17 +115,20 @@ class GeneratorPath:
         if self.smoothness == SMOOTH_C1 and self.kappa_dot is None:
             raise ValueError("norm_C1 paths must carry kappa_dot")
 
+    @property
+    def form(self) -> "DriveForm | None":
+        """The form A + p(s) B behind the sampler; None for an opaque sampler."""
+        return self.sampler if isinstance(self.sampler, DriveForm) else None
+
     @classmethod
     def from_sampler(
         cls,
         dim: int,
         sampler: Callable[[float], np.ndarray],
-        smoothness: str = SMOOTH_C1,
         probe_points: int = 1001,
-        kinks: Sequence[float] = (),
     ) -> "GeneratorPath":
-        """Measure kappa, kappa_dot and the L1 norm on a uniform probe grid,
-        validating Hermiticity of every probed sample."""
+        """A norm_C1 path whose kappa, kappa_dot and L1 norm are measured on a
+        uniform probe grid, validating Hermiticity of every probed sample."""
         if probe_points < 3:
             raise ValueError("probe_points must be >= 3")
         grid = np.linspace(0.0, 1.0, probe_points)
@@ -141,42 +145,99 @@ class GeneratorPath:
             if prev is not None:
                 fd_max = max(fd_max, float(np.abs(np.linalg.eigvalsh((m - prev) / h)).max()))
             prev = m
-        kappa = float(norms.max())
-        l1 = float(np.trapezoid(norms, grid))
-        kappa_dot = fd_max if smoothness == SMOOTH_C1 else None
         return cls(
             dim=dim,
             sampler=sampler,
-            smoothness=smoothness,
-            kappa=kappa,
-            kappa_dot=kappa_dot,
-            l1_norm=l1,
-            kinks=tuple(sorted(kinks)),
+            smoothness=SMOOTH_C1,
+            kappa=float(norms.max()),
+            kappa_dot=fd_max,
+            l1_norm=float(np.trapezoid(norms, grid)),
+        )
+
+    @classmethod
+    def drive(cls, a, b, at: float | None, mollifier: "MollifierSpec | None") -> "GeneratorPath":
+        """The drive Lambda(s) = a + p(s) * b of :class:`DriveForm`, or the
+        constant drive a when ``b`` is None (``at`` and ``mollifier`` are then
+        ignored).
+
+        ``a`` and ``b`` are checked to be Hermitian once. ||a + p b|| is convex
+        in p and p is nondecreasing, so kappa is the larger of the two
+        endpoint norms; kappa_dot = ||b|| sup p' (C1 profiles only); l1_norm
+        is a 16-node Gauss rule on each panel between the profile's breaks.
+        Every norm comes from one batched eigvalsh.
+        """
+        a = HermitianOperator(a).matrix
+        if b is None:
+            kappa = float(np.abs(np.linalg.eigvalsh(a)).max())
+            return cls(a.shape[0], DriveForm(a, None, None, None), SMOOTH_C1, kappa, 0.0, kappa)
+        form = DriveForm(a, HermitianOperator(b).matrix, at, mollifier)
+        if form.b.shape != a.shape:
+            raise ValueError(f"drive matrices differ in shape: {a.shape} and {form.b.shape}")
+        slope, breaks = form.slope_and_breaks()
+        nodes, weights = _gauss_panels([0.0, *breaks, 1.0], _GL16)
+        samples = [form(0.0), form(1.0), form.b, *(form(float(x)) for x in nodes)]
+        norms = np.abs(np.linalg.eigvalsh(np.array(samples))).max(axis=1)
+        return cls(
+            dim=a.shape[0],
+            sampler=form,
+            smoothness=SMOOTH_L1 if slope is None else SMOOTH_C1,
+            kappa=float(max(norms[0], norms[1])),
+            kappa_dot=None if slope is None else float(norms[2]) * slope,
+            l1_norm=float(weights @ norms[3:]),
         )
 
     @classmethod
     def constant(cls, matrix) -> "GeneratorPath":
-        h = HermitianOperator(np.asarray(matrix, dtype=complex))  # validates
-        kappa = h.norm()
-        mat = h.matrix
-
-        def sampler(_s: float) -> np.ndarray:
-            return mat
-
-        path = cls(
-            dim=h.dim,
-            sampler=sampler,
-            smoothness=SMOOTH_C1,
-            kappa=kappa,
-            kappa_dot=0.0,
-            l1_norm=kappa,
-        )
-        object.__setattr__(path, "constant_matrix", mat)
-        return path
+        return cls.drive(matrix, None, None, None)
 
     @classmethod
     def zero(cls, dim: int) -> "GeneratorPath":
         return cls.constant(np.zeros((dim, dim)))
+
+
+@dataclass(frozen=True, eq=False)
+class DriveForm:
+    """Lambda(s) = a + p(s) * b: fixed Hermitian ``a`` and ``b`` and a
+    nondecreasing scalar profile p on [0, 1] with values in [0, 1]; ``b`` is
+    None for the constant drive ``a``. p is the ramp p(s) = s when ``at`` is
+    None, the unit step at 0 < ``at`` < 1 (0 before it, 1 from it on), or
+    that step convolved with the bump of ``mollifier``, which is the bump's
+    distribution function at (s - at) / epsilon. Called with s, the form is
+    the sampler of its :class:`GeneratorPath`."""
+
+    a: np.ndarray
+    b: np.ndarray | None
+    at: float | None
+    mollifier: MollifierSpec | None
+
+    def __post_init__(self):
+        if self.at is not None and not 0.0 < self.at < 1.0:
+            raise ValueError("a step profile needs 0 < at < 1")
+        if self.at is None and self.mollifier is not None:
+            raise ValueError("only a step profile is mollified")
+
+    def __call__(self, s: float) -> np.ndarray:
+        return self.a if self.b is None else self.a + self.profile(s) * self.b
+
+    def profile(self, s: float) -> float:
+        """p(s)."""
+        if self.at is None:
+            return s
+        if self.mollifier is None:
+            return 0.0 if s < self.at else 1.0
+        return _bump_cdf(self.mollifier.bump, (s - self.at) / self.mollifier.epsilon)
+
+    def slope_and_breaks(self) -> tuple[float | None, list[float]]:
+        """sup p' on [0, 1] (None for the step, which is not C1) and the points
+        in (0, 1) where p is not smooth: the step, or the ends of the
+        mollified rise."""
+        if self.at is None:
+            return 1.0, []
+        if self.mollifier is None:
+            return None, [self.at]
+        eps = self.mollifier.epsilon
+        peak = np.max(self.mollifier.bump(np.linspace(-1.0, 1.0, 8193)))
+        return float(peak) / eps, [x for x in (self.at - eps, self.at + eps) if 0.0 < x < 1.0]
 
 
 # --- mollifier ------------------------------------------------------------
@@ -224,51 +285,46 @@ class MollifierSpec:
             raise ValueError(f"bump integral {mass!r} is not 1 within 1e-8")
 
 
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(32)
+_GL16 = np.polynomial.legendre.leggauss(16)
+_GL32 = np.polynomial.legendre.leggauss(32)
 
 
-def mollify(path: GeneratorPath, spec: MollifierSpec, probe_points: int = 1001) -> GeneratorPath:
-    """Convolve the path with the scaled bump: Lambda_eps(s) =
+def _gauss_panels(edges, rule) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of the Gauss-Legendre ``rule`` mapped onto each
+    panel between consecutive ``edges``, panel by panel."""
+    lo = np.asarray(edges[:-1], dtype=float)[:, None]
+    half = 0.5 * (np.asarray(edges[1:], dtype=float)[:, None] - lo)
+    return (lo + half * (rule[0] + 1.0)).ravel(), (half * rule[1]).ravel()
+
+
+def _bump_cdf(bump, u: float) -> float:
+    """The mass of ``bump`` on [-1, u] over its mass on [-1, 1], each part by
+    a 32-node Gauss-Legendre rule (the bump is smooth on both panels), so
+    the value is exactly 0 below -1 and exactly 1 above 1."""
+    u = min(max(u, -1.0), 1.0)
+    nodes, weights = _gauss_panels([-1.0, u, 1.0], _GL32)
+    mass = (weights * bump(nodes)).reshape(2, -1).sum(axis=1)
+    return float(mass[0] / mass.sum())
+
+
+def mollify(path: GeneratorPath, spec: MollifierSpec) -> GeneratorPath:
+    """Convolve the drive with the scaled bump: Lambda_eps(s) =
     int phi_eps(s - s') Lambda(s') ds', Lambda extended constantly outside
     [0, 1]. Returns a norm_C1 path.
 
-    The u-integral over the bump support is split at the images of the path's
-    declared kinks and of the clamp boundaries 0 and 1, so each panel has a
-    smooth integrand and fixed Gauss-Legendre nodes converge fast. The node
-    weights are renormalized to unit total mass, making the effective kernel
-    an exact discrete mollifier: convolving a constant path returns it to
-    round-off, and the deviation bound int ||Lambda_eps - Lambda|| applies
-    to the sampled path as-is.
+    The convolution acts on the scalar profile of the drive's form alone. A
+    constant drive is returned as it is. A step A + H(s - at) B becomes
+    A + p_eps(s) B, where p_eps(s) is the bump's distribution function at
+    (s - at) / eps (:class:`DriveForm`); since 0 < at < 1, the constant
+    extension outside [0, 1] leaves the step as it is. Any other drive is
+    refused: a ramp is C1 already, and an opaque sampler has no profile.
     """
-    eps = spec.epsilon
-    bump = spec.bump
-    raw = path.sampler
-    dim = path.dim
-    special = tuple(sorted(set(path.kinks) | {0.0, 1.0}))
-
-    def sampler_eps(s: float) -> np.ndarray:
-        cuts = {-1.0, 1.0}
-        for q in special:
-            u = (s - q) / eps
-            if -1.0 < u < 1.0:
-                cuts.add(u)
-        edges = sorted(cuts)
-        acc = np.zeros((dim, dim), dtype=complex)
-        mass = 0.0
-        for a, b in zip(edges, edges[1:]):
-            half = 0.5 * (b - a)
-            mid = 0.5 * (b + a)
-            us = mid + half * _GL_NODES
-            ws = half * _GL_WEIGHTS * bump(us)
-            mass += float(ws.sum())
-            for u, w in zip(us, ws):
-                sp = min(max(s - eps * u, 0.0), 1.0)
-                acc += w * raw(sp)
-        return acc / mass
-
-    return GeneratorPath.from_sampler(
-        dim, sampler_eps, SMOOTH_C1, probe_points=probe_points
-    )
+    form = path.form
+    if form is not None and form.b is None:
+        return path
+    if form is None or form.at is None or form.mollifier is not None:
+        raise ValueError("mollify takes a constant drive or a step drive")
+    return GeneratorPath.drive(form.a, form.b, form.at, spec)
 
 
 # --- the propagator -------------------------------------------------------
@@ -385,7 +441,8 @@ def evolve(
 ) -> PropagatorResult:
     """Integrate i dW/ds = (tau*H_o + Lambda(s)) W over the s-grid.
 
-    A constant path (:meth:`GeneratorPath.constant`) is solved exactly:
+    A constant drive (a form with no B, :meth:`GeneratorPath.constant`) is
+    solved exactly:
     W(s) = V exp(-i s w) V† from one eigendecomposition V diag(w) V† of
     tau*H_o + Lambda; ``step`` has no effect, the result's ``step`` is the
     largest grid interval and its ``steps`` is 0. Any other path uses the
@@ -411,12 +468,13 @@ def evolve(
         raise ValueError("step must be positive")
     spans = np.diff(grid)
 
-    if path.constant_matrix is not None:
+    form = path.form
+    if form is not None and form.b is None:
         scheme = "exact-constant"
         taken = float(spans.max(initial=0.0))
         steps = 0
         remedy = "the eigendecomposition of the constant generator is inaccurate"
-        states = _exact_states(tau * h_o.matrix + path.constant_matrix, grid)
+        states = _exact_states(tau * h_o.matrix + form.a, grid)
     else:
         scheme = "midpoint-exponential"
         if path.smoothness == SMOOTH_L1:
@@ -434,7 +492,7 @@ def evolve(
     unitaries[0] = eye
     max_drift = 0.0
     for j, w in enumerate(states, start=1):
-        drift = operator_norm(w.conj().T @ w - eye)
+        drift = unitarity_drift(w)
         max_drift = max(max_drift, drift)
         if drift > drift_tol:
             raise PropagationError(
@@ -758,22 +816,14 @@ def frame_reconstruction_residual(
 
 
 def block_diagonal_path(d: SpectralDecomposition, path: GeneratorPath) -> GeneratorPath:
-    """The path s -> sum_E P_E Lambda(s) P_E. Compression is a pinching, so
-    the parent's kappa/kappa_dot/l1 bounds carry over."""
-    raw = path.sampler
-
-    def sampler(s: float) -> np.ndarray:
-        return block_compress(d, np.asarray(raw(s), dtype=complex))
-
-    return GeneratorPath(
-        dim=path.dim,
-        sampler=sampler,
-        smoothness=path.smoothness,
-        kappa=path.kappa,
-        kappa_dot=path.kappa_dot,
-        l1_norm=path.l1_norm,
-        kinks=path.kinks,
-    )
+    """The drive s -> sum_E P_E Lambda(s) P_E, with A and B compressed once.
+    Compression is a pinching, so the parent's kappa/kappa_dot/l1 bounds
+    carry over."""
+    form = path.form
+    if form is None:
+        raise ValueError("block_diagonal_path needs a drive of the form A + p(s) B")
+    b = None if form.b is None else block_compress(d, form.b)
+    return replace(path, sampler=replace(form, a=block_compress(d, form.a), b=b))
 
 
 def omega_infinity(

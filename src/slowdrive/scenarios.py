@@ -38,7 +38,7 @@ from .operators import (
     pauli,
     unitary_exponential,
 )
-from .propagation import GeneratorPath, SMOOTH_L1
+from .propagation import GeneratorPath
 from .spectral import calculus_continuous, fermi_dirac, projection_eq, projection_leq
 
 __all__ = [
@@ -211,7 +211,7 @@ class ScenarioInstance:
 def _check_params(params: dict, allowed: dict) -> dict:
     """Merge ``params`` over the defaults in ``allowed``. Each value must be a
     finite number, and a whole number up to _MAX_SIZE_PARAM where the default
-    is an integer."""
+    is an integer; the drive strength ``kappa`` must be >= 0."""
     extra = set(params) - set(allowed)
     if extra:
         raise ConfigError(f"unknown scenario params: {sorted(extra)}")
@@ -221,6 +221,8 @@ def _check_params(params: dict, allowed: dict) -> dict:
         # Comparisons are False on NaN, and exact for integers past the float range.
         if not -sys.float_info.max <= value <= sys.float_info.max:
             raise ConfigError(f"scenario param {key} must be finite")
+        if key == "kappa" and value < 0:
+            raise ConfigError("scenario param kappa must be >= 0")
         if isinstance(allowed[key], int) and not (
             value == int(value) and value <= _MAX_SIZE_PARAM
         ):
@@ -248,50 +250,25 @@ def seeded_pair_path(dim: int, kappa: float, seed: int, real: bool = False) -> G
     ``real`` draws real symmetric matrices, which halves the eigensolver cost
     of long sweeps without changing any of the statements under test.
     """
+    if not kappa >= 0.0:
+        raise ValueError(f"kappa must be >= 0, got {kappa}")
     rng = np.random.default_rng(seed)
     a = _seeded_hermitian(rng, dim, real)
     b = _seeded_hermitian(rng, dim, real)
     if kappa == 0.0:
         return GeneratorPath.zero(dim)
-
-    def raw(s: float) -> np.ndarray:
-        return a + s * b
-
-    probe = GeneratorPath.from_sampler(dim, raw, probe_points=201)
-    scale = kappa / probe.kappa
-    a = a * scale
-    b = b * scale
-
-    def sampler(s: float) -> np.ndarray:
-        return a + s * b
-
-    return GeneratorPath.from_sampler(dim, sampler, probe_points=201)
+    scale = kappa / GeneratorPath.drive(a, b, None, None).kappa
+    return GeneratorPath.drive(a * scale, b * scale, None, None)
 
 
 def step_path(before, after, at: float = 0.5) -> GeneratorPath:
     """An L1-in-norm step drive: Lambda(s) = before for s < at, after for
-    s >= at. The kink location is declared for exact mollifier splitting."""
-    b = HermitianOperator(np.asarray(before, dtype=complex)).matrix
-    a = HermitianOperator(np.asarray(after, dtype=complex)).matrix
-    if a.shape != b.shape:
+    s >= at, as the form before + p(s) (after - before) with the unit step
+    p at 0 < at < 1."""
+    before, after = np.asarray(before), np.asarray(after)
+    if before.shape != after.shape:
         raise ValueError("step halves must share a dimension")
-
-    def sampler(s: float) -> np.ndarray:
-        return b if s < at else a
-
-    kappa = max(
-        float(np.abs(np.linalg.eigvalsh(b)).max()),
-        float(np.abs(np.linalg.eigvalsh(a)).max()),
-    )
-    return GeneratorPath(
-        dim=b.shape[0],
-        sampler=sampler,
-        smoothness=SMOOTH_L1,
-        kappa=kappa,
-        kappa_dot=None,
-        l1_norm=None,
-        kinks=(at,),
-    )
+    return GeneratorPath.drive(before, after - before, at, None)
 
 
 # --- builders ---------------------------------------------------------------

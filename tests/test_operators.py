@@ -15,6 +15,7 @@ from slowdrive.operators import (
     parse_matrix,
     pauli,
     read_matrix,
+    unitarity_drift,
     unitary_exponential,
     write_matrix,
 )
@@ -69,6 +70,14 @@ class TestUnitaryOperator:
     def test_custom_tolerance_admits(self):
         u = UnitaryOperator(np.diag([1.0, 1.0 + 1e-5]), drift_tol=1e-4)
         assert u.drift > 1e-8
+
+    @pytest.mark.parametrize("dim, seed", [(2, 1), (16, 2), (66, 3)])
+    def test_drift_is_the_svd_norm(self, dim, seed):
+        rng = np.random.default_rng(seed)
+        w = random_unitary(dim, seed) + 1e-6 * rng.standard_normal((dim, dim))
+        want = operator_norm(w.conj().T @ w - np.eye(dim))
+        assert unitarity_drift(w) == pytest.approx(want, rel=1e-9)
+        assert UnitaryOperator(w, drift_tol=1.0).drift == unitarity_drift(w)
 
 
 class TestEigendecomposition:

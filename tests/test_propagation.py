@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
 from slowdrive.operators import (
     HermitianOperator,
@@ -11,6 +12,7 @@ from slowdrive.operators import (
     unitary_exponential,
 )
 from slowdrive.propagation import (
+    DriveForm,
     DysonResolutionWarning,
     GeneratorPath,
     GridError,
@@ -98,6 +100,40 @@ class TestGeneratorPath:
     def test_c1_requires_kappa_dot(self):
         with pytest.raises(ValueError, match="kappa_dot"):
             GeneratorPath(dim=2, sampler=lambda s: np.eye(2), smoothness="norm_C1", kappa=1.0)
+
+    @pytest.mark.parametrize(
+        "dim, seed, real", [(4, 5, False), (6, 3, False), (16, 2, False), (66, 11, True)]
+    )
+    def test_form_metadata_matches_probe(self, dim, seed, real):
+        # kappa from the endpoint norms equals the 201-point probe's bit for bit
+        p = seeded_pair_path(dim, 1.0, seed, real=real)
+        probe = GeneratorPath.from_sampler(dim, p.sampler, probe_points=201)
+        assert p.kappa == probe.kappa
+        assert p.kappa_dot == pytest.approx(probe.kappa_dot, rel=1e-12, abs=0.0)
+        a, b = p.form.a, p.form.b
+        for s in (0.0, 0.3, 0.625, 1.0):
+            assert np.array_equal(p.sampler(s), a + s * b)
+
+    def test_negative_kappa_rejected(self):
+        with pytest.raises(ValueError, match="kappa"):
+            seeded_pair_path(6, -1.0, 0)
+
+    def test_embedded_build_eigvalsh_budget(self, monkeypatch):
+        calls = []
+        eigvalsh = np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(1) or eigvalsh(a))
+        scenario_instance("embedded_eigenvalue", grid_points=63, multiplicity=3)
+        assert len(calls) <= 4
+
+    def test_step_form(self):
+        p = step_path(pauli("z"), pauli("x"), at=0.25)
+        assert p.smoothness == "norm_L1" and p.kappa_dot is None
+        assert np.array_equal(p.form.b, pauli("x") - pauli("z"))
+        assert np.array_equal(p.sampler(0.2), pauli("z"))
+        assert operator_norm(p.sampler(0.25) - pauli("x")) <= 1e-15
+        assert p.l1_norm == pytest.approx(1.0, rel=1e-14)
+        with pytest.raises(ValueError, match="0 < at < 1"):
+            step_path(pauli("z"), pauli("x"), at=1.0)
 
 
 class TestEvolve:
@@ -420,7 +456,7 @@ class TestMollifier:
 
     def test_constant_path_convolves_exactly(self):
         p = GeneratorPath.constant(0.3 * pauli("y"))
-        m = mollify(p, MollifierSpec(0.05), probe_points=31)
+        m = mollify(p, MollifierSpec(0.05))
         for s in (0.0, 0.31, 0.5, 1.0):
             assert operator_norm(m.sampler(s) - 0.3 * pauli("y")) <= 1e-15
 
@@ -428,7 +464,7 @@ class TestMollifier:
         # int ||L_eps - L|| <= eps * ||jump|| * c_phi with c_phi <= 1
         eps = 0.02
         p = step_path(pauli("z"), pauli("x"), at=0.5)
-        m = mollify(p, MollifierSpec(eps), probe_points=201)
+        m = mollify(p, MollifierSpec(eps))
         fine = np.linspace(0, 1, 2001)
         vals = [operator_norm(m.sampler(s) - p.sampler(s)) for s in fine]
         l1 = float(np.trapezoid(vals, fine))
@@ -440,7 +476,7 @@ class TestMollifier:
         # sup_{s, tau} ||W_eps - W|| <= int ||L_eps - L|| + 2 * step budget
         h = random_hermitian(4, 50)
         p = step_path(np.kron(np.eye(2), pauli("z")), np.kron(np.eye(2), pauli("x")))
-        m = mollify(p, MollifierSpec(0.05), probe_points=201)
+        m = mollify(p, MollifierSpec(0.05))
         fine = np.linspace(0, 1, 1001)
         l1 = float(np.trapezoid([operator_norm(m.sampler(s) - p.sampler(s)) for s in fine], fine))
         grid = np.linspace(0, 1, 11)
@@ -456,8 +492,34 @@ class TestMollifier:
             )
         assert worst <= l1 + 2 * budget
 
+    def test_constant_path_stays_exact(self):
+        m = mollify(GeneratorPath.constant(0.3 * pauli("y")), MollifierSpec(0.05))
+        assert evolve(random_hermitian(2, 1), m, 5.0, GRID).scheme == "exact-constant"
+
+    def test_mollified_sample_is_profile_form(self, monkeypatch):
+        # A + p_eps(s) B, with p_eps the bump's distribution function; the
+        # raw step profile is never evaluated
+        raw = step_path(pauli("z"), pauli("x"), at=0.5)
+        m = mollify(raw, MollifierSpec(0.1))
+        called = []
+        profile = DriveForm.profile
+        monkeypatch.setattr(DriveForm, "profile", lambda f, s: called.append(f) or profile(f, s))
+        for s in (0.0, 0.41, 0.5, 0.55, 0.63, 1.0):
+            want = raw.form.a + profile(m.form, s) * raw.form.b
+            assert np.array_equal(m.sampler(s), want)
+        assert called and all(f.mollifier is not None for f in called)
+        cdf = quad(default_bump, -1.0, 0.5)[0]
+        assert profile(m.form, 0.55) == pytest.approx(cdf, abs=1e-9)
+        assert (profile(m.form, 0.39), profile(m.form, 0.61)) == (0.0, 1.0)
+
+    def test_only_step_and_constant_drives(self):
+        with pytest.raises(ValueError, match="step drive"):
+            mollify(seeded_pair_path(3, 1.0, 2), MollifierSpec(0.1))
+        with pytest.raises(ValueError, match="step drive"):
+            mollify(GeneratorPath.from_sampler(2, lambda s: s * pauli("x")), MollifierSpec(0.1))
+
     def test_mollified_path_is_c1(self):
-        m = mollify(step_path(pauli("z"), pauli("x")), MollifierSpec(0.1), probe_points=101)
+        m = mollify(step_path(pauli("z"), pauli("x")), MollifierSpec(0.1))
         assert m.smoothness == "norm_C1"
         assert m.kappa_dot is not None and m.kappa_dot < 40.0  # ~ ||jump|| / eps scale
 
@@ -526,6 +588,17 @@ class TestOmegaInfinity:
         sub_v = interaction_frame(sub_path, GRID, step=1e-4)
         for a, b in zip(oi.unitaries, sub_v.unitaries):
             assert operator_norm(a[:2, :2] - b) <= 1e-8
+
+    def test_constant_drive_is_exact(self):
+        d = hermitian_eigendecomposition(HermitianOperator(np.diag([0.0, 1.0, 1.0])))
+        res = omega_infinity(d, GeneratorPath.constant(random_hermitian(3, 71).matrix), GRID)
+        assert res.scheme == "limit-exact-constant"
+
+    def test_opaque_sampler_refused(self):
+        d = hermitian_eigendecomposition(HermitianOperator(pauli("z")))
+        path = GeneratorPath.from_sampler(2, lambda s: s * pauli("x"), probe_points=11)
+        with pytest.raises(ValueError, match="A \\+ p\\(s\\) B"):
+            omega_infinity(d, path, GRID)
 
     def test_commutes_with_h(self):
         h = random_hermitian(6, 80)

@@ -500,6 +500,19 @@ class TestLoadChecks:
                 dict(PURE_POINT, metrics=["heisenberg_norm"], params={"dim": "6"}),
                 "scenario param dim must be a number, got '6'",
             ),
+            (
+                dict(PURE_POINT, metrics=["heisenberg_norm"], params={"dim": 6, "kappa": -1.0}),
+                "kappa must be >= 0",
+            ),
+            (
+                dict(EMBEDDED, metrics=["resolvent"], params={"grid_points": 11, "kappa": -1.0}),
+                "kappa must be >= 0",
+            ),
+            (
+                dict(EMBEDDED, scenario="fermi_observable", metrics=["resolvent"],
+                     params={"grid_points": 11, "kappa": -0.5}),
+                "kappa must be >= 0",
+            ),
         ],
     )
     def test_bad_reference_exits_1_before_any_tau(
