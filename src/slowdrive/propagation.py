@@ -2,10 +2,12 @@
 
 Provides:
 
-* ``evolve`` — the scaled-time propagator W_tau(s), integrated with a
-  second-order exponential midpoint scheme whose per-step exponential is
-  applied to W by a Taylor series truncated below unit roundoff (the action of
-  the exponential), with the unitarity drift checked at every grid point.
+* ``evolve`` — the scaled-time propagator W_tau(s): for a ramp drive, a
+  Magnus-Filon scheme in the eigenbasis of H_o whose step does not depend on
+  tau; otherwise, or with an explicit step, a second-order exponential
+  midpoint scheme. Each step's exponential is applied to W by a Taylor series
+  truncated below unit roundoff (the action of the exponential), and the
+  unitarity drift is checked at every grid point.
 * ``comparison_operator`` — Omega_tau(t,s) = exp(i tau (t-s) H_o) W(t) W(s)^+,
   the unperturbed-frame comparison evolution.
 * ``dyson_term`` / ``dyson_series`` — the time-ordered Volterra iterates of
@@ -51,6 +53,7 @@ __all__ = [
     "PropagatorResult",
     "DysonExpansion",
     "default_step",
+    "magnus_step",
     "evolve",
     "richardson_error",
     "comparison_operator",
@@ -426,9 +429,31 @@ class PropagatorResult:
 
 
 def default_step(tau: float, h_norm: float, kappa: float) -> float:
-    """Fixed-step rule: resolves the total phase tau*||H_o|| + kappa to ~0.1
-    radian per step, capped at 1e-3."""
+    """Fixed-step rule of the midpoint scheme: resolves the total phase
+    tau*||H_o|| + kappa to ~0.1 radian per step, capped at 1e-3."""
     return min(1e-3, 0.1 / max(tau * h_norm + kappa, 1e-12))
+
+
+# Magnus-Filon steps resolve the drive alone: 1/200 of its time scale
+# 1/max(kappa, kappa_dot), and at most 1/200 of [0, 1].
+MAGNUS_STEP = 1.0 / 200.0
+# A Magnus-Filon step costs about 2x a midpoint step at dim 16 and 3.5x at
+# dim 66 (one BLAS thread; up to 8x where pairs below _FILON_NEAR need the
+# Taylor series), so the scheme runs only where it takes at most this share
+# of the midpoint rule's steps.
+MAGNUS_SHARE = 0.25
+
+
+def magnus_step(kappa: float, kappa_dot: float | None) -> float:
+    """The tau-independent Magnus-Filon step h_MF = 0.005 / max(kappa,
+    kappa_dot, 1)."""
+    return MAGNUS_STEP / max(kappa, kappa_dot or 0.0, 1.0)
+
+
+def _substeps(spans: np.ndarray, step: float, slack: float = 0.0) -> list[int]:
+    """Equal sub-steps of at most ``step`` per grid interval; ``slack`` lets a
+    sub-step exceed ``step`` by that fraction."""
+    return [max(1, math.ceil(span / step - slack)) for span in spans]
 
 
 def evolve(
@@ -445,8 +470,16 @@ def evolve(
     solved exactly:
     W(s) = V exp(-i s w) V† from one eigendecomposition V diag(w) V† of
     tau*H_o + Lambda; ``step`` has no effect, the result's ``step`` is the
-    largest grid interval and its ``steps`` is 0. Any other path uses the
-    exponential midpoint scheme W_{k+1} = exp(-i h (tau*H_o + Lambda(s_mid))) W_k,
+    largest grid interval and its ``steps`` is 0.
+
+    A ramp drive A + s B with ``step`` None runs the Magnus-Filon scheme
+    (:func:`_magnus_filon_states`, scheme ``magnus-filon``) at the
+    tau-independent step :func:`magnus_step`, provided that takes at most
+    ``MAGNUS_SHARE`` of the midpoint rule's steps on this grid; it
+    diagonalises H_o once (its own ``decomposition``; none for H_o = 0).
+
+    Every other path, and every explicit ``step``, uses the exponential
+    midpoint scheme W_{k+1} = exp(-i h (tau*H_o + Lambda(s_mid))) W_k,
     where the exponential is applied to W_k by a Taylor series whose
     truncation error is below unit roundoff (:func:`_exp_step`); no
     eigendecomposition is formed. Local error is O(h^3); the default step
@@ -476,16 +509,31 @@ def evolve(
         remedy = "the eigendecomposition of the constant generator is inaccurate"
         states = _exact_states(tau * h_o.matrix + form.a, grid)
     else:
-        scheme = "midpoint-exponential"
-        if path.smoothness == SMOOTH_L1:
-            scheme += "/L1-direct"
+        # ||H_o|| = 0 is known without an eigh
+        free = not h_o.matrix.any()
+        magnus = None
         if step is None:
-            step = default_step(tau, h_o.norm(), path.kappa)
-        nsubs = [max(1, math.ceil(span / step)) for span in spans]
+            step = default_step(tau, 0.0 if free else h_o.norm(), path.kappa)
+            if form is not None and form.at is None:
+                # spans like 0.1 / 0.005 round up past 20 without the slack
+                mf = _substeps(spans, magnus_step(path.kappa, path.kappa_dot), 1e-9)
+                if sum(mf) <= MAGNUS_SHARE * sum(_substeps(spans, step)):
+                    magnus = mf
+        if magnus is not None:
+            scheme = "magnus-filon"
+            nsubs = magnus
+            remedy = "retry with an explicit step (the midpoint rule)"
+            basis = None if free else h_o.decomposition
+            states = _magnus_filon_states(basis, form, tau, grid, nsubs)
+        else:
+            scheme = "midpoint-exponential"
+            if path.smoothness == SMOOTH_L1:
+                scheme += "/L1-direct"
+            nsubs = _substeps(spans, step)
+            remedy = f"retry with step <= {step / 2:.3e}"
+            states = _midpoint_states(h_o.matrix, path, tau, grid, nsubs)
         taken = max((span / n for span, n in zip(spans, nsubs)), default=0.0)
         steps = sum(nsubs)
-        remedy = f"retry with step <= {step / 2:.3e}"
-        states = _midpoint_states(h_o.matrix, path, tau, grid, nsubs)
 
     eye = np.eye(h_o.dim)
     unitaries = np.empty((grid.size, h_o.dim, h_o.dim), dtype=complex)
@@ -584,6 +632,136 @@ def _midpoint_states(
         yield w_cur
 
 
+# Below this |alpha| (a frame pair's phase over one step) the inner integral
+# of Omega_2 is a Taylor series in alpha instead of a division by it.
+_FILON_NEAR = 2e-3
+# Moments up to this |alpha| are summed as power series; beyond it the
+# forward recurrence amplifies rounding by at most n!/|alpha|^n < 1.4 for
+# the orders used (n <= 8).
+_SERIES_RADIUS = 4.0
+
+
+def _filon_moments(alpha: np.ndarray, top: int) -> np.ndarray:
+    """m_n(alpha) = int_0^1 x^n exp(i alpha x) dx for n = 0..top, elementwise:
+    sum_k (i alpha)^k / (k! (n+k+1)) for |alpha| <= _SERIES_RADIUS (36 terms,
+    remainder below 1e-19), else m_0 = (e - 1)/(i alpha) and
+    m_n = (e - n m_{n-1})/(i alpha) with e = exp(i alpha)."""
+    out = np.empty((top + 1, *alpha.shape), dtype=complex)
+    small = np.abs(alpha) <= _SERIES_RADIUS
+    ia = 1j * alpha[small]
+    order = np.arange(1, top + 2)[:, None]
+    term = np.ones_like(ia)
+    acc = np.zeros((top + 1, ia.size), dtype=complex)
+    for k in range(36):
+        acc += term / (order + k)
+        term = term * ia / (k + 1)
+    out[:, small] = acc
+    ia = 1j * alpha[~small]
+    e = np.exp(ia)
+    m = (e - 1.0) / ia
+    out[0, ~small] = m
+    for n in range(1, top + 1):
+        m = (e - n * m) / ia
+        out[n, ~small] = m
+    return out
+
+
+class _FilonStep:
+    """One Magnus-Filon step of length h at tau.
+
+    In the eigenbasis frame W = V exp(-i tau s w) U V†, U solves i U' = K U
+    with K_jk(s0 + h x) = exp(i alpha_jk x) L_jk(x), alpha_jk = tau h (w_j -
+    w_k) and L(x) = p + x q over the step (p = A~ + s0 B~, q = h B~, both in
+    the eigenbasis). With M1 = int_0^1 K = p∘m_0 + q∘m_1 and S = the
+    integral of K(x1) K(x2) over x2 < x1, the first two Magnus terms are
+    exact: Omega_1 = h M1 and Omega_2 = h^2 (2S - M1^2), the integral of
+    [K(x1), K(x2)] over x2 < x1 in s.
+
+    S sums L_jk(x1) L_kl(x2) times the double integrals of x1^p x2^q
+    exp(i(alpha_jk x1 + alpha_kl x2)), which separate into products because
+    alpha_jk + alpha_kl = alpha_jl. Where |alpha_kl| >= _FILON_NEAR the inner
+    integral is divided out by r = 1/(i alpha_kl); below it is the Taylor
+    series in alpha_kl, cut where its remainder falls below unit roundoff
+    (one term on exact degeneracies). Every array that depends only on
+    (tau, h) is built once, at construction.
+    """
+
+    def __init__(self, w: np.ndarray, b: np.ndarray, tau: float, h: float):
+        alpha = (tau * h) * (w[:, None] - w[None, :])
+        near = np.abs(alpha) < _FILON_NEAR
+        b_near = float(np.abs(alpha[near]).max())
+        terms, rest = 1, b_near
+        while rest > _UNIT_ROUNDOFF:
+            terms += 1
+            rest *= b_near / terms
+        self.h = h
+        self.m = m = _filon_moments(alpha, terms + 2)
+        self.q = q = h * b
+        self.q_m1 = q * m[1]
+        self.far = not near.all()
+        self.r = np.zeros_like(m[0])
+        self.r[~near] = 1.0 / (1j * alpha[~near])
+        self.q_r, self.q_r2 = q * self.r, q * self.r * self.r
+        self.q_qr = q @ self.q_r
+        # Per Taylor term n: the moments m_{n+1..n+3} and the near pairs'
+        # coefficients (i alpha)^n / (n! (n+1)) and q (i alpha)^n / (n! (n+2)).
+        self.taylor = []
+        powers = near * np.ones_like(m[0])
+        for n in range(terms):
+            self.taylor.append((*m[n + 1 : n + 4], powers / (n + 1), q * powers / (n + 2)))
+            powers = powers * (1j * alpha) / (n + 1)
+        self.phase = np.exp(-1j * tau * h * w)[:, None]
+
+    def magnus_terms(self, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(Omega_1, Omega_2) of the step that starts where the drive in the
+        eigenbasis is ``p``."""
+        m, q, h = self.m, self.q, self.h
+        m1 = p * m[0] + self.q_m1
+        s = np.zeros_like(m1)
+        if self.far:
+            x = p * self.r - self.q_r2
+            s += m[0] * (p @ x) + m[1] * (q @ x + p @ self.q_r) + m[2] * self.q_qr - m1 @ x
+        for lo, mid, hi, c0, qc1 in self.taylor:
+            s += (p * lo + q * mid) @ (p * c0) + (p * mid + q * hi) @ qc1
+        return h * m1, (h * h) * (2.0 * s - m1 @ m1)
+
+    def advance(self, p: np.ndarray, y: np.ndarray) -> np.ndarray:
+        """exp(-i tau h w) exp(-i Omega_1 - Omega_2 / 2) y, the exponential
+        applied by :func:`_exp_step` to its Hermitian generator
+        Omega_1 - (i/2) Omega_2."""
+        omega1, omega2 = self.magnus_terms(p)
+        gen = omega1 - 0.5j * omega2
+        return self.phase * _exp_step(0.5 * (gen + gen.conj().T), 1.0, y)
+
+
+def _magnus_filon_states(
+    basis: SpectralDecomposition | None,
+    form: DriveForm,
+    tau: float,
+    grid: np.ndarray,
+    nsubs: list[int],
+) -> Iterator[np.ndarray]:
+    """W at every grid point after the first, stepping the ramp A + s B in
+    ``nsubs`` equal Magnus-Filon steps per interval (:class:`_FilonStep`) in
+    the eigenbasis of H_o; ``basis`` None stands for H_o = 0 (V = 1, w = 0)."""
+    if basis is None:
+        v, w, a, b = None, np.zeros(form.a.shape[0]), form.a, form.b
+    else:
+        v, w = basis.vectors, basis.column_values
+        vh = v.conj().T
+        a, b = vh @ form.a @ v, vh @ form.b @ v
+    steppers = {}
+    y = np.eye(w.size, dtype=complex)
+    for s0, s1, nsub in zip(grid, grid[1:], nsubs):
+        h = (s1 - s0) / nsub
+        if h not in steppers:
+            steppers[h] = _FilonStep(w, b, tau, h)
+        stepper = steppers[h]
+        for k in range(nsub):
+            y = stepper.advance(a + (s0 + k * h) * b, y)
+        yield y if v is None else v @ y @ vh
+
+
 def richardson_error(
     h_o: HermitianOperator,
     path: GeneratorPath,
@@ -593,7 +771,11 @@ def richardson_error(
 ) -> tuple[PropagatorResult, float]:
     """Evolve at ``step`` and ``step/2`` and return the coarse result with a
     Richardson error estimate (4/3 of the max grid-point deviation, the
-    second-order extrapolation constant)."""
+    extrapolation constant of a second-order scheme).
+
+    Both runs pass an explicit step, so this measures the midpoint rule (the
+    default ``step`` is :func:`default_step`), never the Magnus-Filon
+    scheme a ramp drive gets from ``evolve`` without a step."""
     if step is None:
         step = default_step(tau, h_o.norm(), path.kappa)
     coarse = evolve(h_o, path, tau, s_grid, step=step)
@@ -765,9 +947,6 @@ def _drive_only_evolution(
     if path.smoothness != SMOOTH_C1:
         raise ValueError(f"{caller} requires a norm_C1 path; mollify first")
     h0 = HermitianOperator(np.zeros((path.dim, path.dim)))
-    if step is None:
-        # ||H_o|| = 0 is known here; asking h0 for its norm costs an eigh.
-        step = default_step(1.0, 0.0, path.kappa)
     res = evolve(h0, path, tau=1.0, s_grid=s_grid, step=step)
     return replace(res, scheme=prefix + res.scheme)
 

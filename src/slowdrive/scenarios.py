@@ -257,7 +257,10 @@ def seeded_pair_path(dim: int, kappa: float, seed: int, real: bool = False) -> G
     b = _seeded_hermitian(rng, dim, real)
     if kappa == 0.0:
         return GeneratorPath.zero(dim)
-    scale = kappa / GeneratorPath.drive(a, b, None, None).kappa
+    # The unscaled drive's kappa, from its two endpoint samples as
+    # GeneratorPath.drive takes them (complex, one batched eigvalsh).
+    ends = np.array([a + 0.0 * b, a + 1.0 * b], dtype=complex)
+    scale = kappa / float(np.abs(np.linalg.eigvalsh(ends)).max())
     return GeneratorPath.drive(a * scale, b * scale, None, None)
 
 

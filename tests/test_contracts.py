@@ -17,7 +17,7 @@ from slowdrive.diagnostics import (
     schrodinger_limit_distance,
 )
 from slowdrive.operators import SpectralDecomposition
-from slowdrive.propagation import evolve, omega_infinity
+from slowdrive.propagation import default_step, evolve, interaction_frame, omega_infinity
 from slowdrive.scenarios import ScenarioConfig, build_scenario
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -80,6 +80,27 @@ class TestEighBudget:
         emb = scenario(
             {"scenario": "embedded_eigenvalue", "params": {"grid_points": 11}, "taus": [20]}
         )
+        # the default steps, passed explicitly so every run keeps the midpoint rule
+        steps = [default_step(20.0, inst.h_o.norm(), inst.path.kappa) for inst in (pure, emb)]
+        limit_step = default_step(1.0, 0.0, pure.path.kappa)
+        calls = []
+        eigh = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda *a, **k: calls.append(1) or eigh(*a, **k))
+        runs = [
+            evolve(pure.h_o, pure.path, 20.0, grid, step=steps[0]),
+            evolve(emb.h_o, emb.path, 20.0, grid, step=steps[1]),
+            omega_infinity(pure.h_o.decomposition, pure.path, grid, step=limit_step),
+        ]
+        assert all(r.scheme.endswith("midpoint-exponential") for r in runs)
+        assert calls == []
+
+    def test_magnus_filon_steps_without_eigh(self, monkeypatch):
+        # H_o owns its decomposition from the build, and H_o = 0 needs none
+        grid = np.linspace(0.0, 1.0, 5)
+        pure = scenario({"scenario": "pure_point_omega", "params": {"dim": 6}, "taus": [20]})
+        emb = scenario(
+            {"scenario": "embedded_eigenvalue", "params": {"grid_points": 11}, "taus": [20]}
+        )
         calls = []
         eigh = np.linalg.eigh
         monkeypatch.setattr(np.linalg, "eigh", lambda *a, **k: calls.append(1) or eigh(*a, **k))
@@ -87,8 +108,11 @@ class TestEighBudget:
             evolve(pure.h_o, pure.path, 20.0, grid),
             evolve(emb.h_o, emb.path, 20.0, grid),
             omega_infinity(pure.h_o.decomposition, pure.path, grid),
+            interaction_frame(pure.path, grid),
         ]
-        assert all(r.scheme.endswith("midpoint-exponential") for r in runs)
+        assert [r.scheme for r in runs] == [
+            "magnus-filon", "magnus-filon", "limit-magnus-filon", "frame-magnus-filon"
+        ]
         assert calls == []
 
 

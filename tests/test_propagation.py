@@ -19,6 +19,8 @@ from slowdrive.propagation import (
     MollifierSpec,
     PropagationError,
     PropagatorResult,
+    _FILON_NEAR,
+    _FilonStep,
     _exp_step,
     comparison_operator,
     default_bump,
@@ -29,6 +31,7 @@ from slowdrive.propagation import (
     evolve,
     frame_reconstruction_residual,
     interaction_frame,
+    magnus_step,
     mollify,
     omega_infinity,
     richardson_error,
@@ -228,14 +231,20 @@ class TestAgainstEighStepper:
         for a, b in zip(res.unitaries, ref):
             assert operator_norm(a - b) <= 1e-10
 
+    @staticmethod
+    def midpoint_step(inst, tau):
+        """The default step, passed explicitly so evolve keeps the midpoint rule."""
+        return default_step(tau, inst.h_o.norm(), inst.path.kappa)
+
     @pytest.mark.parametrize("tau", [10.0, 100.0])
     def test_embedded(self, tau):
         inst = scenario_instance("embedded_eigenvalue", grid_points=63, multiplicity=3)
-        self.assert_close(inst, tau)
+        self.assert_close(inst, tau, step=self.midpoint_step(inst, tau))
 
     @pytest.mark.parametrize("tau", [10.0, 100.0, 1000.0])
     def test_pure_point(self, tau):
-        self.assert_close(scenario_instance("pure_point_omega", dim=16), tau)
+        inst = scenario_instance("pure_point_omega", dim=16)
+        self.assert_close(inst, tau, step=self.midpoint_step(inst, tau))
 
     def test_step_100x_default(self):
         inst = scenario_instance("pure_point_omega", dim=16)
@@ -245,18 +254,127 @@ class TestAgainstEighStepper:
 
     def test_drift_still_enforced(self):
         inst = scenario_instance("pure_point_omega", dim=6)
+        step = self.midpoint_step(inst, 10.0)
         with pytest.raises(PropagationError, match="drift"):
-            evolve(inst.h_o, inst.path, 10.0, GRID, drift_tol=1e-18)
+            evolve(inst.h_o, inst.path, 10.0, GRID, step=step, drift_tol=1e-18)
 
     def test_steps_counted(self, tmp_path):
         inst = scenario_instance("pure_point_omega", dim=6)
         step = default_step(20.0, inst.h_o.norm(), inst.path.kappa)
-        res = evolve(inst.h_o, inst.path, 20.0, GRID)
+        res = evolve(inst.h_o, inst.path, 20.0, GRID, step=step)
         assert res.steps == 8 * math.ceil(0.125 / step)
         res.save(tmp_path / "run.prop")
         assert PropagatorResult.load(tmp_path / "run.prop").steps == res.steps
         constant = evolve(inst.h_o, GeneratorPath.constant(inst.path.sampler(0.5)), 20.0, GRID)
         assert constant.steps == 0
+
+
+def extrapolated_midpoint(run, step):
+    """(4 W(step/8) - W(step/4)) / 3 at every grid point, from the midpoint
+    rule ``run(step)``: the Richardson extrapolation of its second-order
+    error."""
+    return (4.0 * run(step / 8).unitaries - run(step / 4).unitaries) / 3.0
+
+
+def magnus_terms_by_quadrature(w, p, b, tau, h, nodes=64):
+    """Omega_1 and Omega_2 of one Magnus-Filon step by a Gauss-Legendre rule
+    in x1; the inner integral over [0, x1] takes the same rule, which is
+    exact to rounding for these alpha."""
+    alpha = tau * h * (w[:, None] - w[None, :])
+    x, wt = np.polynomial.legendre.leggauss(nodes)
+    x, wt = 0.5 * (x + 1.0), 0.5 * wt
+
+    def kernel(t):
+        return np.exp(1j * alpha * t) * (p + t * h * b)
+
+    omega1 = h * sum(c * kernel(t) for t, c in zip(x, wt))
+    omega2 = 0.0
+    for x1, c1 in zip(x, wt):
+        k1 = kernel(x1)
+        inner = x1 * sum(c * kernel(x1 * t) for t, c in zip(x, wt))
+        omega2 = omega2 + c1 * (k1 @ inner - inner @ k1)
+    return omega1, h * h * omega2
+
+
+class TestMagnusFilon:
+    """Ramp drives with no explicit step run the Magnus-Filon scheme at a
+    tau-independent step."""
+
+    GRID11 = np.linspace(0.0, 1.0, 11)
+
+    def assert_near(self, res, ref):
+        for a, b in zip(res.unitaries, ref):
+            assert operator_norm(a - b) <= 1e-7
+
+    @pytest.mark.parametrize("tau", [10.0, 100.0])
+    @pytest.mark.parametrize(
+        "name, params",
+        [("embedded_eigenvalue", {"grid_points": 63, "multiplicity": 3}),
+         ("pure_point_omega", {"dim": 16})],
+    )
+    def test_against_extrapolated_midpoint(self, name, params, tau):
+        inst = scenario_instance(name, **params)
+        res = evolve(inst.h_o, inst.path, tau, self.GRID11)
+        assert res.scheme == "magnus-filon"
+        step = default_step(tau, inst.h_o.norm(), inst.path.kappa)
+        ref = extrapolated_midpoint(
+            lambda h: evolve(inst.h_o, inst.path, tau, self.GRID11, step=h), step
+        )
+        self.assert_near(res, ref)
+
+    def test_limit_and_frame_against_extrapolated_midpoint(self):
+        # degenerate pairs give the limit drive 2x2 blocks that do not commute
+        inst = scenario_instance("pure_point_omega", dim=16, degenerate_pairs=4)
+        d, path = inst.h_o.decomposition, inst.path
+        step = default_step(1.0, 0.0, path.kappa)
+        limit = omega_infinity(d, path, self.GRID11)
+        frame = interaction_frame(path, self.GRID11)
+        assert (limit.scheme, frame.scheme) == ("limit-magnus-filon", "frame-magnus-filon")
+        self.assert_near(
+            limit, extrapolated_midpoint(lambda h: omega_infinity(d, path, self.GRID11, h), step)
+        )
+        self.assert_near(
+            frame, extrapolated_midpoint(lambda h: interaction_frame(path, self.GRID11, h), step)
+        )
+
+    def test_steps_do_not_grow_with_tau(self):
+        inst = scenario_instance("pure_point_omega", dim=16)
+        low, high = (evolve(inst.h_o, inst.path, tau, self.GRID11) for tau in (1e2, 1e4))
+        assert low.scheme == high.scheme == "magnus-filon"
+        assert low.steps == high.steps
+        # step is the largest sub-step, and the step count follows from it
+        spans = np.diff(self.GRID11)
+        assert high.step <= magnus_step(inst.path.kappa, inst.path.kappa_dot) * (1 + 1e-9)
+        assert high.steps == sum(max(1, math.ceil(x / high.step - 1e-9)) for x in spans)
+
+    def test_fine_grid_or_explicit_step_keeps_midpoint(self):
+        inst = scenario_instance("pure_point_omega", dim=6)
+        fine = np.round(np.arange(301) * 9e-4, 12)  # intervals below h_MF
+        assert evolve(inst.h_o, inst.path, 10.0, fine).scheme == "midpoint-exponential"
+        step = default_step(10.0, inst.h_o.norm(), inst.path.kappa)
+        assert evolve(inst.h_o, inst.path, 10.0, GRID, step=step).scheme == "midpoint-exponential"
+        assert evolve(inst.h_o, inst.path, 10.0, GRID).scheme == "magnus-filon"
+
+    @pytest.mark.parametrize("tau", [10.0, 1e4])
+    def test_omega2_closed_form_matches_gauss_rule(self, tau):
+        # alpha = tau h (w_j - w_k): exact degeneracies, both sides of the
+        # Taylor threshold, and the series and recurrence ranges of the moments
+        h = 1.0 / 200.0
+        levels = np.array([0.0, 0.0, 0.5 * _FILON_NEAR, 2.0 * _FILON_NEAR, 0.3, 3.0, 9.0])
+        w = levels / (tau * h)
+        a, b = (random_hermitian(7, seed).matrix for seed in (90, 91))
+        a, b = a / operator_norm(a), b / operator_norm(b)
+        p = a + 0.3 * b
+        omega1, omega2 = _FilonStep(w, b, tau, h).magnus_terms(p)
+        ref1, ref2 = magnus_terms_by_quadrature(w, p, b, tau, h)
+        assert operator_norm(omega1 - ref1) <= 1e-13 * operator_norm(ref1)
+        assert operator_norm(omega2 - ref2) <= 1e-12 * operator_norm(ref2)
+
+    def test_drift_still_enforced(self):
+        inst = scenario_instance("pure_point_omega", dim=6)
+        assert evolve(inst.h_o, inst.path, 10.0, GRID).scheme == "magnus-filon"
+        with pytest.raises(PropagationError, match="drift"):
+            evolve(inst.h_o, inst.path, 10.0, GRID, drift_tol=1e-18)
 
 
 class TestExactConstantDrive:

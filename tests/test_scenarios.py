@@ -257,7 +257,7 @@ class TestRunSweep:
         assert [r["tau"] for r in records] == [5.0, 50.0]
         for r in records:
             assert set(r) == {"tau", "scheme", "steps", "step", "max_drift"}
-            assert r["scheme"] == "midpoint-exponential" and r["steps"] >= 20
+            assert r["scheme"] == "magnus-filon" and r["steps"] >= 20
             assert 0 < r["step"] <= 0.05 and 0 <= r["max_drift"] <= 1e-8
         doc = dict(DIRECT_SUM, metrics=["heisenberg_norm"], out_dir=str(tmp_path / "sum"))
         res = run_sweep(ScenarioConfig.from_mapping(doc))
