@@ -17,12 +17,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .operators import HermitianOperator, operator_norm
-from .propagation import (
-    GeneratorPath,
-    PropagatorResult,
-    comparison_family,
-    comparison_operator,
-)
+from .propagation import GeneratorPath, PropagatorResult, comparison_family
 from .spectral import band_projection, projection_eq, projection_geq, projection_leq
 
 __all__ = [
@@ -184,9 +179,6 @@ class ResolventRecord:
     bound_constant: float | None  # C with value <= C / ((Im z)^2 tau)
     bound_value: float | None
     bound_ok: bool | None
-    # sup / median over the grid; flagged (never asserted) when the profile
-    # looks far from uniform in s
-    uniformity_ratio: float = 1.0
 
 
 def resolvent_distance(
@@ -214,15 +206,8 @@ def resolvent_distance(
         constant = path.kappa_dot + 2.0 * path.kappa * (path.kappa + abs(z.imag))
         bound = constant / (z.imag**2 * result.tau)
         ok = bool(sup <= bound)
-    median = float(np.median(values))
     return ResolventRecord(
-        z=z,
-        values=values,
-        sup=sup,
-        bound_constant=constant,
-        bound_value=bound,
-        bound_ok=ok,
-        uniformity_ratio=sup / median if median > 0 else 1.0,
+        z=z, values=values, sup=sup, bound_constant=constant, bound_value=bound, bound_ok=ok
     )
 
 
@@ -248,20 +233,25 @@ def offdiagonal_block_decay(
     s: float,
 ) -> OffDiagonalRecord:
     """||P1 Omega_tau(t,s) P2|| and its interchange, where P1 = chi(H_o <= e1)
-    and P2 = chi(H_o >= e2) straddle the gap (e1, e2)."""
+    and P2 = chi(H_o >= e2) straddle the gap (e1, e2).
+
+    Omega_tau(t,s) = exp(i tau (t-s) H_o) W(t) W(s)^+, and the spectral
+    projections commute with the unitary phase exp(i tau (t-s) H_o), so the
+    norms are those of P1 W(t) W(s)^+ P2 and P2 W(t) W(s)^+ P1: the phase is
+    never formed."""
     if e2 <= e1:
         raise ValueError("requires e2 > e1")
     d = h_o.decomposition
     p1 = projection_leq(d, e1).matrix
     p2 = projection_geq(d, e2).matrix
-    omega = comparison_operator(h_o, result, t, s).matrix
+    m = result.at(t) @ result.at(s).conj().T
     return OffDiagonalRecord(
         e1=e1,
         e2=e2,
         t=t,
         s=s,
-        value_low_high=operator_norm(p1 @ omega @ p2),
-        value_high_low=operator_norm(p2 @ omega @ p1),
+        value_low_high=operator_norm(p1 @ m @ p2),
+        value_high_low=operator_norm(p2 @ m @ p1),
     )
 
 
@@ -278,13 +268,16 @@ class EmbeddedDecayRecord:
 
 
 def embedded_offblock_profile(
-    omegas: np.ndarray, p_e: np.ndarray, vectors: TestVectorSet
+    unitaries: np.ndarray, p_e: np.ndarray, vectors: TestVectorSet
 ) -> np.ndarray:
     """||(1 - P_E) Omega(s_j, 0) P_E psi|| for every probe vector and grid
-    point, shaped (len(vectors), len(omegas)); one product per grid point."""
+    point, shaped (len(vectors), len(unitaries)), from the propagator's
+    W(s_j): 1 - P_E commutes with the phase of Omega(s, 0) = exp(i tau s H_o)
+    W(s), so the value is ||(1 - P_E) W(s_j) P_E psi||. One product per grid
+    point."""
     pe_psis = p_e @ vectors.vectors.T
     comp = np.eye(p_e.shape[0]) - p_e
-    return np.stack([np.linalg.norm(comp @ (om @ pe_psis), axis=0) for om in omegas], axis=1)
+    return np.stack([np.linalg.norm(comp @ (w @ pe_psis), axis=0) for w in unitaries], axis=1)
 
 
 def embedded_eigenprojection_decay(
@@ -299,7 +292,7 @@ def embedded_eigenprojection_decay(
     p_e = projection_eq(d, e)
     if operator_norm(p_e.matrix) == 0.0:
         raise ValueError(f"{e} is not an eigenvalue of H_o (no level within cluster_tol)")
-    off = embedded_offblock_profile(comparison_family(h_o, result), p_e.matrix, vectors)
+    off = embedded_offblock_profile(result.unitaries, p_e.matrix, vectors)
     _, proj = heisenberg_distance_sot(result, p_e, vectors)
     delta = 1.0 / math.sqrt(result.tau)
     band_up = band_projection(d, e, e + delta).matrix

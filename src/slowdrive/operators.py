@@ -131,9 +131,6 @@ class UnitaryOperator:
     def dim(self) -> int:
         return self.matrix.shape[0]
 
-    def dagger(self) -> np.ndarray:
-        return self.matrix.conj().T
-
 
 @dataclass(frozen=True)
 class SpectralLevel:

@@ -323,9 +323,6 @@ def _build_direct_sum(params: dict, seed: int) -> ScenarioInstance:
         projection_leq(d, 0.0).matrix - projection_eq(d, 0.0).matrix
     )
 
-    def block_evolution(tau: float, s: float, k: int) -> np.ndarray:
-        return unitary_exponential(HermitianOperator((tau / k) * sz + sx), s).matrix
-
     dim = 2 * n_blocks
     e_up = np.zeros(dim, dtype=complex)
     e_up[0] = 1.0
@@ -343,7 +340,6 @@ def _build_direct_sum(params: dict, seed: int) -> ScenarioInstance:
         path=path,
         observables=(("negative_energies", negative),),
         vectors=vectors,
-        reference={"block_evolution": block_evolution},
     )
 
 

@@ -35,7 +35,6 @@ import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
-from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -134,15 +133,10 @@ def _tau_data(tau: float, s_points, labels, values: np.ndarray, extra: dict) -> 
 @dataclass
 class _TauInputs:
     """What the metrics of one tau read: the propagator or the static family
-    member, and Omega_tau(s, 0), formed on first use and shared."""
+    member."""
 
-    h_o: HermitianOperator
     result: PropagatorResult | None = None
     unitary: np.ndarray | None = None
-
-    @cached_property
-    def omegas(self) -> np.ndarray:
-        return comparison_family(self.h_o, self.result)
 
 
 # --- metric evaluations -------------------------------------------------------
@@ -151,9 +145,11 @@ class _TauInputs:
 # observable and parameters against the scenario (raising ConfigError) and
 # returns the per-tau evaluation, which maps _TauInputs to
 # (s points, row labels, values[len(labels), len(s points)], extra).
-# Evaluations look the diagnostics up as this module's globals when they
-# run, so rebinding one of those names (a tracer, a test double) reaches
-# every call.
+# Evaluations look the diagnostics and comparison_family up as this module's
+# globals when they run, so rebinding one of those names (a tracer, a test
+# double) reaches every call. Only schrodinger_limit forms Omega_tau: the
+# other metrics take norms after spectral projections of H_o, which do not
+# see its phase.
 
 _NORM = ("",)  # the single, empty row label of a norm metric
 
@@ -218,7 +214,7 @@ def _bind_embedded_offblock(inst, config, obs, params):
     p_e = projection_eq(inst.h_o.decomposition, inst.embedded_level).matrix
 
     def evaluate(t: _TauInputs):
-        values = embedded_offblock_profile(t.omegas, p_e, inst.vectors)
+        values = embedded_offblock_profile(t.result.unitaries, p_e, inst.vectors)
         return t.result.s_grid, inst.vectors.labels, values, {}
 
     return evaluate
@@ -231,7 +227,8 @@ def _bind_schrodinger_limit(inst, config, obs, params):
     defect /= max(inst.h_o.norm(), 1e-300)
 
     def evaluate(t: _TauInputs):
-        values = schrodinger_limit_profile(t.omegas, omega_inf, inst.vectors)
+        omegas = comparison_family(inst.h_o, t.result)
+        values = schrodinger_limit_profile(omegas, omega_inf, inst.vectors)
         return t.result.s_grid, inst.vectors.labels, values, {"commutant_defect": defect}
 
     return evaluate
@@ -541,12 +538,12 @@ def run_sweep(config: ScenarioConfig, single: bool = False) -> SweepResult:
         if inst.static_family is not None:
             if tau != int(tau):
                 raise ConfigError("static sweeps use integer indices in the tau list")
-            inputs = _TauInputs(inst.h_o, unitary=inst.static_family(int(tau)))
+            inputs = _TauInputs(unitary=inst.static_family(int(tau)))
         else:
             result = evolve(inst.h_o, inst.path, tau, config.s_grid, step=config.step)
             if config.save_propagators and out_dir:
                 result.save(os.path.join(out_dir, f"run_{inst.name}_{tau:g}.prop"))
-            inputs = _TauInputs(inst.h_o, result=result)
+            inputs = _TauInputs(result=result)
             record = {
                 "tau": tau,
                 "scheme": result.scheme,

@@ -1,7 +1,9 @@
 """Cost and tooling contracts: the library diagnostics reuse the scenario's
-one decomposition of H_o, and every name the benchmark's tracer rebinds is
-still bound where it looks for it."""
+one decomposition of H_o, a sweep forms Omega_tau only for the limit
+comparison, every name the benchmark's tracer rebinds is still bound where it
+looks for it, and the code-line counter counts code lines."""
 
+import dataclasses
 import importlib.util
 import sys
 from importlib import import_module
@@ -11,6 +13,7 @@ import numpy as np
 import pytest
 
 import slowdrive.scenarios
+import slowdrive.sweeps
 from slowdrive.diagnostics import (
     embedded_eigenprojection_decay,
     offdiagonal_block_decay,
@@ -19,13 +22,15 @@ from slowdrive.diagnostics import (
 from slowdrive.operators import SpectralDecomposition
 from slowdrive.propagation import default_step, evolve, interaction_frame, omega_infinity
 from slowdrive.scenarios import ScenarioConfig, build_scenario
+from slowdrive.sweeps import run_sweep
 
-PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+ROOT = Path(__file__).resolve().parent.parent
+PERFBENCH = ROOT / "perfbench"
 
 
-def load_perfbench(name: str):
-    """Import perfbench/<name>.py by path, without touching the file."""
-    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
+def load_module(path: Path):
+    """Import the module at ``path`` by path, without touching the file."""
+    spec = importlib.util.spec_from_file_location(f"{path.parent.name}_{path.stem}", path)
     module = importlib.util.module_from_spec(spec)
     # dataclasses resolve the module's annotations through sys.modules
     sys.modules[spec.name] = module
@@ -36,8 +41,8 @@ def load_perfbench(name: str):
     return module
 
 
-TRACING = load_perfbench("tracing")
-WORKLOADS = load_perfbench("workloads").WORKLOADS
+TRACING = load_module(PERFBENCH / "tracing.py")
+WORKLOADS = load_module(PERFBENCH / "workloads.py").WORKLOADS
 
 
 def scenario(doc):
@@ -137,3 +142,58 @@ class TestTraceContract:
         assert len(calls) == 1
         h, already_built = calls[0]
         assert h is inst.h_o and not already_built
+
+
+class TestOmegaOnlyForTheLimit:
+    """Omega_tau is formed (through the sweep's comparison_family) only by
+    schrodinger_limit; the projection metrics read W."""
+
+    @staticmethod
+    def count_comparisons(config, monkeypatch):
+        calls = []
+        real = slowdrive.sweeps.comparison_family
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(slowdrive.sweeps, "comparison_family", counted)
+        result = run_sweep(dataclasses.replace(config, out_dir=None))
+        assert result.all_pass
+        return len(calls)
+
+    def test_embedded_resolvent_config(self, monkeypatch):
+        config = ScenarioConfig.from_file(ROOT / "configs" / "embedded_resolvent.json")
+        assert "embedded_offblock" in config.metrics
+        assert self.count_comparisons(config, monkeypatch) == 0
+
+    def test_fermi_projection_metrics(self, monkeypatch):
+        config = ScenarioConfig.from_mapping(
+            {
+                "scenario": "fermi_observable",
+                "params": {"grid_points": 15, "multiplicity": 3},
+                "taus": [10.0, 20.0],
+                "s_grid": {"points": 5},
+                "metrics": ["embedded_offblock", "offdiag_low_high", "offdiag_high_low"],
+                "seed": 11,
+            }
+        )
+        assert self.count_comparisons(config, monkeypatch) == 0
+
+    def test_pure_point_limit_config(self, monkeypatch):
+        config = ScenarioConfig.from_file(ROOT / "configs" / "pure_point_limit.json")
+        assert self.count_comparisons(config, monkeypatch) == len(config.taus)
+
+
+class TestCodeLineCount:
+    COUNTER = load_module(ROOT / "tools" / "count_code_lines.py")
+
+    def test_docstring_module_counts_nothing(self, tmp_path):
+        path = tmp_path / "doc.py"
+        path.write_text('"""Only a docstring,\nover two lines."""\n\n# and a comment\n')
+        assert self.COUNTER.code_lines(str(path)) == 0
+
+    def test_statement_with_comment_counts_one(self, tmp_path):
+        path = tmp_path / "one.py"
+        path.write_text("x = 1  # c\n")
+        assert self.COUNTER.code_lines(str(path)) == 1

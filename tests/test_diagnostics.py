@@ -11,6 +11,7 @@ from slowdrive.diagnostics import (
     conjugation_distance_norm,
     conjugation_distance_sot,
     embedded_eigenprojection_decay,
+    embedded_offblock_profile,
     heisenberg_distance_norm,
     heisenberg_distance_sot,
     offdiagonal_block_decay,
@@ -29,11 +30,12 @@ from slowdrive.operators import (
 from slowdrive.propagation import (
     GeneratorPath,
     comparison_family,
+    comparison_operator,
     evolve,
     omega_infinity,
 )
-from slowdrive.scenarios import seeded_pair_path
-from slowdrive.spectral import projection_eq, projection_leq
+from slowdrive.scenarios import ScenarioConfig, build_scenario, seeded_pair_path
+from slowdrive.spectral import projection_eq, projection_geq, projection_leq
 
 from test_operators import random_hermitian, random_unitary
 
@@ -255,6 +257,50 @@ class TestOffDiagonalDecay:
         res = evolve(h, GeneratorPath.zero(4), 1.0, GRID)
         with pytest.raises(ValueError):
             offdiagonal_block_decay(h, res, 1.0, 0.5, 1.0, 0.0)
+
+
+class TestPhaseFreeForms:
+    """Metrics built from spectral projections of H_o do not see the phase
+    exp(i tau s H_o) of Omega_tau, so their values from W equal the Omega_tau
+    forms."""
+
+    GRID11 = np.linspace(0.0, 1.0, 11)
+
+    @staticmethod
+    def run(name, params, tau):
+        cfg = ScenarioConfig(scenario=name, params=params, taus=(tau,), metrics=(), seed=0)
+        inst = build_scenario(cfg)
+        return inst, evolve(inst.h_o, inst.path, tau, TestPhaseFreeForms.GRID11)
+
+    @pytest.mark.parametrize("tau", [100.0, 1000.0])
+    def test_embedded_offblock_profile(self, tau):
+        inst, res = self.run("embedded_eigenvalue", {"grid_points": 63, "multiplicity": 3}, tau)
+        assert inst.h_o.dim == 66
+        p_e = projection_eq(inst.h_o.decomposition, inst.embedded_level).matrix
+        comp = np.eye(66) - p_e
+        pe_psis = p_e @ inst.vectors.vectors.T
+        omegas = comparison_family(inst.h_o, res)
+        from_omega = np.stack([np.linalg.norm(comp @ (om @ pe_psis), axis=0) for om in omegas], 1)
+        from_w = embedded_offblock_profile(res.unitaries, p_e, inst.vectors)
+        assert from_w.shape == from_omega.shape
+        assert np.abs(from_w - from_omega).max() <= 1e-12
+
+    @pytest.mark.parametrize("tau", [100.0, 1000.0])
+    @pytest.mark.parametrize(
+        "name, params",
+        [("embedded_eigenvalue", {"grid_points": 63, "multiplicity": 3}),
+         ("pure_point_omega", {"dim": 16, "degenerate_pairs": 4})],
+    )
+    def test_offdiagonal_norms(self, name, params, tau):
+        inst, res = self.run(name, params, tau)
+        d = inst.h_o.decomposition
+        p1 = projection_leq(d, -0.25).matrix
+        p2 = projection_geq(d, 0.25).matrix
+        for t, s in [(1.0, 0.0), (0.7, 0.3), (0.4, 0.4)]:
+            om = comparison_operator(inst.h_o, res, t, s).matrix
+            rec = offdiagonal_block_decay(inst.h_o, res, -0.25, 0.25, t, s)
+            assert abs(rec.value_low_high - operator_norm(p1 @ om @ p2)) <= 1e-12
+            assert abs(rec.value_high_low - operator_norm(p2 @ om @ p1)) <= 1e-12
 
 
 class TestEmbeddedDecay:

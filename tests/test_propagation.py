@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+import slowdrive.propagation
 from slowdrive.operators import (
     HermitianOperator,
     hermitian_eigendecomposition,
@@ -99,10 +100,6 @@ class TestGeneratorPath:
         bad = np.array([[0.0, 1.0], [0.0, 0.0]])
         with pytest.raises(ValueError, match="Hermitian"):
             GeneratorPath.from_sampler(2, lambda s: bad, probe_points=11)
-
-    def test_c1_requires_kappa_dot(self):
-        with pytest.raises(ValueError, match="kappa_dot"):
-            GeneratorPath(dim=2, sampler=lambda s: np.eye(2), smoothness="norm_C1", kappa=1.0)
 
     @pytest.mark.parametrize(
         "dim, seed, real", [(4, 5, False), (6, 3, False), (16, 2, False), (66, 11, True)]
@@ -321,6 +318,23 @@ class TestMagnusFilon:
             lambda h: evolve(inst.h_o, inst.path, tau, self.GRID11, step=h), step
         )
         self.assert_near(res, ref)
+
+    @pytest.mark.parametrize("tau", [10.0, 1000.0])
+    def test_one_stepper_per_uniform_grid(self, tau, monkeypatch):
+        # the 10 intervals of linspace(0, 1, 11) differ in their last bits
+        assert len(set(np.diff(self.GRID11))) > 1
+        builds = []
+
+        class Counted(_FilonStep):
+            def __init__(self, *args):
+                builds.append(args[-1])
+                super().__init__(*args)
+
+        monkeypatch.setattr(slowdrive.propagation, "_FilonStep", Counted)
+        inst = scenario_instance("embedded_eigenvalue", grid_points=63, multiplicity=3)
+        res = evolve(inst.h_o, inst.path, tau, self.GRID11)
+        assert res.scheme == "magnus-filon"
+        assert len(builds) == 1
 
     def test_limit_and_frame_against_extrapolated_midpoint(self):
         # degenerate pairs give the limit drive 2x2 blocks that do not commute
