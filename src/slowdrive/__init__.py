@@ -40,7 +40,6 @@ from .propagation import (
     omega_infinity,
 )
 from .diagnostics import (
-    ConvergenceReport,
     TestVectorSet,
     heisenberg_distance_norm,
     heisenberg_distance_sot,
@@ -78,7 +77,6 @@ __all__ = [
     "interaction_frame",
     "mollify",
     "omega_infinity",
-    "ConvergenceReport",
     "TestVectorSet",
     "heisenberg_distance_norm",
     "heisenberg_distance_sot",

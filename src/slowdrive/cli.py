@@ -64,7 +64,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         config = _load_config(args)
         result = run_sweep(config, single=(args.command == "run"))
-    except (ConfigError, FileNotFoundError, ValueError) as exc:
+    except (ConfigError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except SweepExecutionError as exc:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -22,7 +22,6 @@ from .spectral import band_projection, projection_eq, projection_geq, projection
 
 __all__ = [
     "TestVectorSet",
-    "ConvergenceReport",
     "ReportRow",
     "RateFit",
     "ResolventRecord",
@@ -109,28 +108,6 @@ class ReportRow:
     s: float
     vector_id: str  # empty for norm metrics
     value: float
-
-
-@dataclass(frozen=True)
-class ConvergenceReport:
-    """Rows of (tau, s, value) for one metric of one scenario, with the
-    fitted log-log slope/constant when a fit is meaningful."""
-
-    scenario: str
-    metric: str
-    rows: tuple[ReportRow, ...]
-    fitted_slope: float | None = None
-    fitted_constant: float | None = None
-    tolerances: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        rows = tuple(self.rows)
-        if any(r.value < 0 for r in rows):
-            raise ValueError("distance values must be >= 0")
-        keys = [(r.tau, r.s) for r in rows]
-        if keys != sorted(keys):
-            rows = tuple(sorted(rows, key=lambda r: (r.tau, r.s, r.vector_id)))
-        object.__setattr__(self, "rows", rows)
 
 
 # --- Heisenberg distances ---------------------------------------------------

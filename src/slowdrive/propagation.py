@@ -34,6 +34,7 @@ from typing import Callable, Iterator
 import numpy as np
 
 from .operators import (
+    DEFAULT_DRIFT_TOL,
     HermitianOperator,
     UnitaryOperator,
     format_matrix,
@@ -68,7 +69,6 @@ __all__ = [
     "omega_infinity",
 ]
 
-DRIFT_TOL = 1e-8
 SMOOTH_C1 = "norm_C1"
 SMOOTH_L1 = "norm_L1"
 
@@ -336,7 +336,7 @@ class PropagatorResult:
     step: float
     max_drift: float
     scheme: str
-    drift_tol: float = DRIFT_TOL
+    drift_tol: float = DEFAULT_DRIFT_TOL
     steps: int = 0
 
     def __post_init__(self):
@@ -452,7 +452,7 @@ def evolve(
     tau: float,
     s_grid,
     step: float | None = None,
-    drift_tol: float = DRIFT_TOL,
+    drift_tol: float = DEFAULT_DRIFT_TOL,
 ) -> PropagatorResult:
     """Integrate i dW/ds = (tau*H_o + Lambda(s)) W over the s-grid.
 
@@ -790,7 +790,7 @@ def comparison_operator(
     m = result.at(t) @ result.at(s).conj().T
     return UnitaryOperator(
         h_o.decomposition.exp_times(result.tau * (t - s), m),
-        drift_tol=max(DRIFT_TOL, 3 * result.max_drift + 1e-12),
+        drift_tol=max(DEFAULT_DRIFT_TOL, 3 * result.max_drift + 1e-12),
     )
 
 
@@ -920,7 +920,7 @@ def dyson_series(
     remainder = dyson_remainder_bound(order, path.kappa, t - s)
     # The truncation makes the partial sum unitary only up to the tail, so the
     # wrapper's drift tolerance is widened accordingly.
-    tol = max(DRIFT_TOL, 3.0 * remainder + 1e-5)
+    tol = max(DEFAULT_DRIFT_TOL, 3.0 * remainder + 1e-5)
     return DysonExpansion(
         approx=UnitaryOperator(partial, drift_tol=tol),
         order=order,

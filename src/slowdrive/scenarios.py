@@ -103,16 +103,25 @@ class ScenarioConfig:
             raise ConfigError("tau values must be finite and positive")
         if len(set(taus)) != len(taus):
             raise ConfigError("tau values must be distinct")
-        object.__setattr__(self, "taus", taus)
         grid = tuple(float(s) for s in self.s_grid)
         # Chained comparisons are False on NaN, so a NaN point is rejected too.
         if grid and (grid[0] != 0.0 or not all(a < b <= 1.0 for a, b in zip(grid, grid[1:]))):
             raise ConfigError("s_grid must increase within [0, 1] and include 0")
-        object.__setattr__(self, "s_grid", grid)
         if self.step is not None and not 0 < self.step < math.inf:
             raise ConfigError("step must be finite and positive")
         if self.threads < 1:
             raise ConfigError("threads must be >= 1")
+        # The number rule on the values as given: float() above takes True and "5".
+        step = () if self.step is None else (self.step,)
+        for what, values in {"taus": self.taus, "s_grid": self.s_grid, "step": step}.items():
+            for value in values:
+                _check_number(what, value)
+        _check_number("seed", self.seed, whole=True)
+        _check_number("threads", self.threads, whole=True)
+        object.__setattr__(self, "taus", taus)
+        object.__setattr__(self, "s_grid", grid)
+        if self.step is not None:
+            object.__setattr__(self, "step", float(self.step))
 
     @staticmethod
     def from_mapping(doc: dict) -> "ScenarioConfig":
@@ -138,7 +147,7 @@ class ScenarioConfig:
                 params=dict(doc.get("params", {})),
                 taus=tuple(doc.get("taus", ())),
                 s_grid=_parse_grid(doc.get("s_grid", {"points": 21})),
-                step=None if doc.get("step") is None else float(doc["step"]),
+                step=doc.get("step"),
                 metrics=tuple(metrics),
                 metric_params=dict(metric_params),
                 out_dir=doc.get("out_dir"),
@@ -172,15 +181,28 @@ def _finite_number(token: str) -> float:
     return value
 
 
+def _check_number(what: str, value, whole: bool = False):
+    """The rule for every number a config holds: a number, not a bool, within
+    +-float max, and a whole number where ``whole``. Returns ``value``."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"{what} must be a number, got {value!r}")
+    # Comparisons are False on NaN, and exact for integers past the float range.
+    if not -sys.float_info.max <= value <= sys.float_info.max:
+        raise ConfigError(f"{what} must be finite")
+    if whole and value != int(value):
+        raise ConfigError(f"{what} must be a whole number, got {value!r}")
+    return value
+
+
 def _parse_grid(s_grid) -> tuple[float, ...]:
     if isinstance(s_grid, list):
-        return tuple(float(v) for v in s_grid)
+        s_grid = {"values": s_grid}
     extra = set(s_grid) - {"points", "values"}
     if extra:
         raise ConfigError(f"unknown s_grid keys: {sorted(extra)}")
     if "values" in s_grid:
-        return tuple(float(v) for v in s_grid["values"])
-    n = int(s_grid.get("points", 21))
+        return tuple(s_grid["values"])
+    n = int(_check_number("s_grid.points", s_grid.get("points", 21), whole=True))
     if not 2 <= n <= _MAX_GRID_POINTS:
         raise ConfigError(f"s_grid.points must lie in [2, {_MAX_GRID_POINTS}]")
     return tuple(np.linspace(0.0, 1.0, n))
@@ -216,11 +238,7 @@ def _check_params(params: dict, allowed: dict) -> dict:
     if extra:
         raise ConfigError(f"unknown scenario params: {sorted(extra)}")
     for key, value in params.items():
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ConfigError(f"scenario param {key} must be a number, got {value!r}")
-        # Comparisons are False on NaN, and exact for integers past the float range.
-        if not -sys.float_info.max <= value <= sys.float_info.max:
-            raise ConfigError(f"scenario param {key} must be finite")
+        _check_number(f"scenario param {key}", value)
         if key == "kappa" and value < 0:
             raise ConfigError("scenario param kappa must be >= 0")
         if isinstance(allowed[key], int) and not (
@@ -395,9 +413,10 @@ def _embedded_grid(grid_points: int) -> np.ndarray:
 
 
 def _build_embedded(params: dict, seed: int, name: str = "embedded_eigenvalue"):
-    p = _check_params(
-        params, {"grid_points": 63, "multiplicity": 1, "kappa": 1.0, "beta": 10.0}
-    )
+    defaults = {"grid_points": 63, "multiplicity": 1, "kappa": 1.0}
+    if name == "fermi_observable":
+        defaults["beta"] = 10.0
+    p = _check_params(params, defaults)
     grid_points = int(p["grid_points"])
     mult = int(p["multiplicity"])
     if grid_points < 2 or mult < 1:

@@ -31,7 +31,6 @@ from __future__ import annotations
 import json
 import math
 import os
-import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
@@ -40,7 +39,6 @@ from typing import Callable
 import numpy as np
 
 from .diagnostics import (
-    ConvergenceReport,
     ReportRow,
     conjugation_distance_norm,
     conjugation_distance_sot,
@@ -55,7 +53,13 @@ from .diagnostics import (
 )
 from .operators import HermitianOperator, operator_norm
 from .propagation import PropagatorResult, comparison_family, evolve, omega_infinity
-from .scenarios import ConfigError, ScenarioConfig, ScenarioInstance, build_scenario
+from .scenarios import (
+    ConfigError,
+    ScenarioConfig,
+    ScenarioInstance,
+    _check_number,
+    build_scenario,
+)
 from .spectral import projection_eq
 
 __all__ = ["MetricOutcome", "SweepResult", "SweepExecutionError", "run_sweep"]
@@ -69,29 +73,17 @@ class SweepExecutionError(RuntimeError):
 
 @dataclass(frozen=True)
 class MetricOutcome:
-    report: ConvergenceReport
+    """One metric's result: its rows in CSV order, the verdict, the checks
+    recorded on it (with ``failures``), and the log-log fit of a metric with a
+    rate law (None elsewhere)."""
+
+    metric: str
+    rows: tuple[ReportRow, ...]
     verdict: str  # PASS | FAIL
-    checks: dict = field(default_factory=dict)
-
-    @property
-    def metric(self) -> str:
-        return self.report.metric
-
-    @property
-    def rows(self) -> tuple[ReportRow, ...]:
-        return self.report.rows
-
-    @property
-    def slope(self) -> float | None:
-        return self.report.fitted_slope
-
-    @property
-    def constant(self) -> float | None:
-        return self.report.fitted_constant
-
-    @property
-    def residual(self) -> float | None:
-        return self.report.tolerances.get("residual")
+    checks: dict
+    slope: float | None = None
+    constant: float | None = None
+    residual: float | None = None
 
 
 @dataclass(frozen=True)
@@ -121,7 +113,10 @@ class _TauData:
 
 
 def _tau_data(tau: float, s_points, labels, values: np.ndarray, extra: dict) -> _TauData:
-    """Gather one evaluation, whose values are shaped (len(labels), len(s_points))."""
+    """Gather one evaluation, whose values are shaped (len(labels), len(s_points))
+    and are distances, so never negative."""
+    if np.any(values < 0):
+        raise ValueError("metric values must be >= 0")
     rows = [
         ReportRow(tau, float(s), label, float(v))
         for label, line in zip(labels, values)
@@ -130,20 +125,12 @@ def _tau_data(tau: float, s_points, labels, values: np.ndarray, extra: dict) -> 
     return _TauData(rows, dict(zip(labels, map(float, values.max(axis=1)))), extra)
 
 
-@dataclass
-class _TauInputs:
-    """What the metrics of one tau read: the propagator or the static family
-    member."""
-
-    result: PropagatorResult | None = None
-    unitary: np.ndarray | None = None
-
-
 # --- metric evaluations -------------------------------------------------------
 #
 # A binder runs once per sweep, before any tau: it resolves the metric's
 # observable and parameters against the scenario (raising ConfigError) and
-# returns the per-tau evaluation, which maps _TauInputs to
+# returns the per-tau evaluation, which maps the tau's PropagatorResult (the
+# static family's unitary for a static kind) to
 # (s points, row labels, values[len(labels), len(s points)], extra).
 # Evaluations look the diagnostics and comparison_family up as this module's
 # globals when they run, so rebinding one of those names (a tracer, a test
@@ -161,9 +148,9 @@ def _observable(inst: ScenarioInstance, obs: str | None) -> HermitianOperator:
 def _bind_heisenberg_norm(inst, config, obs, params):
     a = _observable(inst, obs)
 
-    def evaluate(t: _TauInputs):
-        values, _ = heisenberg_distance_norm(t.result, a)
-        return t.result.s_grid, _NORM, values[None, :], {}
+    def evaluate(result: PropagatorResult):
+        values, _ = heisenberg_distance_norm(result, a)
+        return result.s_grid, _NORM, values[None, :], {}
 
     return evaluate
 
@@ -171,9 +158,9 @@ def _bind_heisenberg_norm(inst, config, obs, params):
 def _bind_heisenberg_sot(inst, config, obs, params):
     a = _observable(inst, obs)
 
-    def evaluate(t: _TauInputs):
-        values, _ = heisenberg_distance_sot(t.result, a, inst.vectors)
-        return t.result.s_grid, inst.vectors.labels, values, {}
+    def evaluate(result: PropagatorResult):
+        values, _ = heisenberg_distance_sot(result, a, inst.vectors)
+        return result.s_grid, inst.vectors.labels, values, {}
 
     return evaluate
 
@@ -183,9 +170,9 @@ def _bind_resolvent(inst, config, obs, params):
     if z.imag == 0:
         raise ConfigError("resolvent needs a nonzero z_imag")
 
-    def evaluate(t: _TauInputs):
-        rec = resolvent_distance(inst.h_o, t.result, z, inst.path)
-        return t.result.s_grid, _NORM, rec.values[None, :], {"theory_bound_ok": rec.bound_ok}
+    def evaluate(result: PropagatorResult):
+        rec = resolvent_distance(inst.h_o, result, z, inst.path)
+        return result.s_grid, _NORM, rec.values[None, :], {"theory_bound_ok": rec.bound_ok}
 
     return evaluate
 
@@ -199,8 +186,8 @@ def _bind_offdiag(field_name: str):
         e1, e2 = float(e1), float(e2)
         t, s = float(params.get("t", config.s_grid[-1])), float(params.get("s", 0.0))
 
-        def evaluate(inputs: _TauInputs):
-            rec = offdiagonal_block_decay(inst.h_o, inputs.result, e1, e2, t, s)
+        def evaluate(result: PropagatorResult):
+            rec = offdiagonal_block_decay(inst.h_o, result, e1, e2, t, s)
             return (t,), _NORM, np.array([[getattr(rec, field_name)]]), {}
 
         return evaluate
@@ -213,9 +200,9 @@ def _bind_embedded_offblock(inst, config, obs, params):
         raise ConfigError("scenario has no embedded level for embedded_offblock")
     p_e = projection_eq(inst.h_o.decomposition, inst.embedded_level).matrix
 
-    def evaluate(t: _TauInputs):
-        values = embedded_offblock_profile(t.result.unitaries, p_e, inst.vectors)
-        return t.result.s_grid, inst.vectors.labels, values, {}
+    def evaluate(result: PropagatorResult):
+        values = embedded_offblock_profile(result.unitaries, p_e, inst.vectors)
+        return result.s_grid, inst.vectors.labels, values, {}
 
     return evaluate
 
@@ -226,17 +213,17 @@ def _bind_schrodinger_limit(inst, config, obs, params):
     defect = max(operator_norm(u @ h - h @ u) for u in omega_inf.unitaries)
     defect /= max(inst.h_o.norm(), 1e-300)
 
-    def evaluate(t: _TauInputs):
-        omegas = comparison_family(inst.h_o, t.result)
+    def evaluate(result: PropagatorResult):
+        omegas = comparison_family(inst.h_o, result)
         values = schrodinger_limit_profile(omegas, omega_inf, inst.vectors)
-        return t.result.s_grid, inst.vectors.labels, values, {"commutant_defect": defect}
+        return result.s_grid, inst.vectors.labels, values, {"commutant_defect": defect}
 
     return evaluate
 
 
 def _bind_swap_norm_shift(inst, config, obs, params):
-    def evaluate(t: _TauInputs):
-        value = conjugation_distance_norm(t.unitary, inst.h_o.matrix)
+    def evaluate(u: np.ndarray):
+        value = conjugation_distance_norm(u, inst.h_o.matrix)
         return (0.0,), _NORM, np.array([[value]]), {}
 
     return evaluate
@@ -245,8 +232,8 @@ def _bind_swap_norm_shift(inst, config, obs, params):
 def _bind_swap_sot_projection(inst, config, obs, params):
     a = _observable(inst, obs).matrix
 
-    def evaluate(t: _TauInputs):
-        values = conjugation_distance_sot(t.unitary, a, inst.vectors.vectors.T)
+    def evaluate(u: np.ndarray):
+        values = conjugation_distance_sot(u, a, inst.vectors.vectors.T)
         return (0.0,), inst.vectors.labels, values[:, None], {}
 
     return evaluate
@@ -441,11 +428,7 @@ def _check_metric_params(
     if not isinstance(vectors, list) or not isinstance(floor_taus, list):
         raise ConfigError(f"{metric}: ceiling.vectors and floor.taus take lists")
     for key, value in [*fields.items(), *(("floor.taus", t) for t in floor_taus)]:
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ConfigError(f"{metric}: {key} must be a number, got {value!r}")
-        # Comparisons are False on NaN, and exact for integers past the float range.
-        if not -sys.float_info.max <= value <= sys.float_info.max:
-            raise ConfigError(f"{metric}: {key} must be finite")
+        _check_number(f"{metric}: {key}", value)
     taus = [fields["ceiling.tau"]] if "ceiling.tau" in fields else []
     s_points = [fields[k] for k in ("floor.s", "t", "s") if k in fields]
     unknown = {
@@ -483,7 +466,7 @@ def _bind_metrics(config: ScenarioConfig, inst: ScenarioInstance) -> dict[str, C
 
 
 def _fit_and_verdict(
-    scenario: str, metric: str, config: ScenarioConfig, per_tau: dict[float, _TauData]
+    metric: str, config: ScenarioConfig, per_tau: dict[float, _TauData]
 ) -> MetricOutcome:
     spec = _METRICS[_metric_kind(metric)[0]]
     taus = tuple(per_tau)
@@ -501,19 +484,19 @@ def _fit_and_verdict(
             v.failures.append(f"slope {fit.slope:.3f} outside [{lo}, {hi}]")
     for check in spec.checks:
         check(v)
+    # CSV order: by tau, then s, then vector label.
     rows = sorted(
         (r for t in taus for r in per_tau[t].rows), key=lambda r: (r.tau, r.s, r.vector_id)
     )
-    report = ConvergenceReport(
-        scenario=scenario,
+    return MetricOutcome(
         metric=metric,
         rows=tuple(rows),
-        fitted_slope=None if fit is None else fit.slope,
-        fitted_constant=None if fit is None else fit.constant,
-        tolerances={"residual": None if fit is None else fit.residual, **v.checks},
+        verdict="FAIL" if v.failures else "PASS",
+        checks={**v.checks, "failures": v.failures},
+        slope=None if fit is None else fit.slope,
+        constant=None if fit is None else fit.constant,
+        residual=None if fit is None else fit.residual,
     )
-    checks = {**v.checks, "failures": v.failures}
-    return MetricOutcome(report, "FAIL" if v.failures else "PASS", checks)
 
 
 def run_sweep(config: ScenarioConfig, single: bool = False) -> SweepResult:
@@ -538,12 +521,11 @@ def run_sweep(config: ScenarioConfig, single: bool = False) -> SweepResult:
         if inst.static_family is not None:
             if tau != int(tau):
                 raise ConfigError("static sweeps use integer indices in the tau list")
-            inputs = _TauInputs(unitary=inst.static_family(int(tau)))
+            inputs = inst.static_family(int(tau))
         else:
-            result = evolve(inst.h_o, inst.path, tau, config.s_grid, step=config.step)
+            inputs = result = evolve(inst.h_o, inst.path, tau, config.s_grid, step=config.step)
             if config.save_propagators and out_dir:
                 result.save(os.path.join(out_dir, f"run_{inst.name}_{tau:g}.prop"))
-            inputs = _TauInputs(result=result)
             record = {
                 "tau": tau,
                 "scheme": result.scheme,
@@ -569,7 +551,7 @@ def run_sweep(config: ScenarioConfig, single: bool = False) -> SweepResult:
                 propagation.append(record)
     completed = tuple(done)
     outcomes = [
-        _fit_and_verdict(inst.name, m, config, {t: done[t][m] for t in completed})
+        _fit_and_verdict(m, config, {t: done[t][m] for t in completed})
         for m in config.metrics
         if completed
     ]

@@ -5,7 +5,6 @@ import pytest
 
 from slowdrive.diagnostics import (
     CSV_HEADER,
-    ConvergenceReport,
     ReportRow,
     TestVectorSet,
     conjugation_distance_norm,
@@ -441,13 +440,6 @@ class TestRateFit:
 
 
 class TestReportAndCsv:
-    def test_rows_sorted_and_nonnegative(self):
-        rows = (ReportRow(10.0, 0.5, "", 1.0), ReportRow(1.0, 0.0, "", 2.0))
-        rep = ConvergenceReport(scenario="s", metric="m", rows=rows)
-        assert [r.tau for r in rep.rows] == [1.0, 10.0]
-        with pytest.raises(ValueError):
-            ConvergenceReport(scenario="s", metric="m", rows=(ReportRow(1.0, 0.0, "", -1.0),))
-
     def test_csv_format(self, tmp_path):
         rows = [
             ReportRow(100.0, 0.5, "", 1.0 / 3.0),

@@ -97,6 +97,15 @@ class TestConfig:
             ({"s_grid": [0.0, 0.5, math.inf]}, "s_grid must increase"),
             ({"step": math.nan}, "step must be finite and positive"),
             ({"step": 0.0}, "step must be finite and positive"),
+            # the number rule: a number, not a bool or a string; counts whole
+            ({"threads": True}, "threads must be a number, got True"),
+            ({"seed": True}, "seed must be a number, got True"),
+            ({"step": True}, "step must be a number, got True"),
+            ({"taus": [True]}, "taus must be a number, got True"),
+            ({"taus": ["5"]}, "taus must be a number, got '5'"),
+            ({"s_grid": {"points": "21"}}, "s_grid.points must be a number, got '21'"),
+            ({"s_grid": {"points": 2.7}}, "s_grid.points must be a whole number, got 2.7"),
+            ({"s_grid": {"values": ["0", "1"]}}, "s_grid must be a number, got '0'"),
         ],
     )
     def test_malformed_fields_rejected(self, overrides, message):
@@ -200,6 +209,14 @@ class TestBuilders:
         assert len(inst.h_o.decomposition.levels) == 6
         mults = sorted(lv.multiplicity for lv in inst.h_o.decomposition.levels)
         assert mults == [1, 1, 1, 1, 2, 2]
+
+    def test_fermi_beta_defaults_to_10(self):
+        def fermi(**beta):
+            cfg = make_config(scenario="fermi_observable", params={"grid_points": 11, **beta})
+            return build_scenario(cfg).observable("fermi").matrix
+
+        assert np.array_equal(fermi(), fermi(beta=10.0))
+        assert not np.allclose(fermi(), fermi(beta=5.0))
 
     def test_fermi_observables_present(self):
         cfg = ScenarioConfig(
@@ -314,6 +331,25 @@ class TestRunSweep:
         assert len(csv) == 2 and csv[1].startswith("swap_sequence,swap_norm_shift,2,")
         summary = json.loads((tmp_path / "summary.json").read_text())
         assert "tau=3.5" in summary["error"]
+
+    def test_rows_in_csv_order(self):
+        # rows come sorted by tau, s and vector label whatever the tau order
+        res = run_sweep(make_config(taus=[50.0, 5.0]))
+        keys = [(r.tau, r.s, r.vector_id) for r in res.outcomes[0].rows]
+        assert keys == sorted(keys) and {k[0] for k in keys} == {5.0, 50.0}
+
+    def test_negative_metric_value_fails_the_sweep(self, monkeypatch):
+        # metric values are distances: a negative one is an execution error
+        real = slowdrive.sweeps.heisenberg_distance_norm
+
+        def negative(result, a):
+            values, extra = real(result, a)
+            return values - 1.0, extra
+
+        monkeypatch.setattr(slowdrive.sweeps, "heisenberg_distance_norm", negative)
+        cfg = make_config(metrics=["heisenberg_norm:p_embedded"])
+        with pytest.raises(SweepExecutionError, match="must be >= 0"):
+            run_sweep(cfg)
 
     def test_failure_at_last_tau_writes_summary_then_raises(self, tmp_path, monkeypatch):
         # the ceiling references the tau that fails: its check is skipped,
@@ -513,6 +549,11 @@ class TestLoadChecks:
                      params={"grid_points": 11, "kappa": -0.5}),
                 "kappa must be >= 0",
             ),
+            (
+                # beta sets the Fermi observable, which only fermi_observable has
+                dict(EMBEDDED, metrics=["resolvent"], params={"grid_points": 11, "beta": 5.0}),
+                "unknown scenario params: ['beta']",
+            ),
         ],
     )
     def test_bad_reference_exits_1_before_any_tau(
@@ -643,6 +684,18 @@ class TestCli:
 
     def test_exit_1_on_missing_file(self, capsys):
         assert main(["run", "/nonexistent/cfg.json"]) == 1
+
+    def test_exit_1_on_directory_config(self, tmp_path, capsys):
+        assert main(["sweep", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_exit_1_when_out_is_a_file(self, tmp_path, capsys):
+        out = tmp_path / "taken"
+        out.write_text("")
+        assert main(["run", str(CONFIGS / "swap_demo.json"), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
 
     def test_overrides(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"
