@@ -16,9 +16,16 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .operators import HermitianOperator, operator_norm
+from .operators import (
+    FUNCTION_RTOL,
+    HermitianOperator,
+    SpectralDecomposition,
+    gram_norm,
+    hermitian_norm,
+    operator_norm,
+)
 from .propagation import GeneratorPath, PropagatorResult, comparison_family
-from .spectral import band_projection, projection_eq, projection_geq, projection_leq
+from .spectral import band_projection, gap_columns, projection_eq
 
 __all__ = [
     "TestVectorSet",
@@ -32,6 +39,7 @@ __all__ = [
     "conjugation_distance_sot",
     "heisenberg_distance_norm",
     "heisenberg_distance_sot",
+    "two_valued_blocks",
     "resolvent_distance",
     "offdiagonal_block_decay",
     "embedded_offblock_profile",
@@ -114,8 +122,8 @@ class ReportRow:
 
 
 def conjugation_distance_norm(w: np.ndarray, a: np.ndarray) -> float:
-    """||W A W^+ - A||."""
-    return operator_norm(w @ a @ w.conj().T - a)
+    """||W A W^+ - A|| for any square A, by its Gram matrix (no SVD)."""
+    return gram_norm(w @ a @ w.conj().T - a)
 
 
 def conjugation_distance_sot(
@@ -125,11 +133,51 @@ def conjugation_distance_sot(
     return np.linalg.norm(w @ (a @ (w.conj().T @ psi)) - a @ psi, axis=0)
 
 
+def two_valued_blocks(
+    d: SpectralDecomposition, a: np.ndarray
+) -> tuple[float, np.ndarray, np.ndarray] | None:
+    """For A = alpha P + beta (1 - P), P a spectral projection of H (read off
+    ``d.coefficients``): (|alpha - beta|, V_in, V_out^+), where V_in holds the
+    eigenvector columns of the rarer value and V_out the others. None for any
+    other A. A single value gives |alpha - beta| = 0 and an empty V_in.
+
+    Then ||W A W^+ - A|| = |alpha - beta| ||V_out^+ W V_in||: W P W^+ and P
+    are orthogonal projections of equal rank, for which ||Q - P|| =
+    ||(1 - P) Q|| (Kato, Perturbation Theory, I 6.8), and ||(1 - P) W P W^+||
+    = ||V_out^+ W V_in|| for unitary W."""
+    c = d.coefficients(a)
+    if c is None:
+        return None
+    per_column = np.repeat(c, d.multiplicities)
+    lo, hi = per_column.min(), per_column.max()
+    tol = FUNCTION_RTOL * max(abs(lo), abs(hi))
+    if hi - lo <= 2 * tol:
+        gap, inner = 0.0, np.zeros(d.dim, dtype=bool)
+    else:
+        upper = hi - per_column <= tol
+        if not np.all(upper | (per_column - lo <= tol)):
+            return None
+        gap = float(per_column[upper].mean() - per_column[~upper].mean())
+        inner = upper if 2 * np.count_nonzero(upper) <= d.dim else ~upper
+    return gap, d.vectors[:, inner], d.vectors[:, ~inner].conj().T
+
+
 def heisenberg_distance_norm(
-    result: PropagatorResult, a: HermitianOperator
+    h_o: HermitianOperator, result: PropagatorResult, a: HermitianOperator
 ) -> tuple[np.ndarray, float]:
-    """||W(s) A W(s)^+ - A|| per grid point, and its sup over the grid."""
-    values = np.array([conjugation_distance_norm(w, a.matrix) for w in result.unitaries])
+    """||W(s) A W(s)^+ - A|| per grid point, and its sup over the grid.
+
+    A two-valued function of H_o (every spectral projection) takes the norm
+    of one eigenbasis block of W (``two_valued_blocks``); any other A the
+    largest |eigenvalue| of the Hermitian difference."""
+    m = a.matrix
+    blocks = two_valued_blocks(h_o.decomposition, m)
+    if blocks is None:
+        values = [hermitian_norm(w @ m @ w.conj().T - m) for w in result.unitaries]
+    else:
+        gap, v_in, v_out_h = blocks
+        values = [gap * gram_norm(v_out_h @ (w @ v_in)) for w in result.unitaries]
+    values = np.array(values)
     return values, float(values.max())
 
 
@@ -164,7 +212,8 @@ def resolvent_distance(
     z: complex,
     path: GeneratorPath | None = None,
 ) -> ResolventRecord:
-    """||W(s) (H_o - z)^-1 W(s)^+ - (H_o - z)^-1|| per grid point.
+    """||W(s) (H_o - z)^-1 W(s)^+ - (H_o - z)^-1|| per grid point, each the
+    Gram-matrix norm of a difference that is not Hermitian.
 
     With the path's kappa/kappa_dot available, also checks the explicit
     decay bound value <= C / ((Im z)^2 tau) with the conservative constant
@@ -176,7 +225,7 @@ def resolvent_distance(
         raise ValueError("z must have a nonzero imaginary part")
     dim = h_o.dim
     r = np.linalg.inv(h_o.matrix - z * np.eye(dim))
-    values = np.array([conjugation_distance_norm(w, r) for w in result.unitaries])
+    values = np.array([gram_norm(w @ r @ w.conj().T - r) for w in result.unitaries])
     sup = float(values.max())
     constant = bound = ok = None
     if path is not None and path.kappa_dot is not None:
@@ -215,20 +264,22 @@ def offdiagonal_block_decay(
     Omega_tau(t,s) = exp(i tau (t-s) H_o) W(t) W(s)^+, and the spectral
     projections commute with the unitary phase exp(i tau (t-s) H_o), so the
     norms are those of P1 W(t) W(s)^+ P2 and P2 W(t) W(s)^+ P1: the phase is
-    never formed."""
+    never formed. With V_1 and V_2 the eigenvector columns spanning P1 and
+    P2, they are the norms of the blocks V_1^+ M V_2 and V_2^+ M V_1 of
+    M = W(t) W(s)^+; no projection is formed either."""
     if e2 <= e1:
         raise ValueError("requires e2 > e1")
     d = h_o.decomposition
-    p1 = projection_leq(d, e1).matrix
-    p2 = projection_geq(d, e2).matrix
+    lower, upper = gap_columns(d, e1, e2)
+    v1, v2 = d.vectors[:, lower], d.vectors[:, upper]
     m = result.at(t) @ result.at(s).conj().T
     return OffDiagonalRecord(
         e1=e1,
         e2=e2,
         t=t,
         s=s,
-        value_low_high=operator_norm(p1 @ m @ p2),
-        value_high_low=operator_norm(p2 @ m @ p1),
+        value_low_high=gram_norm(v1.conj().T @ m @ v2),
+        value_high_low=gram_norm(v2.conj().T @ m @ v1),
     )
 
 

@@ -9,6 +9,7 @@ threads.
 from __future__ import annotations
 
 import io
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Sequence
@@ -23,6 +24,8 @@ __all__ = [
     "SpectralLevel",
     "SpectralDecomposition",
     "operator_norm",
+    "hermitian_norm",
+    "gram_norm",
     "unitarity_drift",
     "hermitian_eigendecomposition",
     "unitary_exponential",
@@ -37,6 +40,9 @@ __all__ = [
 HERMITICITY_RTOL = 1e-12
 DECOMPOSITION_TOL = 1e-10
 DEFAULT_DRIFT_TOL = 1e-8
+# A matrix is a function of H when its eigenbasis form strays from one value
+# per level by at most this, relative to its largest coefficient.
+FUNCTION_RTOL = 1e-12
 
 
 class OperatorError(ValueError):
@@ -186,11 +192,14 @@ class SpectralDecomposition:
             or any(b <= a for a, b in zip(offsets, offsets[1:]))
         ):
             raise EigensolverError("level slices do not partition the eigenvector columns")
-        if operator_norm(v.conj().T @ v - np.eye(dim)) > DECOMPOSITION_TOL:
+        # Frobenius norms bound the 2-norms and cost O(dim^2) after the
+        # products. The scale max(||Lambda||, 1) is at most (1 + 1e-10) times
+        # max(||H||, 1) whenever the residual check passes.
+        if np.linalg.norm(v.conj().T @ v - np.eye(dim)) > DECOMPOSITION_TOL:
             raise EigensolverError("eigenvectors are not orthonormal")
-        scale = max(operator_norm(self.operator), 1.0)
+        scale = max(float(np.abs(values).max()), 1.0)
         level_values = np.repeat(values, np.diff(offsets))
-        residual = operator_norm((v * level_values) @ v.conj().T - self.operator)
+        residual = np.linalg.norm((v * level_values) @ v.conj().T - self.operator)
         if residual > DECOMPOSITION_TOL * scale:
             raise EigensolverError(
                 f"spectral reconstruction residual {residual:.3e} exceeds "
@@ -232,6 +241,20 @@ class SpectralDecomposition:
         v = self.vectors[:, keep]
         return (v * c[keep]) @ v.conj().T
 
+    def coefficients(self, a: np.ndarray) -> np.ndarray | None:
+        """The inverse of compose for a Hermitian ``a``: one coefficient per
+        level, or None when ``a`` is not a function of H. In the eigenbasis
+        b = V† a V, level k's coefficient is the mean of b's diagonal over the
+        level's columns; they reconstruct ``a`` when b differs from their
+        diagonal by at most FUNCTION_RTOL * max|c| in Frobenius norm, which
+        bounds the operator norm of ``a - compose(c)`` (an O(dim^3) check)."""
+        b = self.vectors.conj().T @ a @ self.vectors
+        c = np.add.reduceat(np.diagonal(b).real, self.offsets[:-1]) / self.multiplicities
+        b.flat[:: self.dim + 1] -= np.repeat(c, self.multiplicities)
+        if np.linalg.norm(b) > FUNCTION_RTOL * np.abs(c).max():
+            return None
+        return c
+
     def exp_times(self, t: float, m: np.ndarray) -> np.ndarray:
         """exp(i t H) m, formed as V diag(exp(i t w)) V† m."""
         v = self.vectors
@@ -253,10 +276,25 @@ def operator_norm(a) -> float:
     return float(np.linalg.norm(a, 2))
 
 
+def hermitian_norm(a: np.ndarray) -> float:
+    """||a|| for a Hermitian a: its largest |eigenvalue| (``eigvalsh``, which
+    reads the lower triangle), the same 2-norm an SVD gives at lower cost."""
+    return float(np.abs(np.linalg.eigvalsh(a)).max())
+
+
+def gram_norm(a: np.ndarray) -> float:
+    """||a|| for any matrix: the square root of the largest eigenvalue of the
+    smaller of a†a and aa† (``eigvalsh``, no SVD; the largest eigenvalue of a
+    Gram matrix is accurate relative to itself). 0 for an empty matrix."""
+    if a.size == 0:
+        return 0.0
+    gram = a.conj().T @ a if a.shape[0] >= a.shape[1] else a @ a.conj().T
+    return math.sqrt(max(float(np.linalg.eigvalsh(gram)[-1]), 0.0))
+
+
 def unitarity_drift(a: np.ndarray) -> float:
-    """||a†a - 1||: the largest |eigenvalue| of the Hermitian a†a - 1, the
-    same 2-norm an SVD gives at lower cost."""
-    return float(np.abs(np.linalg.eigvalsh(a.conj().T @ a - np.eye(a.shape[0]))).max())
+    """||a†a - 1||, the norm of a Hermitian matrix."""
+    return hermitian_norm(a.conj().T @ a - np.eye(a.shape[0]))
 
 
 def hermitian_eigendecomposition(

@@ -350,7 +350,7 @@ class PropagatorResult:
             raise ValueError("s_grid and unitaries are inconsistent")
         if grid[0] != 0.0:
             raise ValueError("the s-grid must start at 0")
-        if operator_norm(us[0] - np.eye(us.shape[1])) > 1e-10:
+        if np.linalg.norm(us[0] - np.eye(us.shape[1])) > 1e-10:
             raise ValueError("W(0) must be the identity")
         if self.max_drift > self.drift_tol:
             raise PropagationError(

@@ -117,6 +117,8 @@ class ScenarioConfig:
             for value in values:
                 _check_number(what, value)
         _check_number("seed", self.seed, whole=True)
+        if not 0 <= self.seed < 2**64:  # --seed is a u64
+            raise ConfigError(f"seed must lie in [0, 2**64 - 1], got {self.seed!r}")
         _check_number("threads", self.threads, whole=True)
         object.__setattr__(self, "taus", taus)
         object.__setattr__(self, "s_grid", grid)

@@ -35,6 +35,7 @@ __all__ = [
     "projection_geq",
     "projection_eq",
     "band_projection",
+    "gap_columns",
     "calculus_continuous",
     "calculus_bv",
     "total_variation",
@@ -363,6 +364,16 @@ def band_projection(
     return HermitianOperator(d.compose(lo & hi))
 
 
+def gap_columns(d: SpectralDecomposition, e1: float, e2: float) -> tuple[slice, slice]:
+    """The column slices of V that span chi(H <= e1) and chi(H >= e2), with
+    the cluster_tol slack of projection_leq and projection_geq. Levels
+    increase, so the first is a prefix of the columns and the second a
+    suffix; they overlap when the bands do."""
+    n_lower = int(np.count_nonzero(d.eigenvalues <= e1 + d.cluster_tol))
+    n_upper = int(np.count_nonzero(d.eigenvalues >= e2 - d.cluster_tol))
+    return slice(0, d.offsets[n_lower]), slice(d.offsets[len(d.levels) - n_upper], d.dim)
+
+
 # --- functional calculus --------------------------------------------------
 
 
@@ -474,16 +485,11 @@ def kato_commutator_solution(
         raise ValueError(f"requires e2 > e1, got gap {delta}")
     if delta <= d.cluster_tol:
         raise ValueError(f"gap {delta} must exceed cluster_tol {d.cluster_tol}")
-    # Levels are sorted, so the lower band is a prefix of the columns of V
-    # and the upper band a suffix.
-    n_lower = int(np.count_nonzero(d.eigenvalues <= e1 + d.cluster_tol))
-    n_upper = int(np.count_nonzero(d.eigenvalues >= e2 - d.cluster_tol))
-    if n_lower + n_upper > len(d.levels):
+    lower, upper = gap_columns(d, e1, e2)
+    if lower.stop > upper.start:
         raise ValueError("bands overlap within cluster tolerance; enlarge the gap")
-    lo_end = d.offsets[n_lower]
-    up_start = d.offsets[len(d.levels) - n_upper]
     w = np.repeat(d.eigenvalues, d.multiplicities)
-    v_lo = d.vectors[:, :lo_end]
-    v_up = d.vectors[:, up_start:]
-    block = (v_lo.conj().T @ lam.matrix @ v_up) / (w[:lo_end, None] - w[None, up_start:])
+    v_lo = d.vectors[:, lower]
+    v_up = d.vectors[:, upper]
+    block = (v_lo.conj().T @ lam.matrix @ v_up) / (w[lower, None] - w[None, upper])
     return v_lo @ block @ v_up.conj().T

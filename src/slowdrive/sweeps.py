@@ -149,7 +149,7 @@ def _bind_heisenberg_norm(inst, config, obs, params):
     a = _observable(inst, obs)
 
     def evaluate(result: PropagatorResult):
-        values, _ = heisenberg_distance_norm(result, a)
+        values, _ = heisenberg_distance_norm(inst.h_o, result, a)
         return result.s_grid, _NORM, values[None, :], {}
 
     return evaluate

@@ -168,7 +168,7 @@ def test_criterion_04_norm_failure_counterexample():
     norm_values = {}
     for tau in (8.0, 16.0, 32.0, 64.0):
         res = _evolve("direct-sum", inst.h_o, inst.path, tau, grid)
-        values, _ = heisenberg_distance_norm(res, p_neg)
+        values, _ = heisenberg_distance_norm(inst.h_o, res, p_neg)
         norm_values[tau] = float(values[1])
         assert values[1] >= floor, (tau, values[1])
         if tau == 64.0:

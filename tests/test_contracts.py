@@ -1,7 +1,8 @@
 """Cost and tooling contracts: the library diagnostics reuse the scenario's
 one decomposition of H_o, a sweep forms Omega_tau only for the limit
-comparison, every name the benchmark's tracer rebinds is still bound where it
-looks for it, and the code-line counter counts code lines."""
+comparison, the norm metrics take no full SVD and form no projection, every
+name the benchmark's tracer rebinds is still bound where it looks for it, and
+the code-line counter and the norm-kernel table run."""
 
 import dataclasses
 import importlib.util
@@ -183,6 +184,87 @@ class TestOmegaOnlyForTheLimit:
     def test_pure_point_limit_config(self, monkeypatch):
         config = ScenarioConfig.from_file(ROOT / "configs" / "pure_point_limit.json")
         assert self.count_comparisons(config, monkeypatch) == len(config.taus)
+
+
+FERMI_SMALL = {
+    "scenario": "fermi_observable",
+    "params": {"grid_points": 15, "multiplicity": 3},
+    "taus": [10.0, 20.0],
+    "s_grid": {"points": 5},
+    "seed": 11,
+}
+
+
+class TestNormMetricCosts:
+    """The norm metrics take no full SVD, and the off-diagonal metrics form
+    no projection."""
+
+    def test_fermi_norm_metrics_take_no_dense_svd(self, monkeypatch):
+        config = ScenarioConfig.from_mapping(dict(FERMI_SMALL, metrics=[
+            "heisenberg_norm:filled_below_mu", "heisenberg_norm:fermi", "resolvent"]))
+        calls = {"dense_svd": 0, "eigh": 0}
+        dim = build_scenario(config).h_o.dim
+        svd, eigh = np.linalg.svd, np.linalg.eigh
+
+        def counted_svd(a, *args, **kwargs):
+            calls["dense_svd"] += np.shape(a)[-2:] == (dim, dim)
+            return svd(a, *args, **kwargs)
+
+        def counted_eigh(*args, **kwargs):
+            calls["eigh"] += 1
+            return eigh(*args, **kwargs)
+
+        # np.linalg.norm(a, 2) calls svd through the module that defines it
+        linalg = import_module(np.linalg.norm.__wrapped__.__module__)
+        monkeypatch.setattr(linalg, "svd", counted_svd)
+        monkeypatch.setattr(np.linalg, "svd", counted_svd)
+        monkeypatch.setattr(np.linalg, "eigh", counted_eigh)
+        assert run_sweep(config).all_pass
+        # the one eigh is the build's decomposition of H_o
+        assert calls == {"dense_svd": 0, "eigh": 1}
+
+    def test_offdiag_metrics_form_no_projection(self, monkeypatch):
+        # every spectral projection is formed by SpectralDecomposition.compose;
+        # counted after the build, a two-tau sweep forms none, where the dense
+        # form P1 M P2 would form 8 (P1 and P2 per metric and tau)
+        config = ScenarioConfig.from_mapping(
+            dict(FERMI_SMALL, metrics=["offdiag_low_high", "offdiag_high_low"])
+        )
+        composed = []
+        compose = SpectralDecomposition.compose
+        build = slowdrive.sweeps.build_scenario
+
+        def counted_compose(self, coefficients):
+            composed.append(1)
+            return compose(self, coefficients)
+
+        def build_then_count(config):
+            inst = build(config)
+            composed.clear()
+            return inst
+
+        monkeypatch.setattr(SpectralDecomposition, "compose", counted_compose)
+        monkeypatch.setattr(slowdrive.sweeps, "build_scenario", build_then_count)
+        assert run_sweep(config).all_pass
+        assert composed == []
+
+
+class TestNormKernelsTool:
+    TOOL = load_module(ROOT / "tools" / "norm_kernels.py")
+
+    @pytest.mark.parametrize("dim", [6, 10])
+    def test_every_route_matches_the_svd(self, dim):
+        rows = self.TOOL.measure(dim, points=4, repeat=1)
+        assert [r[0] for r in rows] == list(self.TOOL.ROUTES)
+        for _route, svd_us, kernel_us, deviation in rows:
+            assert svd_us > 0 and kernel_us > 0
+            assert deviation <= 1e-12
+
+    def test_prints_one_line_per_dim_and_route(self, capsys):
+        assert self.TOOL.main(["--dims", "6,8", "--points", "3", "--repeat", "1"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 1 + 2 * len(self.TOOL.ROUTES)
+        assert lines[0].split() == ["dim", "route", "svd_us", "kernel_us", "max_rel_dev"]
 
 
 class TestCodeLineCount:

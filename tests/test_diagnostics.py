@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from slowdrive.diagnostics import (
     CSV_HEADER,
@@ -17,6 +19,7 @@ from slowdrive.diagnostics import (
     rate_fit,
     resolvent_distance,
     schrodinger_limit_distance,
+    two_valued_blocks,
     write_metric_csv,
 )
 from slowdrive.operators import (
@@ -28,13 +31,20 @@ from slowdrive.operators import (
 )
 from slowdrive.propagation import (
     GeneratorPath,
+    PropagatorResult,
     comparison_family,
     comparison_operator,
     evolve,
     omega_infinity,
 )
 from slowdrive.scenarios import ScenarioConfig, build_scenario, seeded_pair_path
-from slowdrive.spectral import projection_eq, projection_geq, projection_leq
+from slowdrive.spectral import (
+    calculus_continuous,
+    fermi_dirac,
+    projection_eq,
+    projection_geq,
+    projection_leq,
+)
 
 from test_operators import random_hermitian, random_unitary
 
@@ -65,13 +75,13 @@ class TestHeisenbergDistances:
         lam = np.diag([0.5, -0.5, 1.0])
         res = evolve(h, GeneratorPath.constant(lam), 30.0, GRID)
         a = HermitianOperator(np.diag([1.0, 2.0, 3.0]))
-        values, sup = heisenberg_distance_norm(res, a)
+        values, sup = heisenberg_distance_norm(h, res, a)
         assert sup <= 1e-11
 
     def test_free_evolution_commuting_observable(self):
         h = random_hermitian(5, 1)
         res = evolve(h, GeneratorPath.zero(5), 100.0, GRID)
-        values, sup = heisenberg_distance_norm(res, HermitianOperator(h.matrix * 2.0))
+        values, sup = heisenberg_distance_norm(h, res, HermitianOperator(h.matrix * 2.0))
         assert sup <= 1e-10
 
     def test_resonant_direct_sum_lower_bound(self):
@@ -85,7 +95,7 @@ class TestHeisenbergDistances:
         p_neg = HermitianOperator(
             projection_leq(d, 0.0).matrix - projection_eq(d, 0.0).matrix
         )
-        values, sup = heisenberg_distance_norm(res, p_neg)
+        values, sup = heisenberg_distance_norm(h, res, p_neg)
         s = 0.5
         j = res.index_of(s)
         block_dist = []
@@ -113,7 +123,7 @@ class TestHeisenbergDistances:
         path = seeded_pair_path(6, 1.0, 3)
         res = evolve(h, path, 15.0, GRID)
         a = random_hermitian(6, 4)
-        values, sup = heisenberg_distance_norm(res, a)
+        values, sup = heisenberg_distance_norm(h, res, a)
         svalues, ssups = heisenberg_distance_sot(res, a, TestVectorSet.seeded_gaussian(6, 4, 5))
         assert np.all(svalues <= values[None, :] + 1e-12)
         assert ssups.max() <= sup + 1e-12
@@ -143,6 +153,127 @@ class TestHeisenbergDistances:
         far = np.zeros(dim, dtype=complex)
         far[0] = 1.0  # support away from both swapped levels
         assert conjugation_distance_sot(v, p0, far) == 0.0
+
+
+def level_system(mults, seed):
+    """H_o with one level per entry of ``mults`` (that multiplicity), evenly
+    spaced on [-1, 1], in a seeded random eigenbasis; and a result holding
+    W(0) = 1 and three seeded random unitaries, which commute with neither
+    H_o nor its spectral projections."""
+    levels = np.repeat(np.linspace(-1.0, 1.0, len(mults)), mults)
+    q = random_unitary(levels.size, seed)
+    h = HermitianOperator((q * levels) @ q.conj().T)
+    ws = [np.eye(levels.size)] + [random_unitary(levels.size, seed + k) for k in (1, 2, 3)]
+    res = PropagatorResult(
+        tau=1.0, s_grid=np.linspace(0.0, 1.0, 4), unitaries=np.array(ws), step=1.0,
+        max_drift=0.0, scheme="test",
+    )
+    return h, res
+
+
+def svd_distances(res, a):
+    """The reference: ||W A W^+ - A|| by a full SVD at every grid point."""
+    return np.array([operator_norm(w @ a @ w.conj().T - a) for w in res.unitaries])
+
+
+def assert_matches_svd(got, want):
+    # W(0) = 1 gives rounding on both sides; elsewhere 1e-12 relative
+    assert got[0] <= 1e-14 and want[0] <= 1e-14
+    assert np.all(np.abs(got[1:] - want[1:]) <= 1e-12 * want[1:])
+
+
+class TestNormRoutes:
+    """Each norm route against the SVD of the full difference (operator_norm)."""
+
+    MULTS = (1, 2, 1, 3, 1)  # dim 8; the lowest 1, 3, 4, 7 columns are whole levels
+
+    @pytest.mark.parametrize("alpha, beta", [(0.0, 1.0), (1.0, 0.0), (-2.5, 0.75), (-1.0, -3.0)])
+    @pytest.mark.parametrize("levels, rank", [(1, 1), (3, 4), (4, 7)])
+    def test_two_valued_function_of_h_o(self, alpha, beta, levels, rank):
+        # ranks 1, n/2 and n - 1 on a degenerate H_o
+        h, res = level_system(self.MULTS, 60)
+        d = h.decomposition
+        p = d.compose(np.arange(len(self.MULTS)) < levels)
+        a = HermitianOperator(alpha * p + beta * (np.eye(8) - p))
+        blocks = two_valued_blocks(d, a.matrix)
+        assert blocks is not None
+        gap, v_in, v_out_h = blocks
+        assert gap == pytest.approx(abs(alpha - beta), rel=1e-13)
+        assert v_in.shape[1] == min(rank, 8 - rank) and v_out_h.shape[0] == 8 - v_in.shape[1]
+        values, sup = heisenberg_distance_norm(h, res, a)
+        assert_matches_svd(values, svd_distances(res, a.matrix))
+        assert sup == values.max()
+
+    @pytest.mark.parametrize("rank", [1, 2, 5, 6])
+    def test_projection_on_part_of_a_level(self, rank):
+        # columns 1:3 and 4:7 of V span the 2- and 3-fold levels: ranks 2, 5
+        # and 6 cut one, and rank 1 in the eigenbasis of another H_o is no
+        # function of this one; all take the eigvalsh route
+        h, res = level_system(self.MULTS, 61)
+        v = h.decomposition.vectors if rank != 1 else random_unitary(8, 62)
+        p = v[:, :rank] @ v[:, :rank].conj().T
+        a = HermitianOperator(-0.5 * p + 2.0 * (np.eye(8) - p))
+        assert two_valued_blocks(h.decomposition, a.matrix) is None
+        values, _ = heisenberg_distance_norm(h, res, a)
+        assert_matches_svd(values, svd_distances(res, a.matrix))
+
+    @settings(derandomize=True, max_examples=40, deadline=None)
+    @given(
+        mults=st.lists(st.integers(1, 3), min_size=2, max_size=6),
+        seed=st.integers(0, 10_000),
+        alpha=st.floats(-4.0, 4.0),
+        beta=st.floats(-4.0, 4.0),
+        data=st.data(),
+    )
+    def test_two_valued_drawn(self, mults, seed, alpha, beta, data):
+        assume(abs(alpha - beta) >= 1e-3)
+        chosen = data.draw(st.lists(st.booleans(), min_size=len(mults), max_size=len(mults)))
+        assume(any(chosen) and not all(chosen))
+        h, res = level_system(mults, seed)
+        p = h.decomposition.compose(chosen)
+        a = HermitianOperator(alpha * p + beta * (np.eye(h.dim) - p))
+        assert two_valued_blocks(h.decomposition, a.matrix) is not None
+        values, _ = heisenberg_distance_norm(h, res, a)
+        assert_matches_svd(values, svd_distances(res, a.matrix))
+
+    @pytest.mark.parametrize("alpha", [0.0, -1.7, 3.0])
+    def test_one_value_gives_zero(self, alpha):
+        h, res = level_system(self.MULTS, 63)
+        a = HermitianOperator(h.decomposition.compose(np.full(len(self.MULTS), alpha)))
+        gap, v_in, _ = two_valued_blocks(h.decomposition, a.matrix)
+        assert gap == 0.0 and v_in.shape[1] == 0
+        values, sup = heisenberg_distance_norm(h, res, a)
+        assert sup == 0.0
+        assert svd_distances(res, a.matrix).max() <= 1e-14
+
+    @pytest.mark.parametrize("seed", [64, 65])
+    def test_fermi_observable(self, seed):
+        h, res = level_system(self.MULTS, seed)
+        d = h.decomposition
+        a = calculus_continuous(d, fermi_dirac(0.1, 10.0))
+        assert d.coefficients(a.matrix) is not None
+        assert two_valued_blocks(d, a.matrix) is None
+        values, _ = heisenberg_distance_norm(h, res, a)
+        assert_matches_svd(values, svd_distances(res, a.matrix))
+
+    @pytest.mark.parametrize("z", [1j, 0.5 + 0.3j, -0.2 - 2.0j])
+    def test_resolvent(self, z):
+        h, res = level_system(self.MULTS, 66)
+        r = np.linalg.inv(h.matrix - z * np.eye(8))
+        assert_matches_svd(resolvent_distance(h, res, z).values, svd_distances(res, r))
+
+    @pytest.mark.parametrize("e1, e2", [(-0.6, 0.4), (-0.1, 0.9), (-1.0, 1.0)])
+    def test_offdiagonal_blocks(self, e1, e2):
+        # the dense form ||P1 W(t) W(s)^+ P2|| and its interchange
+        h, res = level_system(self.MULTS, 67)
+        p1 = projection_leq(h.decomposition, e1).matrix
+        p2 = projection_geq(h.decomposition, e2).matrix
+        for t, s in [(1.0, 0.0), (2 / 3, 1 / 3), (1 / 3, 1.0)]:
+            m = res.at(t) @ res.at(s).conj().T
+            rec = offdiagonal_block_decay(h, res, e1, e2, t, s)
+            dense = (operator_norm(p1 @ m @ p2), operator_norm(p2 @ m @ p1))
+            assert rec.value_low_high == pytest.approx(dense[0], rel=1e-12)
+            assert rec.value_high_low == pytest.approx(dense[1], rel=1e-12)
 
 
 class TestResolventDistance:

@@ -10,7 +10,9 @@ from slowdrive.operators import (
     UnitaryOperator,
     direct_sum,
     format_matrix,
+    gram_norm,
     hermitian_eigendecomposition,
+    hermitian_norm,
     operator_norm,
     parse_matrix,
     pauli,
@@ -266,6 +268,54 @@ class TestOperatorNorm:
         u = random_unitary(8, seed + 20)
         v = random_unitary(8, seed + 40)
         assert abs(operator_norm(u @ a @ v) - operator_norm(a)) <= 1e-10 * operator_norm(a)
+
+
+class TestEigvalshNorms:
+    """hermitian_norm and gram_norm give the SVD's 2-norm without an SVD."""
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_hermitian_norm(self, seed):
+        a = random_hermitian(9, seed).matrix
+        assert hermitian_norm(a) == pytest.approx(operator_norm(a), rel=1e-12)
+
+    @pytest.mark.parametrize("shape", [(7, 7), (9, 4), (3, 8), (6, 1)])
+    def test_gram_norm(self, shape):
+        rng = np.random.default_rng(shape[0] * 10 + shape[1])
+        a = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        assert gram_norm(a) == pytest.approx(operator_norm(a), rel=1e-12)
+        assert gram_norm(1e-9 * a) == pytest.approx(1e-9 * operator_norm(a), rel=1e-12)
+
+    def test_empty_block_has_norm_zero(self):
+        assert gram_norm(np.zeros((5, 0), dtype=complex)) == 0.0
+
+
+class TestCoefficients:
+    """SpectralDecomposition.coefficients inverts compose on the functions of H."""
+
+    @staticmethod
+    def degenerate(seed):
+        q = random_unitary(6, seed)
+        levels = np.array([-1.0, -1.0, 0.5, 0.5, 0.5, 2.0])
+        return HermitianOperator((q * levels) @ q.conj().T).decomposition
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_inverts_compose(self, seed):
+        d = self.degenerate(seed)
+        c = np.array([0.25, -3.0, 1.5])
+        got = d.coefficients(HermitianOperator(d.compose(c)).matrix)
+        assert got is not None and np.allclose(got, c, rtol=0, atol=1e-13)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_none_off_the_functions_of_h(self, seed):
+        # the projection onto one column of a 3-fold level is no function of H
+        d = self.degenerate(seed)
+        v = d.vectors[:, 2:3]
+        assert d.coefficients(HermitianOperator(v @ v.conj().T).matrix) is None
+        assert d.coefficients(random_hermitian(6, seed).matrix) is None
+
+    def test_zero_matrix(self):
+        d = self.degenerate(0)
+        assert np.array_equal(d.coefficients(np.zeros((6, 6), dtype=complex)), np.zeros(3))
 
 
 class TestMatrixTextFormat:

@@ -106,6 +106,9 @@ class TestConfig:
             ({"s_grid": {"points": "21"}}, "s_grid.points must be a number, got '21'"),
             ({"s_grid": {"points": 2.7}}, "s_grid.points must be a whole number, got 2.7"),
             ({"s_grid": {"values": ["0", "1"]}}, "s_grid must be a number, got '0'"),
+            # seeds are u64
+            ({"seed": -1}, "seed must lie in [0, 2**64 - 1], got -1"),
+            ({"seed": 2**64}, "seed must lie in [0, 2**64 - 1], got 18446744073709551616"),
         ],
     )
     def test_malformed_fields_rejected(self, overrides, message):
@@ -342,8 +345,8 @@ class TestRunSweep:
         # metric values are distances: a negative one is an execution error
         real = slowdrive.sweeps.heisenberg_distance_norm
 
-        def negative(result, a):
-            values, extra = real(result, a)
+        def negative(h_o, result, a):
+            values, extra = real(h_o, result, a)
             return values - 1.0, extra
 
         monkeypatch.setattr(slowdrive.sweeps, "heisenberg_distance_norm", negative)
@@ -696,6 +699,14 @@ class TestCli:
         assert main(["run", str(CONFIGS / "swap_demo.json"), "--out", str(out)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("config", ["swap_demo.json", "embedded_resolvent.json"])
+    def test_exit_1_on_seed_outside_u64(self, config, tmp_path, capsys):
+        # rejected at load, before any scenario is built or output written
+        out = tmp_path / "out"
+        assert main(["run", str(CONFIGS / config), "--seed", "-1", "--out", str(out)]) == 1
+        assert capsys.readouterr().err == "error: seed must lie in [0, 2**64 - 1], got -1\n"
+        assert not out.exists()
 
     def test_overrides(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"
