@@ -225,7 +225,7 @@ def resolvent_distance(
         raise ValueError("z must have a nonzero imaginary part")
     dim = h_o.dim
     r = np.linalg.inv(h_o.matrix - z * np.eye(dim))
-    values = np.array([gram_norm(w @ r @ w.conj().T - r) for w in result.unitaries])
+    values = np.array([conjugation_distance_norm(w, r) for w in result.unitaries])
     sup = float(values.max())
     constant = bound = ok = None
     if path is not None and path.kappa_dot is not None:

@@ -15,7 +15,7 @@ and the largest relative deviation of the kernel from the reference:
 Only numpy and slowdrive are used.
 
 Usage: PYTHONPATH=src python tools/norm_kernels.py [--dims 16,66,128,256]
-       [--points 32] [--repeat 3] [--seed 0]
+       [--points 32] [--repeat 3]
 """
 
 from __future__ import annotations
@@ -51,11 +51,11 @@ def _best_seconds(fns, repeat: int):
     return best, out
 
 
-def measure(dim: int, points: int, repeat: int = 3, seed: int = 0) -> list[tuple]:
+def measure(dim: int, points: int, repeat: int = 3) -> list[tuple]:
     """(route, SVD us per point, kernel us per point, largest relative
     deviation) for each route at one dimension; W(0) = 1 and points - 1
     random unitaries."""
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
     g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     h_o = HermitianOperator((g + g.conj().T) / 2)
     d = h_o.decomposition
@@ -95,13 +95,10 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--dims", default="16,66,128,256")
     parser.add_argument("--points", type=int, default=32)
     parser.add_argument("--repeat", type=int, default=3)
-    parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args(argv)
     print(f"{'dim':>4} {'route':<10} {'svd_us':>10} {'kernel_us':>10} {'max_rel_dev':>12}")
     for dim in (int(x) for x in args.dims.split(",")):
-        for route, svd_us, kernel_us, deviation in measure(
-            dim, args.points, args.repeat, args.seed
-        ):
+        for route, svd_us, kernel_us, deviation in measure(dim, args.points, args.repeat):
             print(f"{dim:>4} {route:<10} {svd_us:>10.1f} {kernel_us:>10.1f} {deviation:>12.1e}")
     return 0
 
