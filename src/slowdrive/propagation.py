@@ -427,10 +427,13 @@ def default_step(tau: float, h_norm: float, kappa: float) -> float:
 # Magnus-Filon steps resolve the drive alone: 1/200 of its time scale
 # 1/max(kappa, kappa_dot), and at most 1/200 of [0, 1].
 MAGNUS_STEP = 1.0 / 200.0
-# A Magnus-Filon step costs about 2x a midpoint step at dim 16 and 3.5x at
-# dim 66 (one BLAS thread; up to 8x where pairs below _FILON_NEAR need the
-# Taylor series), so the scheme runs only where it takes at most this share
-# of the midpoint rule's steps.
+# A Magnus-Filon step costs about as much as a midpoint step at dim 16 (41-80
+# against 54-87 us) and 1.4-2.4x at dim 66 (520-640 against 263-391 us; one
+# BLAS thread, tau 10 to 1e3), so the scheme runs only where it takes at most
+# this share of the midpoint rule's steps. On a grid finer than h_MF (one
+# step per interval either way) it would cost more: a generator build per
+# distinct interval length, complex products where the midpoint rule's are
+# real, and V y V† at every grid point.
 MAGNUS_SHARE = 0.25
 
 
@@ -438,6 +441,16 @@ def magnus_step(kappa: float, kappa_dot: float | None) -> float:
     """The tau-independent Magnus-Filon step h_MF = 0.005 / max(kappa,
     kappa_dot, 1)."""
     return MAGNUS_STEP / max(kappa, kappa_dot or 0.0, 1.0)
+
+
+# No evolve takes more steps than this (the largest use is about 8e5).
+_MAX_STEPS = 10**7
+
+
+def _fits(grid: np.ndarray, step: float) -> bool:
+    """Whether steps of ``step`` cover the grid within _MAX_STEPS, compared as
+    floats: the count of a tiny step overflows an integer ceiling."""
+    return grid[-1] - grid[0] <= _MAX_STEPS * step
 
 
 def _substeps(spans: np.ndarray, step: float, slack: float = 0.0) -> list[int]:
@@ -465,8 +478,11 @@ def evolve(
     A ramp drive A + s B with ``step`` None runs the Magnus-Filon scheme
     (:func:`_magnus_filon_states`, scheme ``magnus-filon``) at the
     tau-independent step :func:`magnus_step`, provided that takes at most
-    ``MAGNUS_SHARE`` of the midpoint rule's steps on this grid; it
-    diagonalises H_o once (its own ``decomposition``; none for H_o = 0).
+    ``MAGNUS_SHARE`` of the midpoint rule's steps on this grid (or the
+    midpoint rule would need more than ``_MAX_STEPS``); it diagonalises
+    H_o once (its own ``decomposition``; none for H_o = 0) and derives the
+    Magnus terms once per distinct sub-step length
+    (:func:`_magnus_generator`), so each step is one exponential.
 
     Every other path, and every explicit ``step``, uses the exponential
     midpoint scheme W_{k+1} = exp(-i h (tau*H_o + Lambda(s_mid))) W_k,
@@ -476,7 +492,9 @@ def evolve(
     comes from :func:`default_step`. L1 paths are integrated directly from
     midpoint samples and flagged lower-accuracy in the scheme descriptor
     (prefer :func:`mollify` first). Either way the unitarity drift is
-    measured at every grid point and must stay within ``drift_tol``.
+    measured at every grid point and must stay within ``drift_tol``, and a
+    step that would need more than ``_MAX_STEPS`` steps over the grid raises
+    ValueError before any step is taken.
     """
     if tau <= 0:
         raise ValueError("tau must be positive")
@@ -504,10 +522,11 @@ def evolve(
         magnus = None
         if step is None:
             step = default_step(tau, 0.0 if free else h_o.norm(), path.kappa)
-            if form is not None and form.at is None:
+            mf_step = magnus_step(path.kappa, path.kappa_dot)
+            if form is not None and form.at is None and _fits(grid, mf_step):
                 # spans like 0.1 / 0.005 round up past 20 without the slack
-                mf = _substeps(spans, magnus_step(path.kappa, path.kappa_dot), 1e-9)
-                if sum(mf) <= MAGNUS_SHARE * sum(_substeps(spans, step)):
+                mf = _substeps(spans, mf_step, 1e-9)
+                if not _fits(grid, step) or sum(mf) <= MAGNUS_SHARE * sum(_substeps(spans, step)):
                     magnus = mf
         if magnus is not None:
             scheme = "magnus-filon"
@@ -519,6 +538,8 @@ def evolve(
             scheme = "midpoint-exponential"
             if path.smoothness == SMOOTH_L1:
                 scheme += "/L1-direct"
+            if not _fits(grid, step):
+                raise ValueError(f"step {step:.3e} needs more than {_MAX_STEPS} steps over the grid")
             nsubs = _substeps(spans, step)
             remedy = f"retry with step <= {step / 2:.3e}"
             states = _midpoint_states(h_o.matrix, path, tau, grid, nsubs)
@@ -656,8 +677,12 @@ def _filon_moments(alpha: np.ndarray, top: int) -> np.ndarray:
     return out
 
 
-class _FilonStep:
-    """One Magnus-Filon step of length h at tau.
+def _magnus_terms(
+    w: np.ndarray, b: np.ndarray, tau: float, h: float, p: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """(Omega_1, Omega_2) of one Magnus-Filon step of length h at tau that
+    starts where the drive in the eigenbasis is ``p``; ``p`` may be a stack of
+    such matrices, which gives a stack of terms.
 
     In the eigenbasis frame W = V exp(-i tau s w) U V†, U solves i U' = K U
     with K_jk(s0 + h x) = exp(i alpha_jk x) L_jk(x), alpha_jk = tau h (w_j -
@@ -672,56 +697,48 @@ class _FilonStep:
     alpha_jk + alpha_kl = alpha_jl. Where |alpha_kl| >= _FILON_NEAR the inner
     integral is divided out by r = 1/(i alpha_kl); below it is the Taylor
     series in alpha_kl, cut where its remainder falls below unit roundoff
-    (one term on exact degeneracies). Every array that depends only on
-    (tau, h) is built once, at construction.
+    (one term on exact degeneracies).
     """
+    alpha = (tau * h) * (w[:, None] - w[None, :])
+    near = np.abs(alpha) < _FILON_NEAR
+    b_near = float(np.abs(alpha[near]).max())
+    terms, rest = 1, b_near
+    while rest > _UNIT_ROUNDOFF:
+        terms += 1
+        rest *= b_near / terms
+    m = _filon_moments(alpha, terms + 2)
+    q = h * b
+    m1 = p * m[0] + q * m[1]
+    r = np.divide(1.0, 1j * alpha, out=np.zeros_like(m[0]), where=~near)
+    x = p * r - q * r * r
+    s = m[0] * (p @ x) + m[1] * (q @ x + p @ (q * r)) + m[2] * (q @ (q * r)) - m1 @ x
+    # Taylor term n of the near pairs: (i alpha)^n / n! times the moments
+    # m_{n+1..n+3}, over n + 1 and n + 2.
+    for n in range(terms):
+        powers = near * (1j * alpha) ** n / math.factorial(n)
+        lo, mid, hi = m[n + 1 : n + 4]
+        s += (p * lo + q * mid) @ (p * powers) / (n + 1)
+        s += (p * mid + q * hi) @ (q * powers) / (n + 2)
+    return h * m1, (h * h) * (2.0 * s - m1 @ m1)
 
-    def __init__(self, w: np.ndarray, b: np.ndarray, tau: float, h: float):
-        alpha = (tau * h) * (w[:, None] - w[None, :])
-        near = np.abs(alpha) < _FILON_NEAR
-        b_near = float(np.abs(alpha[near]).max())
-        terms, rest = 1, b_near
-        while rest > _UNIT_ROUNDOFF:
-            terms += 1
-            rest *= b_near / terms
-        self.h = h
-        self.m = m = _filon_moments(alpha, terms + 2)
-        self.q = q = h * b
-        self.q_m1 = q * m[1]
-        self.far = not near.all()
-        self.r = np.zeros_like(m[0])
-        self.r[~near] = 1.0 / (1j * alpha[~near])
-        self.q_r, self.q_r2 = q * self.r, q * self.r * self.r
-        self.q_qr = q @ self.q_r
-        # Per Taylor term n: the moments m_{n+1..n+3} and the near pairs'
-        # coefficients (i alpha)^n / (n! (n+1)) and q (i alpha)^n / (n! (n+2)).
-        self.taylor = []
-        powers = near * np.ones_like(m[0])
-        for n in range(terms):
-            self.taylor.append((*m[n + 1 : n + 4], powers / (n + 1), q * powers / (n + 2)))
-            powers = powers * (1j * alpha) / (n + 1)
-        self.phase = np.exp(-1j * tau * h * w)[:, None]
 
-    def magnus_terms(self, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(Omega_1, Omega_2) of the step that starts where the drive in the
-        eigenbasis is ``p``."""
-        m, q, h = self.m, self.q, self.h
-        m1 = p * m[0] + self.q_m1
-        s = np.zeros_like(m1)
-        if self.far:
-            x = p * self.r - self.q_r2
-            s += m[0] * (p @ x) + m[1] * (q @ x + p @ self.q_r) + m[2] * self.q_qr - m1 @ x
-        for lo, mid, hi, c0, qc1 in self.taylor:
-            s += (p * lo + q * mid) @ (p * c0) + (p * mid + q * hi) @ qc1
-        return h * m1, (h * h) * (2.0 * s - m1 @ m1)
+def _magnus_generator(
+    w: np.ndarray, a: np.ndarray, b: np.ndarray, tau: float, h: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """The Magnus-Filon step of length h at tau for the ramp a + s b in the
+    eigenbasis: the frame phase exp(-i tau h w) as a column, and g = (g_0,
+    g_1, g_2) with g_0 + s0 (g_1 + s0 g_2) the Hermitian part of the step's
+    generator Omega_1 - (i/2) Omega_2 at the step start s0.
 
-    def advance(self, p: np.ndarray, y: np.ndarray) -> np.ndarray:
-        """exp(-i tau h w) exp(-i Omega_1 - Omega_2 / 2) y, the exponential
-        applied by :func:`_exp_step` to its Hermitian generator
-        Omega_1 - (i/2) Omega_2."""
-        omega1, omega2 = self.magnus_terms(p)
-        gen = omega1 - 0.5j * omega2
-        return self.phase * _exp_step(0.5 * (gen + gen.conj().T), 1.0, y)
+    Only p = a + s0 b changes with s0, so Omega_1 is affine and Omega_2
+    quadratic in s0: the Lagrange interpolant through s0 = 0, 1/2, 1 (one
+    batched :func:`_magnus_terms`) is exact up to rounding.
+    """
+    omega1, omega2 = _magnus_terms(w, b, tau, h, np.stack([a, a + 0.5 * b, a + b]))
+    f = omega1 - 0.5j * omega2
+    f0, f_half, f1 = 0.5 * (f + f.conj().swapaxes(1, 2))
+    g = np.stack([f0, 4.0 * f_half - 3.0 * f0 - f1, 2.0 * (f0 + f1) - 4.0 * f_half])
+    return np.exp(-1j * tau * h * w)[:, None], g
 
 
 def _magnus_filon_states(
@@ -732,27 +749,30 @@ def _magnus_filon_states(
     nsubs: list[int],
 ) -> Iterator[np.ndarray]:
     """W at every grid point after the first, stepping the ramp A + s B in
-    ``nsubs`` equal Magnus-Filon steps per interval (:class:`_FilonStep`) in
-    the eigenbasis of H_o; ``basis`` None stands for H_o = 0 (V = 1, w = 0)."""
+    ``nsubs`` equal Magnus-Filon steps per interval in the eigenbasis of H_o;
+    ``basis`` None stands for H_o = 0 (V = 1, w = 0). Each step applies
+    exp(-i tau h w) exp(-i G(s0)) with G from :func:`_magnus_generator`, the
+    exponential by :func:`_exp_step`."""
     if basis is None:
         v, w, a, b = None, np.zeros(form.a.shape[0]), form.a, form.b
     else:
         v, w = basis.vectors, basis.column_values
         vh = v.conj().T
         a, b = vh @ form.a @ v, vh @ form.b @ v
-    steppers = {}
+    generators = {}
     y = np.eye(w.size, dtype=complex)
     for s0, s1, nsub in zip(grid, grid[1:], nsubs):
         # The sub-steps of a uniform grid differ in their last bits. Rounding
-        # to 15 digits merges them into one stepper and moves h by at most
+        # to 15 digits merges them into one generator and moves h by at most
         # 5e-16 of itself, which the frame phase exp(-i tau h w) accumulates
         # over the steps; coarser rounding would show at large tau.
         h = float(f"{(s1 - s0) / nsub:.15g}")
-        if h not in steppers:
-            steppers[h] = _FilonStep(w, b, tau, h)
-        stepper = steppers[h]
+        if h not in generators:
+            generators[h] = _magnus_generator(w, a, b, tau, h)
+        phase, g = generators[h]
         for k in range(nsub):
-            y = stepper.advance(a + (s0 + k * h) * b, y)
+            start = s0 + k * h
+            y = phase * _exp_step(g[0] + start * (g[1] + start * g[2]), 1.0, y)
         yield y if v is None else v @ y @ vh
 
 

@@ -21,8 +21,9 @@ from slowdrive.propagation import (
     PropagationError,
     PropagatorResult,
     _FILON_NEAR,
-    _FilonStep,
     _exp_step,
+    _magnus_generator,
+    _magnus_terms,
     comparison_operator,
     default_bump,
     default_step,
@@ -325,16 +326,30 @@ class TestMagnusFilon:
         assert len(set(np.diff(self.GRID11))) > 1
         builds = []
 
-        class Counted(_FilonStep):
-            def __init__(self, *args):
-                builds.append(args[-1])
-                super().__init__(*args)
+        def counted(*args):
+            builds.append(args[-1])
+            return _magnus_generator(*args)
 
-        monkeypatch.setattr(slowdrive.propagation, "_FilonStep", Counted)
+        monkeypatch.setattr(slowdrive.propagation, "_magnus_generator", counted)
         inst = scenario_instance("embedded_eigenvalue", grid_points=63, multiplicity=3)
         res = evolve(inst.h_o, inst.path, tau, self.GRID11)
         assert res.scheme == "magnus-filon"
         assert len(builds) == 1
+
+    @pytest.mark.parametrize("tau", [10.0, 1000.0])
+    def test_magnus_terms_once_per_evolve(self, tau, monkeypatch):
+        # the 200 steps reuse the terms of one sub-step length, never re-derive them
+        calls = []
+
+        def counted(*args):
+            calls.append(args[3])
+            return _magnus_terms(*args)
+
+        monkeypatch.setattr(slowdrive.propagation, "_magnus_terms", counted)
+        inst = scenario_instance("embedded_eigenvalue", grid_points=63, multiplicity=3)
+        res = evolve(inst.h_o, inst.path, tau, self.GRID11)
+        assert (res.scheme, res.steps) == ("magnus-filon", 200)
+        assert len(calls) == 1
 
     def test_limit_and_frame_against_extrapolated_midpoint(self):
         # degenerate pairs give the limit drive 2x2 blocks that do not commute
@@ -356,6 +371,8 @@ class TestMagnusFilon:
         low, high = (evolve(inst.h_o, inst.path, tau, self.GRID11) for tau in (1e2, 1e4))
         assert low.scheme == high.scheme == "magnus-filon"
         assert low.steps == high.steps
+        # a tau whose midpoint rule would exceed the step cap still runs
+        assert evolve(inst.h_o, inst.path, 1e8, self.GRID11).steps == low.steps
         # step is the largest sub-step, and the step count follows from it
         spans = np.diff(self.GRID11)
         assert high.step <= magnus_step(inst.path.kappa, inst.path.kappa_dot) * (1 + 1e-9)
@@ -379,10 +396,26 @@ class TestMagnusFilon:
         a, b = (random_hermitian(7, seed).matrix for seed in (90, 91))
         a, b = a / operator_norm(a), b / operator_norm(b)
         p = a + 0.3 * b
-        omega1, omega2 = _FilonStep(w, b, tau, h).magnus_terms(p)
+        omega1, omega2 = _magnus_terms(w, b, tau, h, p)
         ref1, ref2 = magnus_terms_by_quadrature(w, p, b, tau, h)
         assert operator_norm(omega1 - ref1) <= 1e-13 * operator_norm(ref1)
         assert operator_norm(omega2 - ref2) <= 1e-12 * operator_norm(ref2)
+        # the generator interpolated in the step start s0 is the Hermitian part
+        # of Omega_1 - (i/2) Omega_2 at every s0
+        _, g = _magnus_generator(w, a, b, tau, h)
+
+        def generator(s0):
+            return g[0] + s0 * (g[1] + s0 * g[2])
+
+        def hermitian_part(m):
+            return 0.5 * (m + m.conj().T)
+
+        ref = hermitian_part(ref1 - 0.5j * ref2)
+        assert operator_norm(generator(0.3) - ref) <= 1e-12 * operator_norm(ref)
+        for s0 in (0.13, 0.77, 0.995):
+            omega1, omega2 = _magnus_terms(w, b, tau, h, a + s0 * b)
+            direct = hermitian_part(omega1 - 0.5j * omega2)
+            assert operator_norm(generator(s0) - direct) <= 1e-13 * operator_norm(direct)
 
     def test_drift_still_enforced(self):
         inst = scenario_instance("pure_point_omega", dim=6)

@@ -708,6 +708,20 @@ class TestCli:
         assert capsys.readouterr().err == "error: seed must lie in [0, 2**64 - 1], got -1\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "change",
+        [{"step": 5e-324}, {"step": 1e-300}, {"params": {"dim": 6, "kappa": 1e300}}],
+    )
+    def test_exit_1_when_steps_cannot_finish(self, change, tmp_path, capsys):
+        # an overflowing or astronomically large step count is refused before stepping
+        doc = json.loads((CONFIGS / "pure_point_limit.json").read_text())
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({**doc, **change, "out_dir": str(tmp_path / "out")}))
+        assert main(["sweep", str(cfg_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "10000000 steps" in err
+
     def test_overrides(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps({
