@@ -17,7 +17,6 @@ from .operators import (
 from .spectral import (
     BVFunction,
     Jump,
-    SpectralFunction,
     band_projection,
     block_diagonal_part,
     calculus_bv,
@@ -58,7 +57,6 @@ __all__ = [
     "unitary_exponential",
     "BVFunction",
     "Jump",
-    "SpectralFunction",
     "band_projection",
     "block_diagonal_part",
     "calculus_bv",

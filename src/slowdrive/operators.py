@@ -97,7 +97,10 @@ class HermitianOperator:
     @cached_property
     def _eigh(self) -> tuple[np.ndarray, np.ndarray]:
         # (w, V) from the one eigh of the matrix, shared by norm() and the
-        # decomposition.
+        # decomposition. A zero matrix gives what eigh returns for it, w = 0
+        # and V = 1, without the LAPACK call.
+        if not self.matrix.any():
+            return _freeze(np.zeros(self.dim)), _freeze(np.eye(self.dim, dtype=complex))
         try:
             w, v = np.linalg.eigh(self.matrix)
         except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK rarely fails
@@ -276,10 +279,12 @@ def operator_norm(a) -> float:
     return float(np.linalg.norm(a, 2))
 
 
-def hermitian_norm(a: np.ndarray) -> float:
+def hermitian_norm(a: np.ndarray) -> float | np.ndarray:
     """||a|| for a Hermitian a: its largest |eigenvalue| (``eigvalsh``, which
-    reads the lower triangle), the same 2-norm an SVD gives at lower cost."""
-    return float(np.abs(np.linalg.eigvalsh(a)).max())
+    reads the lower triangle), the same 2-norm an SVD gives at lower cost. A
+    stack of matrices gives one norm per matrix, from one ``eigvalsh``."""
+    norms = np.abs(np.linalg.eigvalsh(a)).max(axis=-1)
+    return float(norms) if norms.ndim == 0 else norms
 
 
 def gram_norm(a: np.ndarray) -> float:
@@ -325,15 +330,14 @@ def hermitian_eigendecomposition(
     )
 
 
-def unitary_exponential(
-    h: HermitianOperator, t: float, drift_tol: float = 1e-10
-) -> UnitaryOperator:
-    """exp(-i t H), assembled from the eigendecomposition of H.
+def unitary_exponential(h: HermitianOperator, t: float) -> UnitaryOperator:
+    """exp(-i t H), assembled from the eigendecomposition of H, with its
+    unitarity drift held to 1e-10.
 
     The eigendecomposition route keeps the result exactly unitary up to
     eigensolver error even for large phases t*||H||; a series would not.
     """
-    return UnitaryOperator(h.decomposition.exp_times(-t, np.eye(h.dim)), drift_tol=drift_tol)
+    return UnitaryOperator(h.decomposition.exp_times(-t, np.eye(h.dim)), drift_tol=1e-10)
 
 
 # --- matrix text format -------------------------------------------------

@@ -38,6 +38,7 @@ from .operators import (
     HermitianOperator,
     UnitaryOperator,
     format_matrix,
+    hermitian_norm,
     operator_norm,
     parse_matrix,
     unitarity_drift,
@@ -144,9 +145,9 @@ class GeneratorPath:
             defect = np.abs(m - m.conj().T).max()
             if defect > 1e-10 * max(1.0, np.abs(m).max()):
                 raise ValueError(f"sampler is not Hermitian at s={s}: defect {defect:.3e}")
-            norms[i] = np.abs(np.linalg.eigvalsh(m)).max()
+            norms[i] = hermitian_norm(m)
             if prev is not None:
-                fd_max = max(fd_max, float(np.abs(np.linalg.eigvalsh((m - prev) / h)).max()))
+                fd_max = max(fd_max, hermitian_norm((m - prev) / h))
             prev = m
         return cls(
             dim=dim,
@@ -170,7 +171,7 @@ class GeneratorPath:
         """
         a = HermitianOperator(a).matrix
         if b is None:
-            kappa = float(np.abs(np.linalg.eigvalsh(a)).max())
+            kappa = hermitian_norm(a)
             return cls(a.shape[0], DriveForm(a, None, None, None), kappa, 0.0, kappa)
         form = DriveForm(a, HermitianOperator(b).matrix, at, mollifier)
         if form.b.shape != a.shape:
@@ -178,7 +179,7 @@ class GeneratorPath:
         slope, breaks = form.slope_and_breaks()
         nodes, weights = _gauss_panels([0.0, *breaks, 1.0], _GL16)
         samples = [form(0.0), form(1.0), form.b, *(form(float(x)) for x in nodes)]
-        norms = np.abs(np.linalg.eigvalsh(np.array(samples))).max(axis=1)
+        norms = hermitian_norm(np.array(samples))
         return cls(
             dim=a.shape[0],
             sampler=form,
@@ -480,7 +481,7 @@ def evolve(
     tau-independent step :func:`magnus_step`, provided that takes at most
     ``MAGNUS_SHARE`` of the midpoint rule's steps on this grid (or the
     midpoint rule would need more than ``_MAX_STEPS``); it diagonalises
-    H_o once (its own ``decomposition``; none for H_o = 0) and derives the
+    H_o once (its own ``decomposition``) and derives the
     Magnus terms once per distinct sub-step length
     (:func:`_magnus_generator`), so each step is one exponential.
 
@@ -517,11 +518,9 @@ def evolve(
         remedy = "the eigendecomposition of the constant generator is inaccurate"
         states = _exact_states(tau * h_o.matrix + form.a, grid)
     else:
-        # ||H_o|| = 0 is known without an eigh
-        free = not h_o.matrix.any()
         magnus = None
         if step is None:
-            step = default_step(tau, 0.0 if free else h_o.norm(), path.kappa)
+            step = default_step(tau, h_o.norm(), path.kappa)
             mf_step = magnus_step(path.kappa, path.kappa_dot)
             if form is not None and form.at is None and _fits(grid, mf_step):
                 # spans like 0.1 / 0.005 round up past 20 without the slack
@@ -532,8 +531,7 @@ def evolve(
             scheme = "magnus-filon"
             nsubs = magnus
             remedy = "retry with an explicit step (the midpoint rule)"
-            basis = None if free else h_o.decomposition
-            states = _magnus_filon_states(basis, form, tau, grid, nsubs)
+            states = _magnus_filon_states(h_o.decomposition, form, tau, grid, nsubs)
         else:
             scheme = "midpoint-exponential"
             if path.smoothness == SMOOTH_L1:
@@ -742,23 +740,19 @@ def _magnus_generator(
 
 
 def _magnus_filon_states(
-    basis: SpectralDecomposition | None,
+    basis: SpectralDecomposition,
     form: DriveForm,
     tau: float,
     grid: np.ndarray,
     nsubs: list[int],
 ) -> Iterator[np.ndarray]:
     """W at every grid point after the first, stepping the ramp A + s B in
-    ``nsubs`` equal Magnus-Filon steps per interval in the eigenbasis of H_o;
-    ``basis`` None stands for H_o = 0 (V = 1, w = 0). Each step applies
-    exp(-i tau h w) exp(-i G(s0)) with G from :func:`_magnus_generator`, the
-    exponential by :func:`_exp_step`."""
-    if basis is None:
-        v, w, a, b = None, np.zeros(form.a.shape[0]), form.a, form.b
-    else:
-        v, w = basis.vectors, basis.column_values
-        vh = v.conj().T
-        a, b = vh @ form.a @ v, vh @ form.b @ v
+    ``nsubs`` equal Magnus-Filon steps per interval in the eigenbasis of H_o.
+    Each step applies exp(-i tau h w) exp(-i G(s0)) with G from
+    :func:`_magnus_generator`, the exponential by :func:`_exp_step`."""
+    v, w = basis.vectors, basis.column_values
+    vh = v.conj().T
+    a, b = vh @ form.a @ v, vh @ form.b @ v
     generators = {}
     y = np.eye(w.size, dtype=complex)
     for s0, s1, nsub in zip(grid, grid[1:], nsubs):
@@ -773,7 +767,7 @@ def _magnus_filon_states(
         for k in range(nsub):
             start = s0 + k * h
             y = phase * _exp_step(g[0] + start * (g[1] + start * g[2]), 1.0, y)
-        yield y if v is None else v @ y @ vh
+        yield v @ y @ vh
 
 
 def richardson_error(
@@ -823,20 +817,6 @@ def comparison_family(h_o: HermitianOperator, result: PropagatorResult) -> np.nd
     return out
 
 
-def _dyson_resolution_warnings(
-    tau: float, dt: float, h_norm: float, quad_points: int
-) -> tuple[str, ...]:
-    needed = math.ceil(10.0 * tau * dt * h_norm / (2.0 * math.pi))
-    if quad_points < needed:
-        msg = (
-            f"quad_points={quad_points} is below the oscillatory-kernel "
-            f"resolution {needed} for tau={tau}, t-s={dt}"
-        )
-        warnings.warn(msg, DysonResolutionWarning, stacklevel=3)
-        return (msg,)
-    return ()
-
-
 def _dyson_levels(
     h_o: HermitianOperator,
     path: GeneratorPath,
@@ -845,14 +825,33 @@ def _dyson_levels(
     s: float,
     order: int,
     quad_points: int,
-) -> list[np.ndarray]:
+) -> tuple[list[np.ndarray], tuple[str, ...]]:
     """A^0 .. A^order of the Volterra iteration, via the recursive form
     A^n(r) = int_s^r K(u) A^{n-1}(u) du marched on a shared grid (kernel at
-    panel midpoints, previous order averaged across the panel)."""
+    panel midpoints, previous order averaged across the panel), and the
+    messages of the warnings issued.
+
+    Checks 0 <= order <= 8 (a cost guard) and s <= t, and warns with
+    :class:`DysonResolutionWarning` when ``quad_points`` is below 10 points
+    per oscillation of the kernel's fastest phase tau (t - s) ||H_o||."""
+    if order < 0:
+        raise ValueError("order must be >= 0")
+    if order > 8:
+        raise ValueError("order > 8 is rejected (cost guard)")
+    if s > t:
+        raise ValueError("requires s <= t")
+    warned = ()
+    needed = math.ceil(10.0 * tau * (t - s) * h_o.norm() / (2.0 * math.pi))
+    if quad_points < needed:
+        warned = (
+            f"quad_points={quad_points} is below the oscillatory-kernel "
+            f"resolution {needed} for tau={tau}, t-s={t - s}",
+        )
+        warnings.warn(warned[0], DysonResolutionWarning, stacklevel=3)
     dim = h_o.dim
     eye = np.eye(dim, dtype=complex)
     if t == s or order == 0:
-        return [eye] + [np.zeros((dim, dim), dtype=complex) for _ in range(order)]
+        return [eye] + [np.zeros((dim, dim), dtype=complex) for _ in range(order)], warned
     d = h_o.decomposition
     q = quad_points
     h = (t - s) / q
@@ -865,7 +864,7 @@ def _dyson_levels(
             old_n = cur[n]
             cur[n] = old_n + h * (kernel @ (0.5 * (prev_old + cur[n - 1])))
             prev_old = old_n
-    return [d.vectors @ m @ d.vectors.conj().T for m in cur]
+    return [d.vectors @ m @ d.vectors.conj().T for m in cur], warned
 
 
 def dyson_term(
@@ -881,14 +880,7 @@ def dyson_term(
 
     Each term obeys ||A^n|| <= kappa^n (t-s)^n / n! up to quadrature error.
     """
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    if n > 8:
-        raise ValueError("n > 8 is rejected (cost guard)")
-    if s > t:
-        raise ValueError("requires s <= t")
-    _dyson_resolution_warnings(tau, t - s, h_o.norm(), quad_points)
-    return _dyson_levels(h_o, path, tau, t, s, n, quad_points)[n]
+    return _dyson_levels(h_o, path, tau, t, s, n, quad_points)[0][n]
 
 
 def dyson_remainder_bound(order: int, kappa: float, dt: float) -> float:
@@ -926,14 +918,7 @@ def dyson_series(
 ) -> DysonExpansion:
     """sum_{n <= order} A_tau^n(t, s) with the closed-form tail bound
     sum_{n > order} kappa^n (t-s)^n / n!."""
-    if order < 0:
-        raise ValueError("order must be >= 0")
-    if order > 8:
-        raise ValueError("order > 8 is rejected (cost guard)")
-    if s > t:
-        raise ValueError("requires s <= t")
-    warn = _dyson_resolution_warnings(tau, t - s, h_o.norm(), quad_points)
-    terms = _dyson_levels(h_o, path, tau, t, s, order, quad_points)
+    terms, warn = _dyson_levels(h_o, path, tau, t, s, order, quad_points)
     partial = np.zeros((h_o.dim, h_o.dim), dtype=complex)
     for m in terms:
         partial += m

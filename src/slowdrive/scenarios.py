@@ -35,6 +35,7 @@ from .operators import (
     HermitianOperator,
     direct_sum,
     hermitian_eigendecomposition,
+    hermitian_norm,
     pauli,
     unitary_exponential,
 )
@@ -71,6 +72,8 @@ _CONFIG_TYPES = {
     "save_propagators": bool,
 }
 _MAX_GRID_POINTS = 100_000
+# A sweep starts one thread per pending tau, up to this many.
+_MAX_THREADS = 64
 # Integer scenario params are sizes (levels, blocks, pairs); each scenario's
 # dimension is at most 2 * _MAX_SIZE_PARAM + 1.
 _MAX_SIZE_PARAM = 4096
@@ -109,8 +112,8 @@ class ScenarioConfig:
             raise ConfigError("s_grid must increase within [0, 1] and include 0")
         if self.step is not None and not 0 < self.step < math.inf:
             raise ConfigError("step must be finite and positive")
-        if self.threads < 1:
-            raise ConfigError("threads must be >= 1")
+        if not 1 <= self.threads <= _MAX_THREADS:
+            raise ConfigError(f"threads must lie in [1, {_MAX_THREADS}], got {self.threads!r}")
         # The number rule on the values as given: float() above takes True and "5".
         step = () if self.step is None else (self.step,)
         for what, values in {"taus": self.taus, "s_grid": self.s_grid, "step": step}.items():
@@ -203,6 +206,8 @@ def _parse_grid(s_grid) -> tuple[float, ...]:
     if extra:
         raise ConfigError(f"unknown s_grid keys: {sorted(extra)}")
     if "values" in s_grid:
+        if len(s_grid["values"]) > _MAX_GRID_POINTS:
+            raise ConfigError(f"s_grid.values holds more than {_MAX_GRID_POINTS} points")
         return tuple(s_grid["values"])
     n = int(_check_number("s_grid.points", s_grid.get("points", 21), whole=True))
     if not 2 <= n <= _MAX_GRID_POINTS:
@@ -259,7 +264,7 @@ def _seeded_hermitian(rng: np.random.Generator, dim: int, real: bool = False) ->
     if not real:
         g = g + 1j * rng.standard_normal((dim, dim))
     h = (g + g.conj().T) / 2.0
-    return h / max(np.abs(np.linalg.eigvalsh(h)).max(), 1e-300)
+    return h / max(hermitian_norm(h), 1e-300)
 
 
 def seeded_pair_path(dim: int, kappa: float, seed: int, real: bool = False) -> GeneratorPath:
@@ -280,7 +285,7 @@ def seeded_pair_path(dim: int, kappa: float, seed: int, real: bool = False) -> G
     # The unscaled drive's kappa, from its two endpoint samples as
     # GeneratorPath.drive takes them (complex, one batched eigvalsh).
     ends = np.array([a + 0.0 * b, a + 1.0 * b], dtype=complex)
-    scale = kappa / float(np.abs(np.linalg.eigvalsh(ends)).max())
+    scale = kappa / float(hermitian_norm(ends).max())
     return GeneratorPath.drive(a * scale, b * scale, None, None)
 
 

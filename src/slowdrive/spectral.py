@@ -30,7 +30,6 @@ __all__ = [
     "BVFunction",
     "MalformedBVFunctionError",
     "AmbiguousLevelError",
-    "SpectralFunction",
     "projection_leq",
     "projection_geq",
     "projection_eq",
@@ -275,44 +274,6 @@ def kronecker_delta(e0: float) -> BVFunction:
 def fermi_dirac(mu: float, beta: float) -> BVFunction:
     """The occupation function 1/(1 + exp(beta*(x - mu))); total variation 1."""
     return BVFunction(continuous=_fermi_callable(mu, beta), at_infinity=0.0, variation=1.0)
-
-
-_SPECTRAL_KINDS = ("continuous_bounded", "continuous_vanishing", "bounded_variation", "sum")
-
-
-@dataclass(frozen=True)
-class SpectralFunction:
-    """A tagged function class for functional calculus: a bounded continuous
-    function, a continuous function vanishing at infinity, a BV function, or a
-    sum of such parts."""
-
-    kind: str
-    parts: tuple
-
-    def __post_init__(self):
-        if self.kind not in _SPECTRAL_KINDS:
-            raise ValueError(f"unknown kind {self.kind!r}; expected one of {_SPECTRAL_KINDS}")
-        parts = tuple(self.parts) if isinstance(self.parts, (tuple, list)) else (self.parts,)
-        object.__setattr__(self, "parts", parts)
-        if self.kind == "sum":
-            if not all(isinstance(p, SpectralFunction) for p in parts):
-                raise ValueError("sum parts must be SpectralFunction instances")
-        elif self.kind == "bounded_variation":
-            if len(parts) != 1 or not isinstance(parts[0], BVFunction):
-                raise ValueError("bounded_variation takes exactly one BVFunction")
-        else:
-            if len(parts) != 1 or not callable(parts[0]):
-                raise ValueError(f"{self.kind} takes exactly one callable")
-
-    def apply(self, d: SpectralDecomposition, quadrature_points: int = 10_000) -> HermitianOperator:
-        if self.kind == "sum":
-            total = np.zeros((d.dim, d.dim), dtype=complex)
-            for p in self.parts:
-                total += p.apply(d, quadrature_points).matrix
-            return HermitianOperator(total)
-        if self.kind == "bounded_variation":
-            return calculus_bv(d, self.parts[0], quadrature_points)
-        return calculus_continuous(d, self.parts[0])
 
 
 # --- spectral projections ------------------------------------------------

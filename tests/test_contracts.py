@@ -2,10 +2,11 @@
 one decomposition of H_o, a sweep forms Omega_tau only for the limit
 comparison, the norm metrics take no full SVD and form no projection, every
 name the benchmark's tracer rebinds is still bound where it looks for it, and
-the code-line counter and the norm-kernel table run."""
+the code-line counter, the norm-kernel table and the parity check run."""
 
 import dataclasses
 import importlib.util
+import json
 import sys
 from importlib import import_module
 from pathlib import Path
@@ -265,6 +266,35 @@ class TestNormKernelsTool:
         lines = capsys.readouterr().out.splitlines()
         assert len(lines) == 1 + 2 * len(self.TOOL.ROUTES)
         assert lines[0].split() == ["dim", "route", "svd_us", "kernel_us", "max_rel_dev"]
+
+
+class TestParityTool:
+    TOOL = load_module(ROOT / "tools" / "parity.py")
+
+    @staticmethod
+    def outputs(root, csv_text, timestamp):
+        (root / "demo").mkdir(parents=True)
+        (root / "demo" / "demo_metric.csv").write_text(csv_text)
+        summary = {"scenario": "demo", "timestamp": timestamp, "results": []}
+        (root / "demo" / "summary.json").write_text(json.dumps(summary))
+
+    def test_compare(self, tmp_path, capsys):
+        # the timestamp is ignored; one changed CSV byte is a difference
+        a, b, c = (tmp_path / x for x in "abc")
+        self.outputs(a, "scenario,metric\n1.5\n", "2026-01-01")
+        self.outputs(b, "scenario,metric\n1.5\n", "2026-01-02")
+        self.outputs(c, "scenario,metric\n1.6\n", "2026-01-01")
+        assert self.TOOL.main(["compare", str(a), str(b)]) == 0
+        assert capsys.readouterr().out == "0 of 2 files differ\n"
+        assert self.TOOL.main(["compare", str(a), str(c)]) == 1
+        assert capsys.readouterr().out.splitlines() == [
+            "differs: demo/demo_metric.csv", "1 of 2 files differ"
+        ]
+
+    def test_lists_the_eight_parity_configs(self):
+        names = list(self.TOOL.configs())
+        assert names[:4] == [p.stem for p in sorted((ROOT / "configs").glob("*.json"))]
+        assert sorted(names[4:]) == sorted(WORKLOADS)
 
 
 class TestCodeLineCount:

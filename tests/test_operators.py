@@ -59,6 +59,18 @@ class TestHermitianOperator:
         with pytest.raises(ValueError):
             h.matrix[0, 0] = 5.0
 
+    def test_zero_matrix_decomposes_without_eigh(self, monkeypatch):
+        # w = 0 and V = 1, exactly what eigh returns for a zero matrix
+        calls = []
+        eigh = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda *a, **k: calls.append(1) or eigh(*a, **k))
+        h = HermitianOperator(np.zeros((4, 4)))
+        d = h.decomposition
+        assert h.norm() == 0.0
+        assert np.array_equal(d.vectors, np.eye(4)) and np.array_equal(d.column_values, np.zeros(4))
+        assert d.offsets == (0, 4) and np.array_equal(d.eigenvalues, [0.0])
+        assert calls == []
+
 
 class TestUnitaryOperator:
     def test_drift_measured(self):
@@ -277,6 +289,12 @@ class TestEigvalshNorms:
     def test_hermitian_norm(self, seed):
         a = random_hermitian(9, seed).matrix
         assert hermitian_norm(a) == pytest.approx(operator_norm(a), rel=1e-12)
+
+    def test_hermitian_norm_of_a_stack(self):
+        stack = np.array([random_hermitian(5, seed).matrix for seed in range(4)])
+        norms = hermitian_norm(stack)
+        assert norms.shape == (4,)
+        assert norms.tolist() == [hermitian_norm(a) for a in stack]
 
     @pytest.mark.parametrize("shape", [(7, 7), (9, 4), (3, 8), (6, 1)])
     def test_gram_norm(self, shape):

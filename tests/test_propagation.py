@@ -597,9 +597,25 @@ class TestDyson:
     def test_low_resolution_warns(self):
         h = random_hermitian(2, 3)
         p = GeneratorPath.constant(pauli("x"))
-        with pytest.warns(DysonResolutionWarning):
+        with pytest.warns(DysonResolutionWarning) as record:
             exp = dyson_series(h, p, 200.0, 1.0, 0.0, order=2, quad_points=32)
+            dyson_term(h, p, 200.0, 2, 1.0, 0.0, 32)
         assert exp.warnings
+        # both point at their caller
+        assert [w.filename for w in record] == [__file__, __file__]
+
+    @pytest.mark.parametrize(
+        "order, t, s, message",
+        [(9, 1.0, 0.0, "order > 8 is rejected (cost guard)"), (2, 0.0, 1.0, "requires s <= t")],
+    )
+    def test_term_and_series_share_their_checks(self, order, t, s, message):
+        h = random_hermitian(2, 3)
+        p = GeneratorPath.constant(pauli("x"))
+        with pytest.raises(ValueError) as term:
+            dyson_term(h, p, 1.0, order, t, s, 64)
+        with pytest.raises(ValueError) as series:
+            dyson_series(h, p, 1.0, t, s, order=order, quad_points=64)
+        assert str(term.value) == str(series.value) == message
 
     def test_cost_guard(self):
         h = random_hermitian(2, 3)

@@ -722,6 +722,31 @@ class TestCli:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "10000000 steps" in err
 
+    @pytest.mark.parametrize(
+        "change, argv, message",
+        [
+            ({"threads": 65}, [], "threads must lie in [1, 64], got 65"),
+            ({}, ["--threads", "65"], "threads must lie in [1, 64], got 65"),
+            (
+                {"s_grid": {"values": np.linspace(0.0, 1.0, 100_001).tolist()}},
+                [],
+                "s_grid.values holds more than 100000 points",
+            ),
+        ],
+    )
+    def test_exit_1_on_bounds_at_load(self, change, argv, message, tmp_path, capsys, monkeypatch):
+        # refused when the config loads: no tau is evolved and no thread pool starts
+        calls = []
+        monkeypatch.setattr(slowdrive.sweeps, "evolve", lambda *a, **k: calls.append(1))
+        monkeypatch.setattr(slowdrive.sweeps, "ThreadPoolExecutor", lambda **k: calls.append(1))
+        doc = json.loads((CONFIGS / "pure_point_limit.json").read_text())
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({**doc, **change}))
+        out = tmp_path / "out"
+        assert main(["sweep", str(cfg_path), "--out", str(out), *argv]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert calls == [] and not out.exists()
+
     def test_overrides(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps({

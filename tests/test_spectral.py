@@ -19,7 +19,6 @@ from slowdrive.spectral import (
     BVFunction,
     Jump,
     MalformedBVFunctionError,
-    SpectralFunction,
     band_projection,
     block_diagonal_part,
     calculus_bv,
@@ -404,24 +403,3 @@ class TestKatoCommutator:
         d = decomp(np.diag([0.0, 1.0]))
         with pytest.raises(ValueError):
             kato_commutator_solution(d, HermitianOperator(pauli("x")), 1.0, 0.5)
-
-
-class TestSpectralFunction:
-    def test_kinds_validated(self):
-        with pytest.raises(ValueError):
-            SpectralFunction("weird", (lambda x: x,))
-        with pytest.raises(ValueError):
-            SpectralFunction("bounded_variation", (lambda x: x,))
-
-    def test_sum_applies_linearly(self):
-        d = decomp(np.diag([-1.0, 0.0, 1.0]))
-        f = SpectralFunction(
-            "sum",
-            (
-                SpectralFunction("bounded_variation", (step_function(0.0),)),
-                SpectralFunction("continuous_bounded", (lambda x: x * x,)),
-            ),
-        )
-        got = f.apply(d)
-        want = projection_leq(d, 0.0).matrix + calculus_continuous(d, lambda x: x * x).matrix
-        assert operator_norm(got.matrix - want) <= 1e-12
