@@ -25,6 +25,7 @@ Provides:
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import warnings
@@ -428,13 +429,14 @@ def default_step(tau: float, h_norm: float, kappa: float) -> float:
 # Magnus-Filon steps resolve the drive alone: 1/200 of its time scale
 # 1/max(kappa, kappa_dot), and at most 1/200 of [0, 1].
 MAGNUS_STEP = 1.0 / 200.0
-# A Magnus-Filon step costs about as much as a midpoint step at dim 16 (41-80
-# against 54-87 us) and 1.4-2.4x at dim 66 (520-640 against 263-391 us; one
-# BLAS thread, tau 10 to 1e3), so the scheme runs only where it takes at most
-# this share of the midpoint rule's steps. On a grid finer than h_MF (one
-# step per interval either way) it would cost more: a generator build per
-# distinct interval length, complex products where the midpoint rule's are
-# real, and V y V† at every grid point.
+# A Magnus-Filon step, its share of the build included, costs 16-25 us at dim
+# 16 and 140-230 us at dim 66, against 37-80 and 180-410 us for a midpoint
+# step (one BLAS thread, tau 10 to 1e3, 200 steps on an 11-point grid). The
+# scheme still runs only where it takes at most this share of the midpoint
+# rule's steps: on a grid finer than h_MF (one step per interval either way)
+# it costs more per tau, for a generator build per distinct interval length
+# (Filon moments and the step polynomial's exponentials), complex products
+# where the midpoint rule's are real, and V y V† at every grid point.
 MAGNUS_SHARE = 0.25
 
 
@@ -481,9 +483,11 @@ def evolve(
     tau-independent step :func:`magnus_step`, provided that takes at most
     ``MAGNUS_SHARE`` of the midpoint rule's steps on this grid (or the
     midpoint rule would need more than ``_MAX_STEPS``); it diagonalises
-    H_o once (its own ``decomposition``) and derives the
-    Magnus terms once per distinct sub-step length
-    (:func:`_magnus_generator`), so each step is one exponential.
+    H_o once (its own ``decomposition``), and once per distinct sub-step
+    length derives the Magnus terms (:func:`_magnus_generator`) and
+    tabulates the step's exponential as a Chebyshev polynomial in the step
+    start (:func:`_step_polynomial`), so each step is one matrix-vector
+    product for the step's matrix and one matrix product to apply it.
 
     Every other path, and every explicit ``step``, uses the exponential
     midpoint scheme W_{k+1} = exp(-i h (tau*H_o + Lambda(s_mid))) W_k,
@@ -739,6 +743,61 @@ def _magnus_generator(
     return np.exp(-1j * tau * h * w)[:, None], g
 
 
+def _chebyshev_length(g1: float, g2: float) -> int:
+    """How many leading Chebyshev coefficients in u = 2 s0 - 1 of
+    exp(-i G(s0)), G(s0) = g_0 + s0 (g_1 + s0 g_2) with Hermitian g_i and
+    ||g_1|| <= g1, ||g_2|| <= g2, are needed for a remainder below unit
+    roundoff on s0 in [0, 1].
+
+    On the Bernstein ellipse E_rho (Trefethen, Approximation Theory and
+    Approximation Practice, SIAM 2013, Thm 8.1), with a, b = (rho +- 1/rho)/2,
+    s0 = (1 + u)/2 has |Re s0| <= (1 + a)/2 and |Im s0| <= b/2, so the
+    anti-Hermitian part of G is at most log M = b/2 (g1 + (1 + a) g2), and
+    ||exp(-i G)|| <= M. Then ||c_j|| <= 2 M rho^-j, and the coefficients from
+    N on sum to at most 2 M rho^-N / (rho - 1): the least N over a grid of
+    rho is returned.
+    """
+    rho = np.geomspace(1.25, 1e8, 128)
+    a, b = 0.5 * (rho + 1.0 / rho), 0.5 * (rho - 1.0 / rho)
+    log_m = 0.5 * b * (g1 + (1.0 + a) * g2)
+    log_tail = math.log(2.0 / _UNIT_ROUNDOFF) + log_m - np.log(rho - 1.0)
+    return int(np.ceil(log_tail / np.log(rho)).min())
+
+
+def _step_polynomial(phase: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """The Magnus-Filon step E(s0) = phase ∘ exp(-i G(s0)) with G(s0) = g_0 +
+    s0 (g_1 + s0 g_2) from :func:`_magnus_generator`, as the stack of its
+    Chebyshev coefficients in u = 2 s0 - 1 on s0 in [0, 1].
+
+    theta_max = ||g_0||_1 + ||g_1||_1 + ||g_2||_1 bounds ||G(s0)||_1 there,
+    and :func:`_exp_step` at theta_max sums q parts of degree m: a polynomial
+    of degree 2 q m in s0, within unit roundoff of the exponential. Its
+    values at the n = 2 q m + 1 Chebyshev points u_k (the roots of T_n)
+    determine it, so the interpolant through the exponentials at those
+    points is exact up to rounding. The coefficients c_j = (2 - [j = 0]) / n
+    sum_k T_j(u_k) E(s_k) are summed node by node, and only the first
+    :func:`_chebyshev_length`: the exponential's later ones are below unit
+    roundoff, so the interpolant's are the rounding of the node values, and
+    summing them would add that rounding to every step.
+    """
+    norms = [float(np.abs(x).sum(axis=0).max()) for x in g]
+    theta = sum(norms)
+    q = max(1, math.ceil(theta / _THETA_MAX))
+    n = 2 * q * _taylor_degree(theta / q) + 1
+    orders = np.arange(min(n, _chebyshev_length(*norms[1:])))
+    eye = np.eye(phase.shape[0], dtype=complex)
+    coef = np.zeros((orders.size, *eye.shape), dtype=complex)
+    for k in range(n):
+        angle = math.pi * (k + 0.5) / n
+        s0 = 0.5 * (math.cos(angle) + 1.0)
+        node = phase * _exp_step(g[0] + s0 * (g[1] + s0 * g[2]), 1.0, eye)
+        weights = np.cos(orders * angle) * (2.0 / n)
+        weights[0] *= 0.5
+        for c, t in zip(coef, weights):
+            c += t * node
+    return coef
+
+
 def _magnus_filon_states(
     basis: SpectralDecomposition,
     form: DriveForm,
@@ -748,12 +807,14 @@ def _magnus_filon_states(
 ) -> Iterator[np.ndarray]:
     """W at every grid point after the first, stepping the ramp A + s B in
     ``nsubs`` equal Magnus-Filon steps per interval in the eigenbasis of H_o.
-    Each step applies exp(-i tau h w) exp(-i G(s0)) with G from
-    :func:`_magnus_generator`, the exponential by :func:`_exp_step`."""
+    Each step applies E(s0) = exp(-i tau h w) exp(-i G(s0)) with G from
+    :func:`_magnus_generator`, evaluated from the Chebyshev coefficients of
+    :func:`_step_polynomial` (one real product of the row T_j(2 s0 - 1)
+    with their real view) and applied by one complex product."""
     v, w = basis.vectors, basis.column_values
     vh = v.conj().T
     a, b = vh @ form.a @ v, vh @ form.b @ v
-    generators = {}
+    polynomials = {}
     y = np.eye(w.size, dtype=complex)
     for s0, s1, nsub in zip(grid, grid[1:], nsubs):
         # The sub-steps of a uniform grid differ in their last bits. Rounding
@@ -761,12 +822,14 @@ def _magnus_filon_states(
         # 5e-16 of itself, which the frame phase exp(-i tau h w) accumulates
         # over the steps; coarser rounding would show at large tau.
         h = float(f"{(s1 - s0) / nsub:.15g}")
-        if h not in generators:
-            generators[h] = _magnus_generator(w, a, b, tau, h)
-        phase, g = generators[h]
+        if h not in polynomials:
+            coef = _step_polynomial(*_magnus_generator(w, a, b, tau, h))
+            n = coef.shape[0]
+            polynomials[h] = np.arange(n), coef.view(np.float64).reshape(n, -1)
+        orders, coef = polynomials[h]
         for k in range(nsub):
-            start = s0 + k * h
-            y = phase * _exp_step(g[0] + start * (g[1] + start * g[2]), 1.0, y)
+            row = np.cos(orders * math.acos(2.0 * (s0 + k * h) - 1.0))
+            y = (row @ coef).view(complex).reshape(y.shape) @ y
         yield v @ y @ vh
 
 
@@ -938,6 +1001,13 @@ def dyson_series(
 # --- interaction frame and the limit evolution -----------------------------
 
 
+@functools.cache
+def _zero_operator(dim: int) -> HermitianOperator:
+    """The zero H_o of a drive-only evolution, one per dim: the operator is
+    frozen, so its identity decomposition is built once and shared."""
+    return HermitianOperator(np.zeros((dim, dim)))
+
+
 def _drive_only_evolution(
     path: GeneratorPath, s_grid, step: float | None, caller: str, prefix: str
 ) -> PropagatorResult:
@@ -945,8 +1015,7 @@ def _drive_only_evolution(
     is tagged with ``prefix``."""
     if path.smoothness != SMOOTH_C1:
         raise ValueError(f"{caller} requires a norm_C1 path; mollify first")
-    h0 = HermitianOperator(np.zeros((path.dim, path.dim)))
-    res = evolve(h0, path, tau=1.0, s_grid=s_grid, step=step)
+    res = evolve(_zero_operator(path.dim), path, tau=1.0, s_grid=s_grid, step=step)
     return replace(res, scheme=prefix + res.scheme)
 
 

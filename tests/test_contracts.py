@@ -288,7 +288,25 @@ class TestParityTool:
         assert capsys.readouterr().out == "0 of 2 files differ\n"
         assert self.TOOL.main(["compare", str(a), str(c)]) == 1
         assert capsys.readouterr().out.splitlines() == [
-            "differs: demo/demo_metric.csv", "1 of 2 files differ"
+            "differs: demo/demo_metric.csv",
+            "  max abs deviation 1.000e-01, max rel deviation 6.250e-02",
+            "1 of 2 files differ",
+        ]
+
+    def test_compare_reports_csv_deviations(self, tmp_path, capsys):
+        # numeric fields give the largest deviations; the first differing
+        # text field is named; a file that is byte-identical says nothing
+        a, b = tmp_path / "a", tmp_path / "b"
+        self.outputs(a, "s,vector_id,value\n0,g0,2.0\n0.5,g1,-1e-3\n", "t")
+        self.outputs(b, "s,vector_id,value\n0,g0,2.0000001\n0.5,g2,-1.5e-3\n1,g3,0\n", "t")
+        (a / "same.csv").write_text("x\n1\n")
+        (b / "same.csv").write_text("x\n1\n")
+        assert self.TOOL.main(["compare", str(a), str(b)]) == 1
+        assert capsys.readouterr().out.splitlines() == [
+            "differs: demo/demo_metric.csv",
+            "  max abs deviation 5.000e-04, max rel deviation 3.333e-01",
+            "  first non-numeric difference: line 3: 'g1' != 'g2'",
+            "1 of 3 files differ",
         ]
 
     def test_lists_the_eight_parity_configs(self):

@@ -21,9 +21,13 @@ from slowdrive.propagation import (
     PropagationError,
     PropagatorResult,
     _FILON_NEAR,
+    _THETA_MAX,
     _exp_step,
     _magnus_generator,
     _magnus_terms,
+    _step_polynomial,
+    _taylor_degree,
+    block_diagonal_path,
     comparison_operator,
     default_bump,
     default_step,
@@ -294,6 +298,33 @@ def magnus_terms_by_quadrature(w, p, b, tau, h, nodes=64):
     return omega1, h * h * omega2
 
 
+def per_step_magnus_filon(basis, form, tau, grid, nsubs):
+    """Reference Magnus-Filon propagator: the steps of ``evolve``, each
+    exponential summed by ``_exp_step`` at its step start instead of read from
+    the step polynomial. Returns W at every grid point."""
+    v, w = basis.vectors, basis.column_values
+    vh = v.conj().T
+    a, b = vh @ form.a @ v, vh @ form.b @ v
+    y = np.eye(w.size, dtype=complex)
+    out = [np.eye(w.size)]
+    for s0, s1, nsub in zip(grid, grid[1:], nsubs):
+        h = float(f"{(s1 - s0) / nsub:.15g}")
+        phase, g = _magnus_generator(w, a, b, tau, h)
+        for k in range(nsub):
+            start = s0 + k * h
+            y = phase * _exp_step(g[0] + start * (g[1] + start * g[2]), 1.0, y)
+        out.append(v @ y @ vh)
+    return out
+
+
+def eigenbasis_ramp(inst):
+    """The eigenvalues of H_o and the ramp's A, B in its eigenbasis."""
+    d = inst.h_o.decomposition
+    v, vh = d.vectors, d.vectors.conj().T
+    form = inst.path.form
+    return d.column_values, vh @ form.a @ v, vh @ form.b @ v
+
+
 class TestMagnusFilon:
     """Ramp drives with no explicit step run the Magnus-Filon scheme at a
     tau-independent step."""
@@ -416,6 +447,97 @@ class TestMagnusFilon:
             omega1, omega2 = _magnus_terms(w, b, tau, h, a + s0 * b)
             direct = hermitian_part(omega1 - 0.5j * omega2)
             assert operator_norm(generator(s0) - direct) <= 1e-13 * operator_norm(direct)
+
+    @staticmethod
+    def chebyshev_points(g):
+        """n = 2 q m + 1 for the split _exp_step takes at theta_max."""
+        theta = sum(np.abs(x).sum(axis=0).max() for x in g)
+        q = max(1, math.ceil(theta / _THETA_MAX))
+        return 2 * q * _taylor_degree(theta / q) + 1
+
+    @staticmethod
+    def synthetic_generator():
+        # a long step of a strong drive: theta_max > 1 splits the exponential
+        w = np.linspace(-1.0, 1.0, 8)
+        a, b = (2.0 * random_hermitian(8, seed).matrix for seed in (92, 93))
+        return w, a, b, 3.0, 0.25
+
+    @pytest.mark.parametrize("case", ["embedded-10", "embedded-1000", "synthetic"])
+    def test_step_polynomial_matches_taylor_exponential(self, case, monkeypatch):
+        if case == "synthetic":
+            w, a, b, tau, h = self.synthetic_generator()
+        else:
+            inst = scenario_instance("embedded_eigenvalue", grid_points=63, multiplicity=3)
+            tau = float(case.split("-")[1])
+            h = magnus_step(inst.path.kappa, inst.path.kappa_dot)
+            w, a, b = eigenbasis_ramp(inst)
+        phase, g = _magnus_generator(w, a, b, tau, h)
+        nodes = []
+
+        def counted(*args):
+            nodes.append(args[1])
+            return _exp_step(*args)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(slowdrive.propagation, "_exp_step", counted)
+            coef = _step_polynomial(phase, g)
+        # one exponential per Chebyshev point; at most that many coefficients
+        assert len(nodes) == self.chebyshev_points(g) >= coef.shape[0]
+        theta = sum(np.abs(x).sum(axis=0).max() for x in g)
+        assert (theta > _THETA_MAX) == (case == "synthetic")
+        eye = np.eye(w.size)
+        for s0 in np.random.default_rng(94).uniform(0.0, 1.0, 50):
+            direct = phase * _exp_step(g[0] + s0 * (g[1] + s0 * g[2]), 1.0, eye)
+            interpolated = np.polynomial.chebyshev.chebval(2.0 * s0 - 1.0, coef)
+            assert operator_norm(interpolated - direct) <= 1e-14
+
+    @pytest.mark.parametrize("tau", [10.0, 1000.0])
+    def test_exponentials_only_at_build(self, tau, monkeypatch):
+        # each build sums one exponential per Chebyshev point; the 200 steps none
+        calls, builds = [], []
+
+        def counted_exp(*args):
+            calls.append(args[1])
+            return _exp_step(*args)
+
+        def counted_build(*args):
+            phase, g = _magnus_generator(*args)
+            builds.append(self.chebyshev_points(g))
+            return phase, g
+
+        monkeypatch.setattr(slowdrive.propagation, "_exp_step", counted_exp)
+        monkeypatch.setattr(slowdrive.propagation, "_magnus_generator", counted_build)
+        inst = scenario_instance("embedded_eigenvalue", grid_points=63, multiplicity=3)
+        res = evolve(inst.h_o, inst.path, tau, self.GRID11)
+        assert (res.scheme, res.steps) == ("magnus-filon", 200)
+        assert len(builds) == 1
+        assert len(calls) == sum(builds) < res.steps
+
+    def magnus_nsubs(self, path):
+        h = magnus_step(path.kappa, path.kappa_dot)
+        return [max(1, math.ceil(x / h - 1e-9)) for x in np.diff(self.GRID11)]
+
+    def test_matches_per_step_exponentials(self):
+        inst = scenario_instance("embedded_eigenvalue", grid_points=63, multiplicity=3)
+        tau = 1000.0
+        res = evolve(inst.h_o, inst.path, tau, self.GRID11)
+        ref = per_step_magnus_filon(
+            inst.h_o.decomposition, inst.path.form, tau, self.GRID11, self.magnus_nsubs(inst.path)
+        )
+        assert res.steps == 200
+        for u, r in zip(res.unitaries, ref):
+            assert operator_norm(u - r) <= 1e-13
+
+    def test_limit_matches_per_step_exponentials(self):
+        inst = scenario_instance("pure_point_omega", dim=16, degenerate_pairs=4)
+        d = inst.h_o.decomposition
+        res = omega_infinity(d, inst.path, self.GRID11)
+        bpath = block_diagonal_path(d, inst.path)
+        zero = HermitianOperator(np.zeros((16, 16))).decomposition
+        ref = per_step_magnus_filon(zero, bpath.form, 1.0, self.GRID11, self.magnus_nsubs(bpath))
+        assert res.scheme == "limit-magnus-filon"
+        for u, r in zip(res.unitaries, ref):
+            assert operator_norm(u - r) <= 1e-13
 
     def test_drift_still_enforced(self):
         inst = scenario_instance("pure_point_omega", dim=6)
@@ -780,6 +902,23 @@ class TestOmegaInfinity:
         path = GeneratorPath.from_sampler(2, lambda s: s * pauli("x"), probe_points=11)
         with pytest.raises(ValueError, match="A \\+ p\\(s\\) B"):
             omega_infinity(d, path, GRID)
+
+    def test_zero_operator_shared_per_dim(self, monkeypatch):
+        # omega_infinity and interaction_frame evolve under one zero H_o per dim
+        seen = []
+
+        def recorded(h_o, *args, **kwargs):
+            seen.append(h_o)
+            return evolve(h_o, *args, **kwargs)
+
+        monkeypatch.setattr(slowdrive.propagation, "evolve", recorded)
+        d = hermitian_eigendecomposition(HermitianOperator(np.diag([0.0, 1.0, 1.0])))
+        path = seeded_pair_path(3, 1.0, 72)
+        omega_infinity(d, path, GRID)
+        interaction_frame(path, GRID)
+        interaction_frame(seeded_pair_path(2, 1.0, 73), GRID)
+        assert seen[0] is seen[1] and seen[0].dim == 3
+        assert seen[2].dim == 2 and not seen[2].matrix.any()
 
     def test_commutes_with_h(self):
         h = random_hermitian(6, 80)

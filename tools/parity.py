@@ -8,7 +8,9 @@ to ``OUT/<name>/``, and one line per config gives its exit code.
 ``compare A B`` checks every CSV under the two directories byte for byte and
 every ``summary.json`` without its ``timestamp``. It prints one line per file
 that differs or exists on one side only, and exits 1 if there is any such
-file, else 0.
+file, else 0. Under a differing CSV it prints the largest absolute and
+relative deviation over the fields that parse as numbers on both sides, and
+the first other field that differs, if any.
 
 Usage: PYTHONPATH=src python tools/parity.py run OUT
        python tools/parity.py compare A B
@@ -18,8 +20,10 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import csv
 import importlib.util
 import io
+import itertools
 import json
 import sys
 from pathlib import Path
@@ -69,6 +73,33 @@ def _summary(path: Path) -> dict:
     return doc
 
 
+def _number(text: str) -> float | None:
+    try:
+        return float(text)
+    except ValueError:
+        return None
+
+
+def _csv_deviations(left: Path, right: Path) -> list[str]:
+    """How two CSVs differ field by field: the largest absolute and relative
+    (to the larger magnitude) deviation over the fields that are numbers on
+    both sides, and the first other differing field (a missing row or field
+    reads as empty)."""
+    rows = [list(csv.reader(p.read_text().splitlines())) for p in (left, right)]
+    worst_abs = worst_rel = 0.0
+    other = []
+    for i, (row_a, row_b) in enumerate(itertools.zip_longest(*rows, fillvalue=[]), start=1):
+        for x, y in itertools.zip_longest(row_a, row_b, fillvalue=""):
+            u, v = _number(x), _number(y)
+            if u is None or v is None:
+                if x != y and not other:
+                    other = [f"  first non-numeric difference: line {i}: {x!r} != {y!r}"]
+            elif u != v:
+                worst_abs = max(worst_abs, abs(u - v))
+                worst_rel = max(worst_rel, abs(u - v) / max(abs(u), abs(v)))
+    return [f"  max abs deviation {worst_abs:.3e}, max rel deviation {worst_rel:.3e}", *other]
+
+
 def compare(a: Path, b: Path) -> int:
     def outputs(root: Path) -> set[Path]:
         return {
@@ -85,8 +116,10 @@ def compare(a: Path, b: Path) -> int:
             line = f"only in {a if left.exists() else b}: {rel}"
         elif rel.name == "summary.json":
             line = None if _summary(left) == _summary(right) else f"differs: {rel}"
+        elif left.read_bytes() != right.read_bytes():
+            line = "\n".join([f"differs: {rel}", *_csv_deviations(left, right)])
         else:
-            line = None if left.read_bytes() == right.read_bytes() else f"differs: {rel}"
+            line = None
         if line is not None:
             differing += 1
             print(line)
