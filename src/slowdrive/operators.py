@@ -202,7 +202,8 @@ class SpectralDecomposition:
             raise EigensolverError("eigenvectors are not orthonormal")
         scale = max(float(np.abs(values).max()), 1.0)
         level_values = np.repeat(values, np.diff(offsets))
-        residual = np.linalg.norm((v * level_values) @ v.conj().T - self.operator)
+        with np.errstate(over="ignore"):  # an overflowing residual is refused below
+            residual = np.linalg.norm((v * level_values) @ v.conj().T - self.operator)
         if residual > DECOMPOSITION_TOL * scale:
             raise EigensolverError(
                 f"spectral reconstruction residual {residual:.3e} exceeds "

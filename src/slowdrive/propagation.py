@@ -429,14 +429,15 @@ def default_step(tau: float, h_norm: float, kappa: float) -> float:
 # Magnus-Filon steps resolve the drive alone: 1/200 of its time scale
 # 1/max(kappa, kappa_dot), and at most 1/200 of [0, 1].
 MAGNUS_STEP = 1.0 / 200.0
-# A Magnus-Filon step, its share of the build included, costs 16-25 us at dim
-# 16 and 140-230 us at dim 66, against 37-80 and 180-410 us for a midpoint
-# step (one BLAS thread, tau 10 to 1e3, 200 steps on an 11-point grid). The
-# scheme still runs only where it takes at most this share of the midpoint
-# rule's steps: on a grid finer than h_MF (one step per interval either way)
-# it costs more per tau, for a generator build per distinct interval length
-# (Filon moments and the step polynomial's exponentials), complex products
-# where the midpoint rule's are real, and V y V† at every grid point.
+# A Magnus-Filon step, its share of the build included, costs 14-23 us at dim
+# 16 and 110-170 us at dim 66, against 35-54 and 180-290 us for a midpoint
+# step (one BLAS thread, tau 10 to 1e3, 200 steps on an 11-point grid); the
+# one build per tau (Filon moments, Magnus terms, and the 4-5 exponentials of
+# the step polynomial) takes about 8-10 ms of that at dim 66. The scheme
+# still runs only where it takes at most this share of the midpoint rule's
+# steps: on a grid finer than h_MF (one step per interval either way) it
+# costs more per tau, for a build per distinct interval length, complex
+# products where the midpoint rule's are real, and V y V† at every grid point.
 MAGNUS_SHARE = 0.25
 
 
@@ -486,7 +487,8 @@ def evolve(
     H_o once (its own ``decomposition``), and once per distinct sub-step
     length derives the Magnus terms (:func:`_magnus_generator`) and
     tabulates the step's exponential as a Chebyshev polynomial in the step
-    start (:func:`_step_polynomial`), so each step is one matrix-vector
+    start (:func:`_step_polynomial`, one exponential per coefficient kept,
+    4-5 on the catalog scenarios), so each step is one matrix-vector
     product for the step's matrix and one matrix product to apply it.
 
     Every other path, and every explicit ``step``, uses the exponential
@@ -590,10 +592,12 @@ _THETA_MAX = 1.0
 
 
 def _taylor_degree(theta: float) -> int:
-    """Smallest m whose Taylor remainder sum_{k>m} theta^k/k! is below unit
-    roundoff, for 0 <= theta <= _THETA_MAX."""
+    """Smallest m whose bound on the Taylor remainder sum_{k>m} theta^k/k!
+    is below unit roundoff, for any theta >= 0. Each term after the first
+    omitted one, theta^(m+1)/(m+1)!, is at most theta/(m+2) times the one
+    before, so once m + 2 > theta the remainder is at most that term over
+    1 - theta/(m+2); until then the bound does not hold and m grows."""
     m, term = 0, theta  # term = theta^(m+1) / (m+1)!
-    # The remainder is at most term / (1 - theta/(m+2)).
     while term * (m + 2) > _UNIT_ROUNDOFF * (m + 2 - theta):
         m += 1
         term *= theta / (m + 1)
@@ -656,16 +660,17 @@ _SERIES_RADIUS = 4.0
 
 def _filon_moments(alpha: np.ndarray, top: int) -> np.ndarray:
     """m_n(alpha) = int_0^1 x^n exp(i alpha x) dx for n = 0..top, elementwise:
-    sum_k (i alpha)^k / (k! (n+k+1)) for |alpha| <= _SERIES_RADIUS (36 terms,
-    remainder below 1e-19), else m_0 = (e - 1)/(i alpha) and
-    m_n = (e - n m_{n-1})/(i alpha) with e = exp(i alpha)."""
+    sum_k (i alpha)^k / (k! (n+k+1)) for |alpha| <= _SERIES_RADIUS, else
+    m_0 = (e - 1)/(i alpha) and m_n = (e - n m_{n-1})/(i alpha) with
+    e = exp(i alpha). Term k of the series is at most |alpha|^k / k!, so it
+    is summed to the :func:`_taylor_degree` of the largest such |alpha|."""
     out = np.empty((top + 1, *alpha.shape), dtype=complex)
     small = np.abs(alpha) <= _SERIES_RADIUS
     ia = 1j * alpha[small]
     order = np.arange(1, top + 2)[:, None]
     term = np.ones_like(ia)
     acc = np.zeros((top + 1, ia.size), dtype=complex)
-    for k in range(36):
+    for k in range(_taylor_degree(float(np.abs(ia).max(initial=0.0))) + 1):
         acc += term / (order + k)
         term = term * ia / (k + 1)
     out[:, small] = acc
@@ -698,16 +703,12 @@ def _magnus_terms(
     exp(i(alpha_jk x1 + alpha_kl x2)), which separate into products because
     alpha_jk + alpha_kl = alpha_jl. Where |alpha_kl| >= _FILON_NEAR the inner
     integral is divided out by r = 1/(i alpha_kl); below it is the Taylor
-    series in alpha_kl, cut where its remainder falls below unit roundoff
-    (one term on exact degeneracies).
+    series in alpha_kl to the :func:`_taylor_degree` of the largest such
+    |alpha_kl| (one term on exact degeneracies).
     """
     alpha = (tau * h) * (w[:, None] - w[None, :])
     near = np.abs(alpha) < _FILON_NEAR
-    b_near = float(np.abs(alpha[near]).max())
-    terms, rest = 1, b_near
-    while rest > _UNIT_ROUNDOFF:
-        terms += 1
-        rest *= b_near / terms
+    terms = _taylor_degree(float(np.abs(alpha[near]).max())) + 1
     m = _filon_moments(alpha, terms + 2)
     q = h * b
     m1 = p * m[0] + q * m[1]
@@ -769,24 +770,18 @@ def _step_polynomial(phase: np.ndarray, g: np.ndarray) -> np.ndarray:
     s0 (g_1 + s0 g_2) from :func:`_magnus_generator`, as the stack of its
     Chebyshev coefficients in u = 2 s0 - 1 on s0 in [0, 1].
 
-    theta_max = ||g_0||_1 + ||g_1||_1 + ||g_2||_1 bounds ||G(s0)||_1 there,
-    and :func:`_exp_step` at theta_max sums q parts of degree m: a polynomial
-    of degree 2 q m in s0, within unit roundoff of the exponential. Its
-    values at the n = 2 q m + 1 Chebyshev points u_k (the roots of T_n)
-    determine it, so the interpolant through the exponentials at those
-    points is exact up to rounding. The coefficients c_j = (2 - [j = 0]) / n
-    sum_k T_j(u_k) E(s_k) are summed node by node, and only the first
-    :func:`_chebyshev_length`: the exponential's later ones are below unit
-    roundoff, so the interpolant's are the rounding of the node values, and
-    summing them would add that rounding to every step.
+    E is interpolated at the n = :func:`_chebyshev_length` Chebyshev points
+    u_k (the roots of T_n), with the node values from :func:`_exp_step`, and
+    all n coefficients c_j = (2 - [j = 0]) / n sum_k T_j(u_k) E(s_k) are
+    kept, summed node by node. They differ from E's own first n
+    coefficients only by the aliased tail from n on: at the roots of T_n,
+    T_{2ln +- j} equals +-T_j (Trefethen, ATAP, Thm 4.2 for these points),
+    and that length bounds the tail below unit roundoff.
     """
-    norms = [float(np.abs(x).sum(axis=0).max()) for x in g]
-    theta = sum(norms)
-    q = max(1, math.ceil(theta / _THETA_MAX))
-    n = 2 * q * _taylor_degree(theta / q) + 1
-    orders = np.arange(min(n, _chebyshev_length(*norms[1:])))
+    n = _chebyshev_length(*(float(np.abs(x).sum(axis=0).max()) for x in g[1:]))
+    orders = np.arange(n)
     eye = np.eye(phase.shape[0], dtype=complex)
-    coef = np.zeros((orders.size, *eye.shape), dtype=complex)
+    coef = np.zeros((n, *eye.shape), dtype=complex)
     for k in range(n):
         angle = math.pi * (k + 0.5) / n
         s0 = 0.5 * (math.cos(angle) + 1.0)

@@ -32,6 +32,7 @@ import numpy as np
 
 from .diagnostics import TestVectorSet
 from .operators import (
+    EigensolverError,
     HermitianOperator,
     direct_sum,
     hermitian_eigendecomposition,
@@ -519,8 +520,13 @@ SCENARIOS: dict[str, tuple[Callable[[dict, int], ScenarioInstance], str, str]] =
 
 
 def build_scenario(config: ScenarioConfig) -> ScenarioInstance:
+    """The scenario of ``config``; params whose operators cannot be
+    diagonalised (say, entries that overflow) raise :class:`ConfigError`."""
     builder, _, _ = SCENARIOS[config.scenario]
-    return builder(config.params, config.seed)
+    try:
+        return builder(config.params, config.seed)
+    except EigensolverError as exc:
+        raise ConfigError(f"scenario {config.scenario} cannot be built: {exc}") from None
 
 
 def list_scenarios() -> list[tuple[str, str, str]]:

@@ -349,9 +349,11 @@ def calculus_continuous(d: SpectralDecomposition, f: Callable[[float], float]) -
     return HermitianOperator(d.compose(values))
 
 
-def calculus_bv(
-    d: SpectralDecomposition, f: BVFunction, quadrature_points: int = 10_000
-) -> HermitianOperator:
+# Grid size of calculus_bv's check of the declared variation.
+_VARIATION_POINTS = 10_000
+
+
+def calculus_bv(d: SpectralDecomposition, f: BVFunction) -> HermitianOperator:
     """f(H) via integration by parts against E -> chi(H <= E).
 
     The projection-valued integrand is piecewise constant with steps only at
@@ -359,15 +361,13 @@ def calculus_bv(
     exact endpoint differences of the continuous component on the partition
     induced by the spectrum; jump atoms and at-point corrections are added
     exactly. Every term is a combination of level projections, so the result
-    is assembled as one coefficient per level. ``quadrature_points`` sizes the
-    grid of the declared-variation validation sweep over the spectral window.
+    is assembled as one coefficient per level. The declared variation is
+    checked on ``_VARIATION_POINTS`` points across the spectral window.
     """
-    if quadrature_points < 2:
-        raise ValueError("quadrature_points must be >= 2")
     eigs = d.eigenvalues
     span = float(eigs[-1] - eigs[0])
     pad = 0.05 * max(1.0, span)
-    window = np.linspace(eigs[0] - pad, eigs[-1] + pad, quadrature_points)
+    window = np.linspace(eigs[0] - pad, eigs[-1] + pad, _VARIATION_POINTS)
     measured = total_variation(f, window)
     if measured > f.variation * (1 + 1e-9) + 1e-12:
         raise MalformedBVFunctionError(

@@ -220,7 +220,7 @@ def test_criterion_06_bv_calculus_consistency():
             step_function(e_step) + fermi_dirac(0.0, 1.0),
         ]
         for f in functions:
-            got = calculus_bv(d, f, 10_000)
+            got = calculus_bv(d, f)
             want = calculus_continuous(d, f)
             worst = max(worst, operator_norm(got.matrix - want.matrix))
     assert worst <= 1e-8

@@ -309,6 +309,39 @@ class TestParityTool:
             "1 of 3 files differ",
         ]
 
+    def test_compare_reports_summary_deviations(self, tmp_path, capsys):
+        # differing summary keys are named; propagation records give the
+        # largest max_drift per side and whether scheme and steps match
+        def record(tau, drift, steps=200):
+            return {"tau": tau, "scheme": "magnus-filon", "steps": steps, "step": 0.005,
+                    "max_drift": drift}
+
+        a, b, c = (tmp_path / x for x in "abc")
+        for root in (a, b, c):
+            self.outputs(root, "x\n1\n", "t")
+        summaries = {
+            a: {"seed": 0, "propagation": [record(10.0, 2e-14), record(100.0, 3e-14)]},
+            b: {"seed": 0, "propagation": [record(10.0, 2e-14), record(100.0, 1.25e-13)]},
+            c: {"seed": 1, "propagation": [record(10.0, 2e-14), record(100.0, 3e-14, 201)]},
+        }
+        for root, doc in summaries.items():
+            path = root / "demo" / "summary.json"
+            path.write_text(json.dumps({**json.loads(path.read_text()), **doc}))
+        assert self.TOOL.main(["compare", str(a), str(b)]) == 1
+        assert capsys.readouterr().out.splitlines() == [
+            "differs: demo/summary.json",
+            "  differing keys: propagation",
+            "  propagation: largest max_drift 3.000e-14 / 1.250e-13; scheme match, steps match",
+            "1 of 2 files differ",
+        ]
+        assert self.TOOL.main(["compare", str(a), str(c)]) == 1
+        assert capsys.readouterr().out.splitlines() == [
+            "differs: demo/summary.json",
+            "  differing keys: propagation, seed",
+            "  propagation: largest max_drift 3.000e-14 / 3.000e-14; scheme match, steps differ",
+            "1 of 2 files differ",
+        ]
+
     def test_lists_the_eight_parity_configs(self):
         names = list(self.TOOL.configs())
         assert names[:4] == [p.stem for p in sorted((ROOT / "configs").glob("*.json"))]

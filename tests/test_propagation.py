@@ -21,8 +21,11 @@ from slowdrive.propagation import (
     PropagationError,
     PropagatorResult,
     _FILON_NEAR,
+    _SERIES_RADIUS,
     _THETA_MAX,
+    _chebyshev_length,
     _exp_step,
+    _filon_moments,
     _magnus_generator,
     _magnus_terms,
     _step_polynomial,
@@ -219,6 +222,38 @@ class TestTaylorStep:
         for theta in (0.0, 1e-6, 0.1, 0.5, 2.0, 50.0):
             h = theta / norm1
             assert operator_norm(_exp_step(gen, h, w) - eigh_exp_step(gen, h, w)) <= 1e-13
+
+    @pytest.mark.parametrize("theta", [0.0, 1e-3, 1.0, 4.0])
+    def test_taylor_degree_is_the_smallest_that_meets_the_bound(self, theta):
+        def remainder_bound(m):
+            # theta^(m+1)/(m+1)! over 1 - theta/(m+2), which holds once m + 2 > theta
+            if m + 2 <= theta:
+                return math.inf
+            return theta ** (m + 1) / math.factorial(m + 1) / (1.0 - theta / (m + 2))
+
+        m = _taylor_degree(theta)
+        assert remainder_bound(m) <= 2.0**-53
+        assert m == 0 or remainder_bound(m - 1) > 2.0**-53
+        tail = math.fsum(theta**k / math.factorial(k) for k in range(m + 1, m + 80))
+        assert tail <= 2.0**-53
+
+
+class TestFilonMoments:
+    """m_n(alpha) = int_0^1 x^n exp(i alpha x) dx on both sides of the series
+    radius, against adaptive quadrature."""
+
+    def test_against_quadrature(self):
+        alpha = np.array([0.0, 1e-8, 2e-3, 0.3, 1.0, 3.99, _SERIES_RADIUS, 4.01, -3.7, 10.0])
+        top = 8
+        moments = _filon_moments(alpha, top)
+        assert moments.shape == (top + 1, alpha.size)
+        for j, a in enumerate(alpha):
+            for n in range(top + 1):
+                parts = [
+                    quad(lambda x: x**n * f(a * x), 0.0, 1.0, epsabs=1e-13, epsrel=1e-13)[0]
+                    for f in (math.cos, math.sin)
+                ]
+                assert abs(moments[n, j] - complex(*parts)) <= 1e-15
 
 
 class TestAgainstEighStepper:
@@ -450,10 +485,8 @@ class TestMagnusFilon:
 
     @staticmethod
     def chebyshev_points(g):
-        """n = 2 q m + 1 for the split _exp_step takes at theta_max."""
-        theta = sum(np.abs(x).sum(axis=0).max() for x in g)
-        q = max(1, math.ceil(theta / _THETA_MAX))
-        return 2 * q * _taylor_degree(theta / q) + 1
+        """n = _chebyshev_length(||g_1||_1, ||g_2||_1), one node per coefficient."""
+        return _chebyshev_length(*(np.abs(x).sum(axis=0).max() for x in g[1:]))
 
     @staticmethod
     def synthetic_generator():
@@ -481,8 +514,8 @@ class TestMagnusFilon:
         with monkeypatch.context() as patch:
             patch.setattr(slowdrive.propagation, "_exp_step", counted)
             coef = _step_polynomial(phase, g)
-        # one exponential per Chebyshev point; at most that many coefficients
-        assert len(nodes) == self.chebyshev_points(g) >= coef.shape[0]
+        # one exponential per Chebyshev point, and one coefficient per point
+        assert len(nodes) == self.chebyshev_points(g) == coef.shape[0]
         theta = sum(np.abs(x).sum(axis=0).max() for x in g)
         assert (theta > _THETA_MAX) == (case == "synthetic")
         eye = np.eye(w.size)

@@ -722,6 +722,27 @@ class TestCli:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "10000000 steps" in err
 
+    @pytest.mark.parametrize("amplitude, code", [(1e300, 1), (1e160, 0)])
+    def test_exit_1_when_the_scenario_cannot_be_diagonalised(
+        self, amplitude, code, tmp_path, capsys
+    ):
+        # at 1e300 the reconstruction residual of H_o overflows at build
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({
+            "scenario": "two_level_rotating",
+            "params": {"amplitude": amplitude},
+            "taus": [1],
+            "s_grid": {"points": 3},
+            "metrics": ["heisenberg_norm"],
+        }))
+        assert main(["sweep", str(cfg_path), "--out", str(tmp_path / "out")]) == code
+        err = capsys.readouterr().err
+        if code:
+            assert err.startswith("error: ") and err.count("\n") == 1
+            assert "two_level_rotating cannot be built" in err
+        else:
+            assert err == ""
+
     @pytest.mark.parametrize(
         "change, argv, message",
         [

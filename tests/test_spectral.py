@@ -265,29 +265,29 @@ class TestBVCalculus:
     def test_step_equals_projection_leq(self):
         d = seeded_decomposition(8, 21)
         e0 = float(np.median(d.eigenvalues))
-        got = calculus_bv(d, step_function(e0), 501)
+        got = calculus_bv(d, step_function(e0))
         want = projection_leq(d, e0)
         assert operator_norm(got.matrix - want.matrix) <= 1e-13
 
     def test_step_at_eigenvalue(self):
         d = decomp(np.diag([0.0, 0.0, 1.0]))
-        got = calculus_bv(d, step_function(0.0), 101)
+        got = calculus_bv(d, step_function(0.0))
         assert np.allclose(got.matrix, np.diag([1.0, 1.0, 0.0]), atol=1e-13)
 
     def test_delta_equals_projection_eq(self):
         d = decomp(np.diag([-0.3, 0.0, 0.0, 0.8]))
-        got = calculus_bv(d, kronecker_delta(0.0), 101)
+        got = calculus_bv(d, kronecker_delta(0.0))
         assert operator_norm(got.matrix - projection_eq(d, 0.0).matrix) <= 1e-13
 
     def test_delta_off_spectrum_is_zero(self):
         d = decomp(pauli("z"))
-        assert not calculus_bv(d, kronecker_delta(0.1), 101).matrix.any()
+        assert not calculus_bv(d, kronecker_delta(0.1)).matrix.any()
 
     def test_fermi_matches_continuous(self):
         for seed in (0, 1):
             d = seeded_decomposition(16, seed)
             f = fermi_dirac(0.0, 10.0)
-            got = calculus_bv(d, f, 10_000)
+            got = calculus_bv(d, f)
             want = calculus_continuous(d, f)
             assert operator_norm(got.matrix - want.matrix) <= 1e-8
 
@@ -295,7 +295,7 @@ class TestBVCalculus:
         d = decomp(pauli("z"))
         bad = BVFunction(continuous=lambda x: math.sin(40 * x), variation=0.5)
         with pytest.raises(MalformedBVFunctionError, match="variation"):
-            calculus_bv(d, bad, 2001)
+            calculus_bv(d, bad)
 
     @pytest.mark.parametrize("seed", range(4))
     def test_bv_continuous_agreement_on_sums(self, seed):
@@ -303,7 +303,7 @@ class TestBVCalculus:
         d = seeded_decomposition(12, 100 + seed)
         e0 = float(d.eigenvalues[3])
         f = step_function(e0) + fermi_dirac(0.0, 1.0)
-        got = calculus_bv(d, f, 2001)
+        got = calculus_bv(d, f)
         want = calculus_continuous(d, f)
         assert operator_norm(got.matrix - want.matrix) <= 1e-8
 

@@ -10,7 +10,10 @@ every ``summary.json`` without its ``timestamp``. It prints one line per file
 that differs or exists on one side only, and exits 1 if there is any such
 file, else 0. Under a differing CSV it prints the largest absolute and
 relative deviation over the fields that parse as numbers on both sides, and
-the first other field that differs, if any.
+the first other field that differs, if any. Under a differing
+``summary.json`` it prints the top-level keys that differ and, when the
+``propagation`` records differ, the largest ``max_drift`` on each side and
+whether the ``scheme`` and ``steps`` of every record match.
 
 Usage: PYTHONPATH=src python tools/parity.py run OUT
        python tools/parity.py compare A B
@@ -100,6 +103,30 @@ def _csv_deviations(left: Path, right: Path) -> list[str]:
     return [f"  max abs deviation {worst_abs:.3e}, max rel deviation {worst_rel:.3e}", *other]
 
 
+def _summary_deviations(left: Path, right: Path) -> list[str]:
+    """How two summaries differ: the top-level keys whose values differ (a
+    key on one side only included) and, if the ``propagation`` records
+    differ, their largest ``max_drift`` per side and whether ``scheme`` and
+    ``steps`` match record by record. Empty when the summaries are equal."""
+    docs = _summary(left), _summary(right)
+    keys = sorted(k for k in docs[0].keys() | docs[1].keys() if docs[0].get(k) != docs[1].get(k))
+    if not keys:
+        return []
+    lines = [f"  differing keys: {', '.join(keys)}"]
+    if "propagation" in keys:
+        records = [doc.get("propagation", []) for doc in docs]
+        drifts = [max((r["max_drift"] for r in rs), default=0.0) for rs in records]
+        match = [
+            "match" if [r.get(k) for r in records[0]] == [r.get(k) for r in records[1]] else "differ"
+            for k in ("scheme", "steps")
+        ]
+        lines.append(
+            f"  propagation: largest max_drift {drifts[0]:.3e} / {drifts[1]:.3e}; "
+            f"scheme {match[0]}, steps {match[1]}"
+        )
+    return lines
+
+
 def compare(a: Path, b: Path) -> int:
     def outputs(root: Path) -> set[Path]:
         return {
@@ -115,7 +142,8 @@ def compare(a: Path, b: Path) -> int:
         if not (left.exists() and right.exists()):
             line = f"only in {a if left.exists() else b}: {rel}"
         elif rel.name == "summary.json":
-            line = None if _summary(left) == _summary(right) else f"differs: {rel}"
+            deviations = _summary_deviations(left, right)
+            line = "\n".join([f"differs: {rel}", *deviations]) if deviations else None
         elif left.read_bytes() != right.read_bytes():
             line = "\n".join([f"differs: {rel}", *_csv_deviations(left, right)])
         else:
