@@ -429,11 +429,12 @@ def default_step(tau: float, h_norm: float, kappa: float) -> float:
 # Magnus-Filon steps resolve the drive alone: 1/200 of its time scale
 # 1/max(kappa, kappa_dot), and at most 1/200 of [0, 1].
 MAGNUS_STEP = 1.0 / 200.0
-# A Magnus-Filon step, its share of the build included, costs 14-23 us at dim
-# 16 and 110-170 us at dim 66, against 35-54 and 180-290 us for a midpoint
-# step (one BLAS thread, tau 10 to 1e3, 200 steps on an 11-point grid); the
-# one build per tau (Filon moments, Magnus terms, and the 4-5 exponentials of
-# the step polynomial) takes about 8-10 ms of that at dim 66. The scheme
+# A Magnus-Filon step, its share of the build included, costs 10-12 us at dim
+# 16 and 90-120 us at dim 66, against 35-60 and 180-340 us for a midpoint
+# step (one BLAS thread on a shared 2-vCPU host, best of repeated evolves,
+# tau 10 to 1e3, 200 steps on an 11-point grid); the one build per tau
+# (Filon moments, Magnus terms, and the 4-5 exponentials of the step
+# polynomial) takes about 4-7.5 ms of that at dim 66. The scheme
 # still runs only where it takes at most this share of the midpoint rule's
 # steps: on a grid finer than h_MF (one step per interval either way) it
 # costs more per tau, for a build per distinct interval length, complex
@@ -488,8 +489,10 @@ def evolve(
     length derives the Magnus terms (:func:`_magnus_generator`) and
     tabulates the step's exponential as a Chebyshev polynomial in the step
     start (:func:`_step_polynomial`, one exponential per coefficient kept,
-    4-5 on the catalog scenarios), so each step is one matrix-vector
-    product for the step's matrix and one matrix product to apply it.
+    4-5 on the catalog scenarios). The steps then go in blocks of up to
+    ``_STEP_BLOCK``: one real product evaluates a block's step matrices
+    from the coefficients, and each step costs one complex matrix
+    product.
 
     Every other path, and every explicit ``step``, uses the exponential
     midpoint scheme W_{k+1} = exp(-i h (tau*H_o + Lambda(s_mid))) W_k,
@@ -663,25 +666,33 @@ def _filon_moments(alpha: np.ndarray, top: int) -> np.ndarray:
     sum_k (i alpha)^k / (k! (n+k+1)) for |alpha| <= _SERIES_RADIUS, else
     m_0 = (e - 1)/(i alpha) and m_n = (e - n m_{n-1})/(i alpha) with
     e = exp(i alpha). Term k of the series is at most |alpha|^k / k!, so it
-    is summed to the :func:`_taylor_degree` of the largest such |alpha|."""
-    out = np.empty((top + 1, *alpha.shape), dtype=complex)
-    small = np.abs(alpha) <= _SERIES_RADIUS
-    ia = 1j * alpha[small]
+    is summed to the :func:`_taylor_degree` of the largest such |alpha|.
+
+    Each distinct |alpha| is summed once, and a negative alpha takes the
+    conjugate, m_n(-alpha) = conj m_n(alpha): the phases alpha_jk of a
+    spectrum come in pairs +-alpha, and uniformly spaced levels repeat
+    them."""
+    magnitude, inverse = np.unique(np.abs(alpha).ravel(), return_inverse=True)
+    sums = np.empty((top + 1, magnitude.size), dtype=complex)
+    small = magnitude <= _SERIES_RADIUS
+    ia = 1j * magnitude[small]
     order = np.arange(1, top + 2)[:, None]
     term = np.ones_like(ia)
     acc = np.zeros((top + 1, ia.size), dtype=complex)
     for k in range(_taylor_degree(float(np.abs(ia).max(initial=0.0))) + 1):
         acc += term / (order + k)
         term = term * ia / (k + 1)
-    out[:, small] = acc
-    ia = 1j * alpha[~small]
+    sums[:, small] = acc
+    ia = 1j * magnitude[~small]
     e = np.exp(ia)
     m = (e - 1.0) / ia
-    out[0, ~small] = m
+    sums[0, ~small] = m
     for n in range(1, top + 1):
         m = (e - n * m) / ia
-        out[n, ~small] = m
-    return out
+        sums[n, ~small] = m
+    out = sums[:, inverse]
+    np.conjugate(out, out=out, where=alpha.ravel() < 0)
+    return out.reshape(top + 1, *alpha.shape)
 
 
 def _magnus_terms(
@@ -793,6 +804,28 @@ def _step_polynomial(phase: np.ndarray, g: np.ndarray) -> np.ndarray:
     return coef
 
 
+# Consecutive Magnus-Filon steps of one interval are formed and multiplied
+# this many at a time: the coefficient stack is read once per block, and the
+# Python calls per block grow as log2 of its length, while the temporaries
+# stay near two blocks of step matrices however many sub-steps an interval
+# has (1.1 MB at dim 66).
+_STEP_BLOCK = 16
+
+
+def _ordered_product(stack: np.ndarray) -> np.ndarray:
+    """stack[-1] @ ... @ stack[0], by a balanced tree of stacked products:
+    each level multiplies neighbouring pairs, later on the left, and carries
+    an odd last matrix up unchanged. Takes len(stack) - 1 products."""
+    while stack.shape[0] > 1:
+        pairs = stack.shape[0] // 2
+        level = np.empty_like(stack[: stack.shape[0] - pairs])
+        np.matmul(stack[1::2], stack[:-1:2], out=level[:pairs])
+        if stack.shape[0] % 2:
+            level[pairs] = stack[-1]
+        stack = level
+    return stack[0]
+
+
 def _magnus_filon_states(
     basis: SpectralDecomposition,
     form: DriveForm,
@@ -804,8 +837,12 @@ def _magnus_filon_states(
     ``nsubs`` equal Magnus-Filon steps per interval in the eigenbasis of H_o.
     Each step applies E(s0) = exp(-i tau h w) exp(-i G(s0)) with G from
     :func:`_magnus_generator`, evaluated from the Chebyshev coefficients of
-    :func:`_step_polynomial` (one real product of the row T_j(2 s0 - 1)
-    with their real view) and applied by one complex product."""
+    :func:`_step_polynomial`. An interval's steps go in blocks of at most
+    ``_STEP_BLOCK``: one real product of the rows T_j(2 s0 - 1) with the
+    coefficients' real view gives the block's step matrices,
+    :func:`_ordered_product` multiplies them in order, and one complex
+    product applies that to the state, so each step still costs one complex
+    matrix product."""
     v, w = basis.vectors, basis.column_values
     vh = v.conj().T
     a, b = vh @ form.a @ v, vh @ form.b @ v
@@ -822,9 +859,11 @@ def _magnus_filon_states(
             n = coef.shape[0]
             polynomials[h] = np.arange(n), coef.view(np.float64).reshape(n, -1)
         orders, coef = polynomials[h]
-        for k in range(nsub):
-            row = np.cos(orders * math.acos(2.0 * (s0 + k * h) - 1.0))
-            y = (row @ coef).view(complex).reshape(y.shape) @ y
+        for first in range(0, nsub, _STEP_BLOCK):
+            starts = s0 + np.arange(first, min(first + _STEP_BLOCK, nsub)) * h
+            rows = np.cos(np.arccos(2.0 * starts - 1.0)[:, None] * orders)
+            steps = (rows @ coef).view(complex).reshape(starts.size, *y.shape)
+            y = _ordered_product(steps) @ y
         yield v @ y @ vh
 
 

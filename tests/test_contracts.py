@@ -285,12 +285,16 @@ class TestParityTool:
         self.outputs(b, "scenario,metric\n1.5\n", "2026-01-02")
         self.outputs(c, "scenario,metric\n1.6\n", "2026-01-01")
         assert self.TOOL.main(["compare", str(a), str(b)]) == 0
-        assert capsys.readouterr().out == "0 of 2 files differ\n"
+        assert capsys.readouterr().out == (
+            "0 of 2 files differ; over all CSVs max abs deviation 0.000e+00, "
+            "max rel deviation 0.000e+00\n"
+        )
         assert self.TOOL.main(["compare", str(a), str(c)]) == 1
         assert capsys.readouterr().out.splitlines() == [
             "differs: demo/demo_metric.csv",
             "  max abs deviation 1.000e-01, max rel deviation 6.250e-02",
-            "1 of 2 files differ",
+            "1 of 2 files differ; over all CSVs max abs deviation 1.000e-01, "
+            "max rel deviation 6.250e-02",
         ]
 
     def test_compare_reports_csv_deviations(self, tmp_path, capsys):
@@ -306,7 +310,8 @@ class TestParityTool:
             "differs: demo/demo_metric.csv",
             "  max abs deviation 5.000e-04, max rel deviation 3.333e-01",
             "  first non-numeric difference: line 3: 'g1' != 'g2'",
-            "1 of 3 files differ",
+            "1 of 3 files differ; over all CSVs max abs deviation 5.000e-04, "
+            "max rel deviation 3.333e-01",
         ]
 
     def test_compare_reports_summary_deviations(self, tmp_path, capsys):
@@ -332,14 +337,16 @@ class TestParityTool:
             "differs: demo/summary.json",
             "  differing keys: propagation",
             "  propagation: largest max_drift 3.000e-14 / 1.250e-13; scheme match, steps match",
-            "1 of 2 files differ",
+            "1 of 2 files differ; over all CSVs max abs deviation 0.000e+00, "
+            "max rel deviation 0.000e+00",
         ]
         assert self.TOOL.main(["compare", str(a), str(c)]) == 1
         assert capsys.readouterr().out.splitlines() == [
             "differs: demo/summary.json",
             "  differing keys: propagation, seed",
             "  propagation: largest max_drift 3.000e-14 / 3.000e-14; scheme match, steps differ",
-            "1 of 2 files differ",
+            "1 of 2 files differ; over all CSVs max abs deviation 0.000e+00, "
+            "max rel deviation 0.000e+00",
         ]
 
     def test_lists_the_eight_parity_configs(self):

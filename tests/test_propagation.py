@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -22,10 +23,12 @@ from slowdrive.propagation import (
     PropagatorResult,
     _FILON_NEAR,
     _SERIES_RADIUS,
+    _STEP_BLOCK,
     _THETA_MAX,
     _chebyshev_length,
     _exp_step,
     _filon_moments,
+    _magnus_filon_states,
     _magnus_generator,
     _magnus_terms,
     _step_polynomial,
@@ -254,6 +257,21 @@ class TestFilonMoments:
                     for f in (math.cos, math.sin)
                 ]
                 assert abs(moments[n, j] - complex(*parts)) <= 1e-15
+
+    def test_one_sum_per_distinct_magnitude(self):
+        # the phases of uniformly spaced levels: antisymmetric, repeated along
+        # each diagonal, zero on the main one, on both sides of the radius
+        levels = 0.7 * np.arange(9)
+        alpha = levels[:, None] - levels[None, :]
+        top = 8
+        moments = _filon_moments(alpha, top)
+        assert moments.shape == (top + 1, *alpha.shape)
+        for j, k in np.ndindex(alpha.shape):
+            alone = _filon_moments(alpha[j : j + 1, k], top)[:, 0]
+            # a lone series stops at its own degree, the batch at the largest
+            assert np.abs(moments[:, j, k] - alone).max() <= 1e-16
+        # m_n(-alpha) = conj m_n(alpha), exactly
+        assert np.array_equal(moments, moments.swapaxes(1, 2).conj())
 
 
 class TestAgainstEighStepper:
@@ -560,6 +578,32 @@ class TestMagnusFilon:
         assert res.steps == 200
         for u, r in zip(res.unitaries, ref):
             assert operator_norm(u - r) <= 1e-13
+
+    @pytest.mark.parametrize("nsub", [1, 15, 16, 17, 33, 200])
+    def test_block_edges_match_per_step_exponentials(self, nsub):
+        # one interval in nsub steps: less than, exactly and just over one
+        # block of _STEP_BLOCK = 16 steps, two blocks and a one-step tail,
+        # and the 200 steps of [0, 1] at h_MF (12 full blocks and 8 steps)
+        inst = scenario_instance("embedded_eigenvalue", grid_points=63, multiplicity=3)
+        d, form, grid = inst.h_o.decomposition, inst.path.form, np.array([0.0, 1.0])
+        (state,) = _magnus_filon_states(d, form, 100.0, grid, [nsub])
+        ref = per_step_magnus_filon(d, form, 100.0, grid, [nsub])[1]
+        assert operator_norm(state - ref) <= 1e-13
+
+    def test_memory_stays_near_two_blocks(self):
+        # the 200 steps of [0, 1] are one interval; forming all their step
+        # matrices at once would take 200 dim^2 complex numbers (13.9 MB)
+        inst = scenario_instance("embedded_eigenvalue", grid_points=63, multiplicity=3)
+        inst.h_o.decomposition
+        tracemalloc.start()
+        try:
+            res = evolve(inst.h_o, inst.path, 100.0, np.array([0.0, 1.0]))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (res.scheme, res.steps) == ("magnus-filon", 200)
+        block = _STEP_BLOCK * inst.h_o.dim**2 * 16
+        assert peak - res.unitaries.nbytes < 4 * block < res.steps * inst.h_o.dim**2 * 16
 
     def test_limit_matches_per_step_exponentials(self):
         inst = scenario_instance("pure_point_omega", dim=16, degenerate_pairs=4)

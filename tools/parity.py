@@ -13,7 +13,9 @@ relative deviation over the fields that parse as numbers on both sides, and
 the first other field that differs, if any. Under a differing
 ``summary.json`` it prints the top-level keys that differ and, when the
 ``propagation`` records differ, the largest ``max_drift`` on each side and
-whether the ``scheme`` and ``steps`` of every record match.
+whether the ``scheme`` and ``steps`` of every record match. The final line
+counts the differing files and gives the largest absolute and relative
+deviation over all CSVs.
 
 Usage: PYTHONPATH=src python tools/parity.py run OUT
        python tools/parity.py compare A B
@@ -83,11 +85,11 @@ def _number(text: str) -> float | None:
         return None
 
 
-def _csv_deviations(left: Path, right: Path) -> list[str]:
+def _csv_deviations(left: Path, right: Path) -> tuple[float, float, list[str]]:
     """How two CSVs differ field by field: the largest absolute and relative
     (to the larger magnitude) deviation over the fields that are numbers on
-    both sides, and the first other differing field (a missing row or field
-    reads as empty)."""
+    both sides, and the line naming the first other differing field, if any
+    (a missing row or field reads as empty)."""
     rows = [list(csv.reader(p.read_text().splitlines())) for p in (left, right)]
     worst_abs = worst_rel = 0.0
     other = []
@@ -100,7 +102,11 @@ def _csv_deviations(left: Path, right: Path) -> list[str]:
             elif u != v:
                 worst_abs = max(worst_abs, abs(u - v))
                 worst_rel = max(worst_rel, abs(u - v) / max(abs(u), abs(v)))
-    return [f"  max abs deviation {worst_abs:.3e}, max rel deviation {worst_rel:.3e}", *other]
+    return worst_abs, worst_rel, other
+
+
+def _deviation(worst_abs: float, worst_rel: float) -> str:
+    return f"max abs deviation {worst_abs:.3e}, max rel deviation {worst_rel:.3e}"
 
 
 def _summary_deviations(left: Path, right: Path) -> list[str]:
@@ -137,6 +143,7 @@ def compare(a: Path, b: Path) -> int:
 
     files = sorted(outputs(a) | outputs(b))
     differing = 0
+    worst_abs = worst_rel = 0.0
     for rel in files:
         left, right = a / rel, b / rel
         if not (left.exists() and right.exists()):
@@ -145,13 +152,16 @@ def compare(a: Path, b: Path) -> int:
             deviations = _summary_deviations(left, right)
             line = "\n".join([f"differs: {rel}", *deviations]) if deviations else None
         elif left.read_bytes() != right.read_bytes():
-            line = "\n".join([f"differs: {rel}", *_csv_deviations(left, right)])
+            dev_abs, dev_rel, other = _csv_deviations(left, right)
+            worst_abs, worst_rel = max(worst_abs, dev_abs), max(worst_rel, dev_rel)
+            line = "\n".join([f"differs: {rel}", f"  {_deviation(dev_abs, dev_rel)}", *other])
         else:
             line = None
         if line is not None:
             differing += 1
             print(line)
-    print(f"{differing} of {len(files)} files differ")
+    overall = _deviation(worst_abs, worst_rel)
+    print(f"{differing} of {len(files)} files differ; over all CSVs {overall}")
     return 1 if differing else 0
 
 
