@@ -429,17 +429,6 @@ def default_step(tau: float, h_norm: float, kappa: float) -> float:
 # Magnus-Filon steps resolve the drive alone: 1/200 of its time scale
 # 1/max(kappa, kappa_dot), and at most 1/200 of [0, 1].
 MAGNUS_STEP = 1.0 / 200.0
-# A Magnus-Filon step, its share of the build included, costs 10-12 us at dim
-# 16 and 90-120 us at dim 66, against 35-60 and 180-340 us for a midpoint
-# step (one BLAS thread on a shared 2-vCPU host, best of repeated evolves,
-# tau 10 to 1e3, 200 steps on an 11-point grid); the one build per tau
-# (Filon moments, Magnus terms, and the 4-5 exponentials of the step
-# polynomial) takes about 4-7.5 ms of that at dim 66. The scheme
-# still runs only where it takes at most this share of the midpoint rule's
-# steps: on a grid finer than h_MF (one step per interval either way) it
-# costs more per tau, for a build per distinct interval length, complex
-# products where the midpoint rule's are real, and V y V† at every grid point.
-MAGNUS_SHARE = 0.25
 
 
 def magnus_step(kappa: float, kappa_dot: float | None) -> float:
@@ -482,26 +471,28 @@ def evolve(
 
     A ramp drive A + s B with ``step`` None runs the Magnus-Filon scheme
     (:func:`_magnus_filon_states`, scheme ``magnus-filon``) at the
-    tau-independent step :func:`magnus_step`, provided that takes at most
-    ``MAGNUS_SHARE`` of the midpoint rule's steps on this grid (or the
-    midpoint rule would need more than ``_MAX_STEPS``); it diagonalises
-    H_o once (its own ``decomposition``), and once per distinct sub-step
-    length derives the Magnus terms (:func:`_magnus_generator`) and
-    tabulates the step's exponential as a Chebyshev polynomial in the step
-    start (:func:`_step_polynomial`, one exponential per coefficient kept,
-    4-5 on the catalog scenarios). The steps then go in blocks of up to
-    ``_STEP_BLOCK``: one real product evaluates a block's step matrices
-    from the coefficients, and each step costs one complex matrix
-    product.
+    tau-independent step :func:`magnus_step`, whenever that covers the grid
+    within ``_MAX_STEPS``; an interval shorter than the step is one step.
+    It diagonalises H_o once (its own ``decomposition``), and once per
+    sub-step length (to 11 significant digits) derives the Magnus terms
+    (:func:`_magnus_generator`) and tabulates the step's exponential as a
+    Chebyshev polynomial in the step start (:func:`_step_polynomial`, one
+    exponential per coefficient kept, 4-5 on the catalog scenarios). The
+    steps then go in blocks of up to ``_STEP_BLOCK``: one real product
+    evaluates a block's step matrices from the coefficients, each interval
+    applies its own exact frame phase, and each step costs one complex
+    matrix product. A build costs about 4-7.5 ms at dim 66, so a grid with
+    many distinct interval lengths runs faster with an explicit ``step``.
 
-    Every other path, and every explicit ``step``, uses the exponential
+    Every other path, every explicit ``step``, and a ramp that would need
+    more than ``_MAX_STEPS`` Magnus-Filon steps use the exponential
     midpoint scheme W_{k+1} = exp(-i h (tau*H_o + Lambda(s_mid))) W_k,
     where the exponential is applied to W_k by a Taylor series whose
     truncation error is below unit roundoff (:func:`_exp_step`); no
-    eigendecomposition is formed. Local error is O(h^3); the default step
-    comes from :func:`default_step`. L1 paths are integrated directly from
-    midpoint samples and flagged lower-accuracy in the scheme descriptor
-    (prefer :func:`mollify` first). Either way the unitarity drift is
+    eigendecomposition is formed. Local error is O(h^3); with ``step`` None
+    the step comes from :func:`default_step`. L1 paths are integrated
+    directly from midpoint samples and flagged lower-accuracy in the scheme
+    descriptor (prefer :func:`mollify` first). Either way the unitarity drift is
     measured at every grid point and must stay within ``drift_tol``, and a
     step that would need more than ``_MAX_STEPS`` steps over the grid raises
     ValueError before any step is taken.
@@ -527,24 +518,19 @@ def evolve(
         remedy = "the eigendecomposition of the constant generator is inaccurate"
         states = _exact_states(tau * h_o.matrix + form.a, grid)
     else:
-        magnus = None
-        if step is None:
-            step = default_step(tau, h_o.norm(), path.kappa)
-            mf_step = magnus_step(path.kappa, path.kappa_dot)
-            if form is not None and form.at is None and _fits(grid, mf_step):
-                # spans like 0.1 / 0.005 round up past 20 without the slack
-                mf = _substeps(spans, mf_step, 1e-9)
-                if not _fits(grid, step) or sum(mf) <= MAGNUS_SHARE * sum(_substeps(spans, step)):
-                    magnus = mf
-        if magnus is not None:
+        mf_step = magnus_step(path.kappa, path.kappa_dot)
+        if step is None and form is not None and form.at is None and _fits(grid, mf_step):
             scheme = "magnus-filon"
-            nsubs = magnus
+            # spans like 0.1 / 0.005 round up past 20 without the slack
+            nsubs = _substeps(spans, mf_step, 1e-9)
             remedy = "retry with an explicit step (the midpoint rule)"
             states = _magnus_filon_states(h_o.decomposition, form, tau, grid, nsubs)
         else:
             scheme = "midpoint-exponential"
             if path.smoothness == SMOOTH_L1:
                 scheme += "/L1-direct"
+            if step is None:
+                step = default_step(tau, h_o.norm(), path.kappa)
             if not _fits(grid, step):
                 raise ValueError(f"step {step:.3e} needs more than {_MAX_STEPS} steps over the grid")
             nsubs = _substeps(spans, step)
@@ -738,11 +724,11 @@ def _magnus_terms(
 
 def _magnus_generator(
     w: np.ndarray, a: np.ndarray, b: np.ndarray, tau: float, h: float
-) -> tuple[np.ndarray, np.ndarray]:
+) -> np.ndarray:
     """The Magnus-Filon step of length h at tau for the ramp a + s b in the
-    eigenbasis: the frame phase exp(-i tau h w) as a column, and g = (g_0,
-    g_1, g_2) with g_0 + s0 (g_1 + s0 g_2) the Hermitian part of the step's
-    generator Omega_1 - (i/2) Omega_2 at the step start s0.
+    eigenbasis, without its frame phase exp(-i tau h w): g = (g_0, g_1, g_2)
+    with g_0 + s0 (g_1 + s0 g_2) the Hermitian part of the step's generator
+    Omega_1 - (i/2) Omega_2 at the step start s0.
 
     Only p = a + s0 b changes with s0, so Omega_1 is affine and Omega_2
     quadratic in s0: the Lagrange interpolant through s0 = 0, 1/2, 1 (one
@@ -751,8 +737,7 @@ def _magnus_generator(
     omega1, omega2 = _magnus_terms(w, b, tau, h, np.stack([a, a + 0.5 * b, a + b]))
     f = omega1 - 0.5j * omega2
     f0, f_half, f1 = 0.5 * (f + f.conj().swapaxes(1, 2))
-    g = np.stack([f0, 4.0 * f_half - 3.0 * f0 - f1, 2.0 * (f0 + f1) - 4.0 * f_half])
-    return np.exp(-1j * tau * h * w)[:, None], g
+    return np.stack([f0, 4.0 * f_half - 3.0 * f0 - f1, 2.0 * (f0 + f1) - 4.0 * f_half])
 
 
 def _chebyshev_length(g1: float, g2: float) -> int:
@@ -776,10 +761,11 @@ def _chebyshev_length(g1: float, g2: float) -> int:
     return int(np.ceil(log_tail / np.log(rho)).min())
 
 
-def _step_polynomial(phase: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """The Magnus-Filon step E(s0) = phase ∘ exp(-i G(s0)) with G(s0) = g_0 +
-    s0 (g_1 + s0 g_2) from :func:`_magnus_generator`, as the stack of its
-    Chebyshev coefficients in u = 2 s0 - 1 on s0 in [0, 1].
+def _step_polynomial(g: np.ndarray) -> np.ndarray:
+    """E(s0) = exp(-i G(s0)) with G(s0) = g_0 + s0 (g_1 + s0 g_2) from
+    :func:`_magnus_generator`, the Magnus-Filon step without its frame
+    phase, as the stack of its Chebyshev coefficients in u = 2 s0 - 1 on s0
+    in [0, 1].
 
     E is interpolated at the n = :func:`_chebyshev_length` Chebyshev points
     u_k (the roots of T_n), with the node values from :func:`_exp_step`, and
@@ -791,12 +777,12 @@ def _step_polynomial(phase: np.ndarray, g: np.ndarray) -> np.ndarray:
     """
     n = _chebyshev_length(*(float(np.abs(x).sum(axis=0).max()) for x in g[1:]))
     orders = np.arange(n)
-    eye = np.eye(phase.shape[0], dtype=complex)
+    eye = np.eye(g.shape[1], dtype=complex)
     coef = np.zeros((n, *eye.shape), dtype=complex)
     for k in range(n):
         angle = math.pi * (k + 0.5) / n
         s0 = 0.5 * (math.cos(angle) + 1.0)
-        node = phase * _exp_step(g[0] + s0 * (g[1] + s0 * g[2]), 1.0, eye)
+        node = _exp_step(g[0] + s0 * (g[1] + s0 * g[2]), 1.0, eye)
         weights = np.cos(orders * angle) * (2.0 / n)
         weights[0] *= 0.5
         for c, t in zip(coef, weights):
@@ -835,11 +821,21 @@ def _magnus_filon_states(
 ) -> Iterator[np.ndarray]:
     """W at every grid point after the first, stepping the ramp A + s B in
     ``nsubs`` equal Magnus-Filon steps per interval in the eigenbasis of H_o.
-    Each step applies E(s0) = exp(-i tau h w) exp(-i G(s0)) with G from
-    :func:`_magnus_generator`, evaluated from the Chebyshev coefficients of
-    :func:`_step_polynomial`. An interval's steps go in blocks of at most
-    ``_STEP_BLOCK``: one real product of the rows T_j(2 s0 - 1) with the
-    coefficients' real view gives the block's step matrices,
+    Each step of length h applies E(s0) = exp(-i tau h w) exp(-i G(s0)) with
+    G from :func:`_magnus_generator`, evaluated from the Chebyshev
+    coefficients of :func:`_step_polynomial`.
+
+    Builds are keyed by h to 11 significant digits, and each build takes the
+    first exact h of its key: the sub-steps of a uniform grid differ in their
+    last bits, and G depends smoothly on h, so sharing it between lengths
+    that agree to about 5e-12 costs only rounding. The frame phase, which
+    tau multiplies, is not shared: every interval takes its own exact
+    h = span / nsub for it and for its step starts. A grid with many
+    distinct lengths pays one build for each.
+
+    An interval's steps go in blocks of at most ``_STEP_BLOCK``: one real
+    product of the rows T_j(2 s0 - 1) with the coefficients' real view gives
+    the block's step matrices, which the interval's phase column scales,
     :func:`_ordered_product` multiplies them in order, and one complex
     product applies that to the state, so each step still costs one complex
     matrix product."""
@@ -849,20 +845,19 @@ def _magnus_filon_states(
     polynomials = {}
     y = np.eye(w.size, dtype=complex)
     for s0, s1, nsub in zip(grid, grid[1:], nsubs):
-        # The sub-steps of a uniform grid differ in their last bits. Rounding
-        # to 15 digits merges them into one generator and moves h by at most
-        # 5e-16 of itself, which the frame phase exp(-i tau h w) accumulates
-        # over the steps; coarser rounding would show at large tau.
-        h = float(f"{(s1 - s0) / nsub:.15g}")
-        if h not in polynomials:
-            coef = _step_polynomial(*_magnus_generator(w, a, b, tau, h))
+        h = (s1 - s0) / nsub
+        key = f"{h:.11g}"
+        if key not in polynomials:
+            coef = _step_polynomial(_magnus_generator(w, a, b, tau, h))
             n = coef.shape[0]
-            polynomials[h] = np.arange(n), coef.view(np.float64).reshape(n, -1)
-        orders, coef = polynomials[h]
+            polynomials[key] = np.arange(n), coef.view(np.float64).reshape(n, -1)
+        orders, coef = polynomials[key]
+        phase = np.exp(-1j * tau * h * w)[:, None]
         for first in range(0, nsub, _STEP_BLOCK):
             starts = s0 + np.arange(first, min(first + _STEP_BLOCK, nsub)) * h
             rows = np.cos(np.arccos(2.0 * starts - 1.0)[:, None] * orders)
             steps = (rows @ coef).view(complex).reshape(starts.size, *y.shape)
+            steps *= phase
             y = _ordered_product(steps) @ y
         yield v @ y @ vh
 

@@ -349,6 +349,29 @@ class TestParityTool:
             "max rel deviation 0.000e+00",
         ]
 
+    def test_compare_names_scheme_changes(self, tmp_path, capsys):
+        # each record whose scheme differs gives its tau and both schemes
+        def record(tau, scheme, steps):
+            return {"tau": tau, "scheme": scheme, "steps": steps, "step": 0.0009,
+                    "max_drift": 2e-14}
+
+        a, b = tmp_path / "a", tmp_path / "b"
+        schemes = {a: "midpoint-exponential", b: "magnus-filon"}
+        for root, scheme in schemes.items():
+            self.outputs(root, "x\n1\n", "t")
+            path = root / "demo" / "summary.json"
+            doc = {"propagation": [record(10.0, "magnus-filon", 200), record(31.6, scheme, 300)]}
+            path.write_text(json.dumps({**json.loads(path.read_text()), **doc}))
+        assert self.TOOL.main(["compare", str(a), str(b)]) == 1
+        assert capsys.readouterr().out.splitlines() == [
+            "differs: demo/summary.json",
+            "  differing keys: propagation",
+            "  propagation: largest max_drift 2.000e-14 / 2.000e-14; scheme differ, steps match",
+            "    tau 31.6: midpoint-exponential -> magnus-filon",
+            "1 of 2 files differ; over all CSVs max abs deviation 0.000e+00, "
+            "max rel deviation 0.000e+00",
+        ]
+
     def test_lists_the_eight_parity_configs(self):
         names = list(self.TOOL.configs())
         assert names[:4] == [p.stem for p in sorted((ROOT / "configs").glob("*.json"))]

@@ -352,7 +352,8 @@ def magnus_terms_by_quadrature(w, p, b, tau, h, nodes=64):
 
 
 def per_step_magnus_filon(basis, form, tau, grid, nsubs):
-    """Reference Magnus-Filon propagator: the steps of ``evolve``, each
+    """Reference Magnus-Filon propagator: the steps of ``evolve``, with a
+    generator built for every interval at its exact sub-step length and each
     exponential summed by ``_exp_step`` at its step start instead of read from
     the step polynomial. Returns W at every grid point."""
     v, w = basis.vectors, basis.column_values
@@ -361,13 +362,27 @@ def per_step_magnus_filon(basis, form, tau, grid, nsubs):
     y = np.eye(w.size, dtype=complex)
     out = [np.eye(w.size)]
     for s0, s1, nsub in zip(grid, grid[1:], nsubs):
-        h = float(f"{(s1 - s0) / nsub:.15g}")
-        phase, g = _magnus_generator(w, a, b, tau, h)
+        h = (s1 - s0) / nsub
+        g = _magnus_generator(w, a, b, tau, h)
+        phase = np.exp(-1j * tau * h * w)[:, None]
         for k in range(nsub):
             start = s0 + k * h
             y = phase * _exp_step(g[0] + start * (g[1] + start * g[2]), 1.0, y)
         out.append(v @ y @ vh)
     return out
+
+
+# 301 points 9e-4 apart, each value rounded to 12 digits: every interval is
+# shorter than h_MF
+FINE_GRID = np.round(np.arange(301) * 9e-4, 12)
+
+
+def jittered_grid(points=31, seed=95):
+    """linspace(0, 1, points) with each inner point moved by up to 0.3 of
+    the spacing and rounded to 3 decimals, so that some spans repeat."""
+    base = np.linspace(0.0, 1.0, points)
+    jitter = np.random.default_rng(seed).uniform(-0.3, 0.3, points - 2) * base[1]
+    return np.concatenate([[0.0], np.round(base[1:-1] + jitter, 3), [1.0]])
 
 
 def eigenbasis_ramp(inst):
@@ -404,17 +419,24 @@ class TestMagnusFilon:
         )
         self.assert_near(res, ref)
 
-    @pytest.mark.parametrize("tau", [10.0, 1000.0])
-    def test_one_stepper_per_uniform_grid(self, tau, monkeypatch):
-        # the 10 intervals of linspace(0, 1, 11) differ in their last bits
-        assert len(set(np.diff(self.GRID11))) > 1
+    @staticmethod
+    def count_builds(patch):
+        """The sub-step lengths of the ``_magnus_generator`` calls that follow,
+        in a list that fills as they happen."""
         builds = []
 
         def counted(*args):
             builds.append(args[-1])
             return _magnus_generator(*args)
 
-        monkeypatch.setattr(slowdrive.propagation, "_magnus_generator", counted)
+        patch.setattr(slowdrive.propagation, "_magnus_generator", counted)
+        return builds
+
+    @pytest.mark.parametrize("tau", [10.0, 1000.0])
+    def test_one_stepper_per_uniform_grid(self, tau, monkeypatch):
+        # the 10 intervals of linspace(0, 1, 11) differ in their last bits
+        assert len(set(np.diff(self.GRID11))) > 1
+        builds = self.count_builds(monkeypatch)
         inst = scenario_instance("embedded_eigenvalue", grid_points=63, multiplicity=3)
         res = evolve(inst.h_o, inst.path, tau, self.GRID11)
         assert res.scheme == "magnus-filon"
@@ -462,13 +484,48 @@ class TestMagnusFilon:
         assert high.step <= magnus_step(inst.path.kappa, inst.path.kappa_dot) * (1 + 1e-9)
         assert high.steps == sum(max(1, math.ceil(x / high.step - 1e-9)) for x in spans)
 
-    def test_fine_grid_or_explicit_step_keeps_midpoint(self):
+    @pytest.mark.parametrize("tau", [10.0, 1e4])
+    def test_fine_grid_runs_one_build(self, tau, monkeypatch):
+        # intervals below h_MF: one step each, and one build for the 300
+        # spans, which differ in their last bits
         inst = scenario_instance("pure_point_omega", dim=6)
-        fine = np.round(np.arange(301) * 9e-4, 12)  # intervals below h_MF
-        assert evolve(inst.h_o, inst.path, 10.0, fine).scheme == "midpoint-exponential"
+        with monkeypatch.context() as patch:
+            builds = self.count_builds(patch)
+            res = evolve(inst.h_o, inst.path, tau, FINE_GRID)
+        assert len(set(np.diff(FINE_GRID))) > 1
+        assert (res.scheme, res.steps, len(builds)) == ("magnus-filon", 300, 1)
+        ref = per_step_magnus_filon(
+            inst.h_o.decomposition, inst.path.form, tau, FINE_GRID, [1] * 300
+        )
+        for u, r in zip(res.unitaries, ref):
+            assert operator_norm(u - r) <= 1e-13
+
+    def test_explicit_step_keeps_midpoint(self):
+        inst = scenario_instance("pure_point_omega", dim=6)
         step = default_step(10.0, inst.h_o.norm(), inst.path.kappa)
         assert evolve(inst.h_o, inst.path, 10.0, GRID, step=step).scheme == "midpoint-exponential"
+        assert evolve(inst.h_o, inst.path, 10.0, FINE_GRID, step=step).scheme == (
+            "midpoint-exponential"
+        )
         assert evolve(inst.h_o, inst.path, 10.0, GRID).scheme == "magnus-filon"
+
+    @pytest.mark.parametrize("tau", [10.0, 1e4])
+    def test_non_uniform_grid_builds_per_length(self, tau, monkeypatch):
+        # one build per sub-step length to 11 significant digits: the spans
+        # of the jittered grid repeat as decimals but not as floats
+        inst = scenario_instance("pure_point_omega", dim=6)
+        grid = jittered_grid()
+        nsubs = self.magnus_nsubs(inst.path, grid)
+        lengths = {f"{x / n:.11g}" for x, n in zip(np.diff(grid), nsubs)}
+        assert 1 < len(lengths) < len(set(np.diff(grid)))
+        with monkeypatch.context() as patch:
+            builds = self.count_builds(patch)
+            res = evolve(inst.h_o, inst.path, tau, grid)
+        assert (res.scheme, res.steps) == ("magnus-filon", sum(nsubs))
+        assert len(builds) == len(lengths)
+        ref = per_step_magnus_filon(inst.h_o.decomposition, inst.path.form, tau, grid, nsubs)
+        for u, r in zip(res.unitaries, ref):
+            assert operator_norm(u - r) <= 1e-13
 
     @pytest.mark.parametrize("tau", [10.0, 1e4])
     def test_omega2_closed_form_matches_gauss_rule(self, tau):
@@ -486,7 +543,7 @@ class TestMagnusFilon:
         assert operator_norm(omega2 - ref2) <= 1e-12 * operator_norm(ref2)
         # the generator interpolated in the step start s0 is the Hermitian part
         # of Omega_1 - (i/2) Omega_2 at every s0
-        _, g = _magnus_generator(w, a, b, tau, h)
+        g = _magnus_generator(w, a, b, tau, h)
 
         def generator(s0):
             return g[0] + s0 * (g[1] + s0 * g[2])
@@ -522,7 +579,7 @@ class TestMagnusFilon:
             tau = float(case.split("-")[1])
             h = magnus_step(inst.path.kappa, inst.path.kappa_dot)
             w, a, b = eigenbasis_ramp(inst)
-        phase, g = _magnus_generator(w, a, b, tau, h)
+        g = _magnus_generator(w, a, b, tau, h)
         nodes = []
 
         def counted(*args):
@@ -531,14 +588,14 @@ class TestMagnusFilon:
 
         with monkeypatch.context() as patch:
             patch.setattr(slowdrive.propagation, "_exp_step", counted)
-            coef = _step_polynomial(phase, g)
+            coef = _step_polynomial(g)
         # one exponential per Chebyshev point, and one coefficient per point
         assert len(nodes) == self.chebyshev_points(g) == coef.shape[0]
         theta = sum(np.abs(x).sum(axis=0).max() for x in g)
         assert (theta > _THETA_MAX) == (case == "synthetic")
         eye = np.eye(w.size)
         for s0 in np.random.default_rng(94).uniform(0.0, 1.0, 50):
-            direct = phase * _exp_step(g[0] + s0 * (g[1] + s0 * g[2]), 1.0, eye)
+            direct = _exp_step(g[0] + s0 * (g[1] + s0 * g[2]), 1.0, eye)
             interpolated = np.polynomial.chebyshev.chebval(2.0 * s0 - 1.0, coef)
             assert operator_norm(interpolated - direct) <= 1e-14
 
@@ -552,9 +609,9 @@ class TestMagnusFilon:
             return _exp_step(*args)
 
         def counted_build(*args):
-            phase, g = _magnus_generator(*args)
+            g = _magnus_generator(*args)
             builds.append(self.chebyshev_points(g))
-            return phase, g
+            return g
 
         monkeypatch.setattr(slowdrive.propagation, "_exp_step", counted_exp)
         monkeypatch.setattr(slowdrive.propagation, "_magnus_generator", counted_build)
@@ -564,9 +621,9 @@ class TestMagnusFilon:
         assert len(builds) == 1
         assert len(calls) == sum(builds) < res.steps
 
-    def magnus_nsubs(self, path):
+    def magnus_nsubs(self, path, grid=GRID11):
         h = magnus_step(path.kappa, path.kappa_dot)
-        return [max(1, math.ceil(x / h - 1e-9)) for x in np.diff(self.GRID11)]
+        return [max(1, math.ceil(x / h - 1e-9)) for x in np.diff(grid)]
 
     def test_matches_per_step_exponentials(self):
         inst = scenario_instance("embedded_eigenvalue", grid_points=63, multiplicity=3)
@@ -621,6 +678,33 @@ class TestMagnusFilon:
         assert evolve(inst.h_o, inst.path, 10.0, GRID).scheme == "magnus-filon"
         with pytest.raises(PropagationError, match="drift"):
             evolve(inst.h_o, inst.path, 10.0, GRID, drift_tol=1e-18)
+
+
+class TestScalarShift:
+    """H_o + c 1 gives exp(-i tau s c) W at every grid point. The check needs
+    no reference, so it reaches any tau; the shifted operator's eigh may
+    pick another basis of a degenerate level."""
+
+    @pytest.mark.parametrize(
+        "grid", [np.linspace(0.0, 1.0, 11), FINE_GRID, jittered_grid()],
+        ids=["11-point", "301-point", "jittered"],
+    )
+    @pytest.mark.parametrize(
+        "name, params",
+        [("embedded_eigenvalue", {"grid_points": 15, "multiplicity": 3}),
+         ("pure_point_omega", {"dim": 16, "degenerate_pairs": 2})],
+    )
+    def test_shift_is_a_phase(self, name, params, grid):
+        inst = scenario_instance(name, **params)
+        eye = np.eye(inst.h_o.dim)
+        for tau in (10.0, 1e3, 1e4):
+            base = evolve(inst.h_o, inst.path, tau, grid)
+            assert base.scheme == "magnus-filon"
+            for c in (0.37, -1.3, 5.0):
+                shifted = evolve(HermitianOperator(inst.h_o.matrix + c * eye), inst.path, tau, grid)
+                phase = np.exp(-1j * tau * c * grid)[:, None, None]
+                deviation = np.linalg.norm(shifted.unitaries - phase * base.unitaries, 2, (1, 2))
+                assert deviation.max() <= 1e-13 + 5e-15 * tau
 
 
 class TestExactConstantDrive:

@@ -12,8 +12,10 @@ file, else 0. Under a differing CSV it prints the largest absolute and
 relative deviation over the fields that parse as numbers on both sides, and
 the first other field that differs, if any. Under a differing
 ``summary.json`` it prints the top-level keys that differ and, when the
-``propagation`` records differ, the largest ``max_drift`` on each side and
-whether the ``scheme`` and ``steps`` of every record match. The final line
+``propagation`` records differ, the largest ``max_drift`` on each side,
+whether the ``scheme`` and ``steps`` of every record match, and one line
+``tau <tau>: <old scheme> -> <new scheme>`` per record whose scheme differs
+(a record on one side only reads as None). The final line
 counts the differing files and gives the largest absolute and relative
 deviation over all CSVs.
 
@@ -112,8 +114,9 @@ def _deviation(worst_abs: float, worst_rel: float) -> str:
 def _summary_deviations(left: Path, right: Path) -> list[str]:
     """How two summaries differ: the top-level keys whose values differ (a
     key on one side only included) and, if the ``propagation`` records
-    differ, their largest ``max_drift`` per side and whether ``scheme`` and
-    ``steps`` match record by record. Empty when the summaries are equal."""
+    differ, their largest ``max_drift`` per side, whether ``scheme`` and
+    ``steps`` match record by record, and each record whose scheme differs.
+    Empty when the summaries are equal."""
     docs = _summary(left), _summary(right)
     keys = sorted(k for k in docs[0].keys() | docs[1].keys() if docs[0].get(k) != docs[1].get(k))
     if not keys:
@@ -129,6 +132,11 @@ def _summary_deviations(left: Path, right: Path) -> list[str]:
         lines.append(
             f"  propagation: largest max_drift {drifts[0]:.3e} / {drifts[1]:.3e}; "
             f"scheme {match[0]}, steps {match[1]}"
+        )
+        lines.extend(
+            f"    tau {(old or new)['tau']}: {old.get('scheme')} -> {new.get('scheme')}"
+            for old, new in itertools.zip_longest(*records, fillvalue={})
+            if old.get("scheme") != new.get("scheme")
         )
     return lines
 

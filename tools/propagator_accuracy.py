@@ -1,7 +1,10 @@
 """Accuracy and cost of the Magnus-Filon propagator against the midpoint rule.
 
 For the embedded scenario (dim 66, multiplicity 3, seed 0) and the pure point
-scenario (dim 16, seed 0) on an 11-point s-grid, and for each tau, prints:
+scenario (dim 16, seed 0) on an 11-point s-grid, and for the Fermi scenario
+of the ``fermi_dense_grid`` workload (dim 66, multiplicity 3, seed 11) on its
+301-point grid 9e-4 apart, whose intervals are shorter than the Magnus-Filon
+step, and for each tau, prints:
 
 * the Magnus-Filon step count and its wall time in seconds;
 * its largest error over the grid points against the reference
@@ -12,7 +15,7 @@ scenario (dim 16, seed 0) on an 11-point s-grid, and for each tau, prints:
   against the same reference at its default step.
 
 The two wall times over the two step counts give the cost of a step of each
-scheme, the ratio that ``MAGNUS_SHARE`` in slowdrive.propagation rests on.
+scheme.
 
 Only numpy and slowdrive are used. The references dominate the run time:
 at tau = 1e4 the embedded reference takes 1.2 million midpoint steps, several
@@ -32,11 +35,14 @@ from slowdrive.operators import operator_norm
 from slowdrive.propagation import default_step, evolve
 from slowdrive.scenarios import ScenarioConfig, build_scenario
 
-SCENARIOS = (
-    ("embedded_eigenvalue", {"grid_points": 63, "multiplicity": 3}),
-    ("pure_point_omega", {"dim": 16}),
-)
 GRID = np.linspace(0.0, 1.0, 11)
+# (scenario, params, seed, s-grid)
+SCENARIOS = (
+    ("embedded_eigenvalue", {"grid_points": 63, "multiplicity": 3}, 0, GRID),
+    ("pure_point_omega", {"dim": 16}, 0, GRID),
+    ("fermi_observable", {"grid_points": 63, "multiplicity": 3}, 11,
+     np.round(np.arange(301) * 9e-4, 12)),
+)
 
 
 def worst_error(result, reference: np.ndarray) -> float:
@@ -50,18 +56,18 @@ def main(argv=None) -> None:
     taus = [float(t) for t in parser.parse_args(argv).taus.split(",")]
     print(f"{'scenario':<20} {'tau':>7} {'MF steps':>8} {'MF s':>7} {'MF error':>9} "
           f"{'mid steps':>9} {'mid s':>7} {'mid error':>9}")
-    for name, params in SCENARIOS:
-        config = ScenarioConfig(scenario=name, params=params, taus=(1.0,), seed=0)
+    for name, params, seed, grid in SCENARIOS:
+        config = ScenarioConfig(scenario=name, params=params, taus=(1.0,), seed=seed)
         inst = build_scenario(config)
         for tau in taus:
             step = default_step(tau, inst.h_o.norm(), inst.path.kappa)
             start = time.perf_counter()
-            magnus = evolve(inst.h_o, inst.path, tau, GRID)
+            magnus = evolve(inst.h_o, inst.path, tau, grid)
             mid_start = time.perf_counter()
-            midpoint = evolve(inst.h_o, inst.path, tau, GRID, step=step)
+            midpoint = evolve(inst.h_o, inst.path, tau, grid, step=step)
             mid_end = time.perf_counter()
             fine, coarse = (
-                evolve(inst.h_o, inst.path, tau, GRID, step=step / k).unitaries for k in (8, 4)
+                evolve(inst.h_o, inst.path, tau, grid, step=step / k).unitaries for k in (8, 4)
             )
             reference = (4.0 * fine - coarse) / 3.0
             print(f"{name:<20} {tau:>7g} {magnus.steps:>8d} {mid_start - start:>7.3f} "
