@@ -492,10 +492,11 @@ def evolve(
     eigendecomposition is formed. Local error is O(h^3); with ``step`` None
     the step comes from :func:`default_step`. L1 paths are integrated
     directly from midpoint samples and flagged lower-accuracy in the scheme
-    descriptor (prefer :func:`mollify` first). Either way the unitarity drift is
-    measured at every grid point and must stay within ``drift_tol``, and a
-    step that would need more than ``_MAX_STEPS`` steps over the grid raises
-    ValueError before any step is taken.
+    descriptor (prefer :func:`mollify` first). Either way the unitarity drift,
+    the Frobenius norm of W†W - 1 (an upper bound on its 2-norm,
+    :func:`unitarity_drift`), is measured at every grid point and must stay
+    within ``drift_tol``, and a step that would need more than ``_MAX_STEPS``
+    steps over the grid raises ValueError before any step is taken.
     """
     if tau <= 0:
         raise ValueError("tau must be positive")

@@ -261,11 +261,22 @@ class TestNormKernelsTool:
             assert svd_us > 0 and kernel_us > 0
             assert deviation <= 1e-12
 
+    @pytest.mark.parametrize("dim", [6, 10])
+    def test_drift_lies_between_the_svd_norm_and_sqrt_dim_times_it(self, dim):
+        svd_us, drift_us, ratio = self.TOOL.measure_drift(dim, points=4, repeat=1)
+        assert svd_us > 0 and drift_us > 0
+        assert 1.0 <= ratio <= np.sqrt(dim)
+
     def test_prints_one_line_per_dim_and_route(self, capsys):
         assert self.TOOL.main(["--dims", "6,8", "--points", "3", "--repeat", "1"]) == 0
         lines = capsys.readouterr().out.splitlines()
-        assert len(lines) == 1 + 2 * len(self.TOOL.ROUTES)
+        routes = len(self.TOOL.ROUTES)
+        assert len(lines) == 1 + 2 * routes + 1 + 2
         assert lines[0].split() == ["dim", "route", "svd_us", "kernel_us", "max_rel_dev"]
+        assert lines[1 + 2 * routes].split() == [
+            "dim", "route", "svd_us", "drift_us", "max_ratio", "sqrt_dim"
+        ]
+        assert [line.split()[:2] for line in lines[-2:]] == [["6", "drift"], ["8", "drift"]]
 
 
 class TestParityTool:

@@ -85,13 +85,29 @@ class TestUnitaryOperator:
         u = UnitaryOperator(np.diag([1.0, 1.0 + 1e-5]), drift_tol=1e-4)
         assert u.drift > 1e-8
 
-    @pytest.mark.parametrize("dim, seed", [(2, 1), (16, 2), (66, 3)])
-    def test_drift_is_the_svd_norm(self, dim, seed):
-        rng = np.random.default_rng(seed)
-        w = random_unitary(dim, seed) + 1e-6 * rng.standard_normal((dim, dim))
-        want = operator_norm(w.conj().T @ w - np.eye(dim))
-        assert unitarity_drift(w) == pytest.approx(want, rel=1e-9)
-        assert UnitaryOperator(w, drift_tol=1.0).drift == unitarity_drift(w)
+    @pytest.mark.parametrize(
+        "dim, seed", [(2, 1), (16, 2), (66, 3), ("direct-sum", 4)]
+    )
+    def test_drift_bounds_the_svd_norm(self, dim, seed):
+        # the drift is the Frobenius norm of E = w†w - 1, so it lies between
+        # the 2-norm and sqrt(dim) times it; "direct-sum" is a block-diagonal
+        # unitary like those of the direct-sum scenario
+        if dim == "direct-sum":
+            w = direct_sum([random_unitary(2, seed + k) for k in range(32)])
+            dim = w.shape[0]
+        else:
+            w = random_unitary(dim, seed)
+        w = w + 1e-6 * np.random.default_rng(seed).standard_normal((dim, dim))
+        e = w.conj().T @ w - np.eye(dim)
+        drift = unitarity_drift(w)
+        assert operator_norm(e) <= drift <= np.sqrt(dim) * operator_norm(e)
+        assert drift == pytest.approx(np.linalg.norm(e), rel=1e-12)
+        assert UnitaryOperator(w, drift_tol=1.0).drift == drift
+
+    def test_drift_calls_no_eigensolver(self, monkeypatch):
+        for name in ("eigh", "eigvalsh", "svd"):
+            monkeypatch.setattr(np.linalg, name, lambda *a, name=name, **k: pytest.fail(name))
+        assert unitarity_drift(random_unitary(8, 5)) < 1e-13
 
 
 class TestEigendecomposition:
@@ -147,6 +163,20 @@ class TestDecompositionValidation:
         values[-1] += 1e-6
         with pytest.raises(EigensolverError, match="reconstruction"):
             dataclasses.replace(d, eigenvalues=values)
+
+    @pytest.mark.parametrize("amplitude", [1e170, 1e250, 1e300])
+    def test_huge_operator_is_checked_relative_to_its_scale(self, amplitude):
+        # the residual is taken of H / scale, so entries near the float
+        # limit neither overflow nor excuse a wrong decomposition
+        h = HermitianOperator(amplitude * (pauli("x") + pauli("z")) / np.sqrt(2))
+        d = hermitian_eigendecomposition(h)
+        assert np.allclose(d.eigenvalues / amplitude, [-1.0, 1.0], atol=1e-15)
+        v = np.array(d.vectors)
+        with pytest.raises(EigensolverError, match="orthonormal"):
+            dataclasses.replace(d, vectors=v + 1e-6)
+        c, s = np.cos(1e-6), np.sin(1e-6)
+        with pytest.raises(EigensolverError, match="reconstruction"):
+            dataclasses.replace(d, vectors=v @ np.array([[c, -s], [s, c]]))
 
     def test_unseparated_levels_rejected(self):
         d = hermitian_eigendecomposition(random_hermitian(6, 92))

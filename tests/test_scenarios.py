@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 import slowdrive.sweeps
 from slowdrive.cli import main
 from slowdrive.diagnostics import embedded_eigenprojection_decay, schrodinger_limit_distance
-from slowdrive.operators import operator_norm, pauli
+from slowdrive.operators import EigensolverError, operator_norm, pauli
 from slowdrive.propagation import PropagationError, PropagatorResult, evolve, omega_infinity
 from slowdrive.scenarios import (
     ConfigError,
@@ -722,11 +722,26 @@ class TestCli:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "10000000 steps" in err
 
-    @pytest.mark.parametrize("amplitude, code", [(1e300, 1), (1e160, 0)])
+    @pytest.mark.parametrize(
+        "amplitude, code, eigensolver",
+        [
+            pytest.param(1e300, 1, "failing", id="1e+300-1"),
+            pytest.param(1e160, 0, "numpy", id="1e+160-0"),
+            pytest.param(1e300, 0, "numpy", id="1e+300-0"),
+            pytest.param(1.7e308, 1, "numpy", id="1.7e+308-1"),
+        ],
+    )
     def test_exit_1_when_the_scenario_cannot_be_diagonalised(
-        self, amplitude, code, tmp_path, capsys
+        self, amplitude, code, eigensolver, monkeypatch, tmp_path, capsys
     ):
-        # at 1e300 the reconstruction residual of H_o overflows at build
+        # The reconstruction residual is relative to ||H_o||, so amplitudes up
+        # to 1e300 build and sweep. An eigensolver that fails exits 1, and so
+        # does 1.7e308, where the symmetrised H_o overflows to inf and NaN.
+        if eigensolver == "failing":
+            def fail(*args, **kwargs):
+                raise EigensolverError("eigenvectors are not orthonormal")
+
+            monkeypatch.setattr(slowdrive.scenarios, "hermitian_eigendecomposition", fail)
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps({
             "scenario": "two_level_rotating",

@@ -12,6 +12,11 @@ and the largest relative deviation of the kernel from the reference:
   Hermitian difference;
 * ``resolvent``  (H_o - i)^-1: eigvalsh of the Gram matrix X^+ X.
 
+A second table times the unitarity check of every grid point on near-unitaries
+W + 1e-9 * noise: the SVD 2-norm of W^+ W - 1 (the reference) against
+``unitarity_drift``, its Frobenius norm, with the largest ratio drift / 2-norm,
+which lies in [1, sqrt(dim)].
+
 Only numpy and slowdrive are used.
 
 Usage: PYTHONPATH=src python tools/norm_kernels.py [--dims 16,66,128,256]
@@ -26,7 +31,7 @@ import time
 import numpy as np
 
 from slowdrive.diagnostics import heisenberg_distance_norm, resolvent_distance
-from slowdrive.operators import HermitianOperator, operator_norm
+from slowdrive.operators import HermitianOperator, operator_norm, unitarity_drift
 from slowdrive.propagation import PropagatorResult
 from slowdrive.spectral import calculus_continuous, fermi_dirac, projection_leq
 
@@ -90,6 +95,26 @@ def measure(dim: int, points: int, repeat: int = 3) -> list[tuple]:
     return rows
 
 
+def measure_drift(dim: int, points: int, repeat: int = 3) -> tuple[float, float, float]:
+    """(SVD us per point, ``unitarity_drift`` us per point, largest ratio of
+    the drift to the SVD 2-norm of W^+ W - 1) over ``points`` seeded
+    near-unitaries W + 1e-9 * noise at one dimension."""
+    rng = np.random.default_rng(1)
+    near = [
+        _random_unitary(rng, dim) + 1e-9 * rng.standard_normal((dim, dim))
+        for _ in range(points)
+    ]
+    eye = np.eye(dim)
+    (svd_s, drift_s), (want, got) = _best_seconds(
+        [
+            lambda: np.array([operator_norm(w.conj().T @ w - eye) for w in near]),
+            lambda: np.array([unitarity_drift(w) for w in near]),
+        ],
+        repeat,
+    )
+    return 1e6 * svd_s / points, 1e6 * drift_s / points, float(np.max(got / want))
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--dims", default="16,66,128,256")
@@ -97,9 +122,16 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--repeat", type=int, default=3)
     args = parser.parse_args(argv)
     print(f"{'dim':>4} {'route':<10} {'svd_us':>10} {'kernel_us':>10} {'max_rel_dev':>12}")
-    for dim in (int(x) for x in args.dims.split(",")):
+    dims = [int(x) for x in args.dims.split(",")]
+    for dim in dims:
         for route, svd_us, kernel_us, deviation in measure(dim, args.points, args.repeat):
             print(f"{dim:>4} {route:<10} {svd_us:>10.1f} {kernel_us:>10.1f} {deviation:>12.1e}")
+    print(f"{'dim':>4} {'route':<10} {'svd_us':>10} {'drift_us':>10} {'max_ratio':>12}"
+          f" {'sqrt_dim':>9}")
+    for dim in dims:
+        svd_us, drift_us, ratio = measure_drift(dim, args.points, args.repeat)
+        print(f"{dim:>4} {'drift':<10} {svd_us:>10.1f} {drift_us:>10.1f} {ratio:>12.4f}"
+              f" {dim ** 0.5:>9.4f}")
     return 0
 
 
