@@ -69,7 +69,7 @@ class TestVectorSet:
         if v.ndim != 2:
             raise ValueError("vectors must be a (count, dim) array")
         norms = np.linalg.norm(v, axis=1)
-        if np.any(np.abs(norms - 1.0) > 1e-12):
+        if not np.all(np.abs(norms - 1.0) <= 1e-12):
             raise ValueError("every test vector must have unit norm to 1e-12")
         if not (len(self.labels) == len(self.provenance) == v.shape[0]):
             raise ValueError("labels/provenance must match the vector count")

@@ -88,7 +88,7 @@ class HermitianOperator:
                 f"matrix is not Hermitian: max|A - A†| = {defect:.3e} "
                 f"exceeds {HERMITICITY_RTOL:.0e} * max|A| = {HERMITICITY_RTOL * scale:.3e}"
             )
-        object.__setattr__(self, "matrix", _freeze(0.5 * (a + a.conj().T)))
+        object.__setattr__(self, "matrix", _freeze(0.5 * a + 0.5 * a.conj().T))
 
     @property
     def dim(self) -> int:
@@ -130,7 +130,7 @@ class UnitaryOperator:
     def __post_init__(self):
         a = _as_square_complex(self.matrix)
         drift = unitarity_drift(a)
-        if drift > self.drift_tol:
+        if not drift <= self.drift_tol:
             raise OperatorError(
                 f"unitarity drift {drift:.3e} exceeds tolerance {self.drift_tol:.3e}"
             )
@@ -331,7 +331,7 @@ def hermitian_eigendecomposition(
     return SpectralDecomposition(
         vectors=v,
         column_values=w,
-        eigenvalues=[w[start:stop].mean() for start, stop in zip(offsets, offsets[1:])],
+        eigenvalues=np.add.reduceat(w, offsets[:-1]) / np.diff(offsets),
         offsets=offsets,
         cluster_tol=cluster_tol,
         operator=h.matrix,

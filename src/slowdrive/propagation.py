@@ -6,8 +6,9 @@ Provides:
   Magnus-Filon scheme in the eigenbasis of H_o whose step does not depend on
   tau; otherwise, or with an explicit step, a second-order exponential
   midpoint scheme. Each step's exponential is applied to W by a Taylor series
-  truncated below unit roundoff (the action of the exponential), and the
-  unitarity drift is checked at every grid point.
+  truncated below unit roundoff (the action of the exponential). The
+  returned ``PropagatorResult`` checks the unitarity drift at every grid
+  point.
 * ``comparison_operator`` — Omega_tau(t,s) = exp(i tau (t-s) H_o) W(t) W(s)^+,
   the unperturbed-frame comparison evolution.
 * ``dyson_term`` / ``dyson_series`` — the time-ordered Volterra iterates of
@@ -329,14 +330,19 @@ def mollify(path: GeneratorPath, spec: MollifierSpec) -> GeneratorPath:
 class PropagatorResult:
     """W_tau(s) sampled on an s-grid, with step-size and drift metadata.
 
-    ``steps`` counts the step exponentials applied (0 for ``exact-constant``).
+    ``steps`` counts the step exponentials applied (0 for ``exact-constant``)
+    and ``step`` is the largest sub-step. The result owns the unitarity
+    contract: construction measures the drift of every stored unitary
+    (:func:`unitarity_drift`, the Frobenius norm of W†W - 1), refuses the
+    first grid point whose drift is not within ``drift_tol`` (so a NaN or
+    infinite drift fails), and keeps the largest as ``max_drift``.
     """
 
     tau: float
     s_grid: np.ndarray
     unitaries: np.ndarray  # shape (len(s_grid), dim, dim)
     step: float
-    max_drift: float
+    max_drift: float = field(init=False)
     scheme: str
     drift_tol: float = DEFAULT_DRIFT_TOL
     steps: int = 0
@@ -352,13 +358,18 @@ class PropagatorResult:
             raise ValueError("s_grid and unitaries are inconsistent")
         if grid[0] != 0.0:
             raise ValueError("the s-grid must start at 0")
-        if np.linalg.norm(us[0] - np.eye(us.shape[1])) > 1e-10:
+        if not np.linalg.norm(us[0] - np.eye(us.shape[1])) <= 1e-10:
             raise ValueError("W(0) must be the identity")
-        if self.max_drift > self.drift_tol:
-            raise PropagationError(
-                f"max unitarity drift {self.max_drift:.3e} exceeds {self.drift_tol:.0e}; "
-                f"retry with step <= {self.step / 2:.3e}"
-            )
+        max_drift = 0.0
+        for s, u in zip(grid, us):
+            drift = unitarity_drift(u)
+            if not drift <= self.drift_tol:
+                raise PropagationError(
+                    f"unitarity drift {drift:.3e} exceeds {self.drift_tol:.0e} at s={s} "
+                    f"({self.scheme}, largest sub-step {self.step:.3e})"
+                )
+            max_drift = max(max_drift, drift)
+        object.__setattr__(self, "max_drift", max_drift)
 
     @property
     def dim(self) -> int:
@@ -376,7 +387,8 @@ class PropagatorResult:
         return self.unitaries[self.index_of(s)]
 
     # -- one-file-per-run serialization: a JSON metadata line followed by
-    #    "s <value>" + matrix text blocks, one per grid point.
+    #    "s <value>" + matrix text blocks, one per grid point. Loading
+    #    re-measures the matrices; the stored max_drift is informational.
 
     def save(self, path) -> None:
         meta = {
@@ -414,7 +426,6 @@ class PropagatorResult:
             s_grid=np.array(meta["s_grid"], dtype=float),
             unitaries=np.stack(unitaries),
             step=float(meta["step"]),
-            max_drift=float(meta["max_drift"]),
             scheme=str(meta["scheme"]),
             steps=int(meta.get("steps", 0)),
         )
@@ -492,11 +503,14 @@ def evolve(
     eigendecomposition is formed. Local error is O(h^3); with ``step`` None
     the step comes from :func:`default_step`. L1 paths are integrated
     directly from midpoint samples and flagged lower-accuracy in the scheme
-    descriptor (prefer :func:`mollify` first). Either way the unitarity drift,
-    the Frobenius norm of W†W - 1 (an upper bound on its 2-norm,
-    :func:`unitarity_drift`), is measured at every grid point and must stay
-    within ``drift_tol``, and a step that would need more than ``_MAX_STEPS``
-    steps over the grid raises ValueError before any step is taken.
+    descriptor (prefer :func:`mollify` first). A step that would need more
+    than ``_MAX_STEPS`` steps over the grid raises ValueError before any step
+    is taken.
+
+    Every scheme fills the whole grid and hands it to
+    :class:`PropagatorResult`, which measures the unitarity drift at every
+    grid point and raises :class:`PropagationError` at the first one whose
+    drift is not within ``drift_tol``.
     """
     if tau <= 0:
         raise ValueError("tau must be positive")
@@ -516,7 +530,6 @@ def evolve(
         scheme = "exact-constant"
         taken = float(spans.max(initial=0.0))
         steps = 0
-        remedy = "the eigendecomposition of the constant generator is inaccurate"
         states = _exact_states(tau * h_o.matrix + form.a, grid)
     else:
         mf_step = magnus_step(path.kappa, path.kappa_dot)
@@ -524,7 +537,6 @@ def evolve(
             scheme = "magnus-filon"
             # spans like 0.1 / 0.005 round up past 20 without the slack
             nsubs = _substeps(spans, mf_step, 1e-9)
-            remedy = "retry with an explicit step (the midpoint rule)"
             states = _magnus_filon_states(h_o.decomposition, form, tau, grid, nsubs)
         else:
             scheme = "midpoint-exponential"
@@ -535,29 +547,19 @@ def evolve(
             if not _fits(grid, step):
                 raise ValueError(f"step {step:.3e} needs more than {_MAX_STEPS} steps over the grid")
             nsubs = _substeps(spans, step)
-            remedy = f"retry with step <= {step / 2:.3e}"
             states = _midpoint_states(h_o.matrix, path, tau, grid, nsubs)
         taken = max((span / n for span, n in zip(spans, nsubs)), default=0.0)
         steps = sum(nsubs)
 
-    eye = np.eye(h_o.dim)
     unitaries = np.empty((grid.size, h_o.dim, h_o.dim), dtype=complex)
-    unitaries[0] = eye
-    max_drift = 0.0
+    unitaries[0] = np.eye(h_o.dim)
     for j, w in enumerate(states, start=1):
-        drift = unitarity_drift(w)
-        max_drift = max(max_drift, drift)
-        if drift > drift_tol:
-            raise PropagationError(
-                f"unitarity drift {drift:.3e} exceeded {drift_tol:.0e} at s={grid[j]}; {remedy}"
-            )
         unitaries[j] = w
     return PropagatorResult(
         tau=tau,
         s_grid=grid,
         unitaries=unitaries,
         step=taken,
-        max_drift=max_drift,
         scheme=scheme,
         drift_tol=drift_tol,
         steps=steps,

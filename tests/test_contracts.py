@@ -325,6 +325,18 @@ class TestParityTool:
             "max rel deviation 3.333e-01",
         ]
 
+    def test_compare_counts_a_nan_as_an_infinite_deviation(self, tmp_path, capsys):
+        # max() drops a NaN deviation, which would read as 0
+        a, b = tmp_path / "a", tmp_path / "b"
+        self.outputs(a, "s,value\n0,0.0\n0.5,0.5\n", "t")
+        self.outputs(b, "s,value\n0,0.0\n0.5,nan\n", "t")
+        assert self.TOOL.main(["compare", str(a), str(b)]) == 1
+        assert capsys.readouterr().out.splitlines() == [
+            "differs: demo/demo_metric.csv",
+            "  max abs deviation inf, max rel deviation inf",
+            "1 of 2 files differ; over all CSVs max abs deviation inf, max rel deviation inf",
+        ]
+
     def test_compare_reports_summary_deviations(self, tmp_path, capsys):
         # differing summary keys are named; propagation records give the
         # largest max_drift per side and whether scheme and steps match

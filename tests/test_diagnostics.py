@@ -62,6 +62,13 @@ class TestVectors:
         with pytest.raises(ValueError, match="unit norm"):
             TestVectorSet(vectors=np.array([[2.0, 0.0]]), labels=("a",), provenance=("eigenvector",))
 
+    def test_rejects_a_zero_column(self):
+        # normalising a zero column gives NaN, which must not pass as unit norm
+        with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="unit norm"):
+            TestVectorSet.from_columns(
+                [np.zeros(3), np.ones(3)], ("zero", "ones"), ("finite_support",) * 2
+            )
+
     def test_determinism(self):
         a = TestVectorSet.seeded_gaussian(5, 3, seed=9)
         b = TestVectorSet.seeded_gaussian(5, 3, seed=9)
@@ -166,7 +173,7 @@ def level_system(mults, seed):
     ws = [np.eye(levels.size)] + [random_unitary(levels.size, seed + k) for k in (1, 2, 3)]
     res = PropagatorResult(
         tau=1.0, s_grid=np.linspace(0.0, 1.0, 4), unitaries=np.array(ws), step=1.0,
-        max_drift=0.0, scheme="test",
+        scheme="test",
     )
     return h, res
 

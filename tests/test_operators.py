@@ -81,6 +81,13 @@ class TestUnitaryOperator:
         with pytest.raises(OperatorError, match="drift"):
             UnitaryOperator(np.diag([1.0, 1.1]))
 
+    def test_rejects_a_nan_drift(self):
+        # finite entries whose products overflow: inf - inf makes the drift NaN
+        a = np.array([[1e200, 1e200], [1e200, -1e200]])
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(OperatorError, match="drift nan"):
+                UnitaryOperator(a)
+
     def test_custom_tolerance_admits(self):
         u = UnitaryOperator(np.diag([1.0, 1.0 + 1e-5]), drift_tol=1e-4)
         assert u.drift > 1e-8

@@ -1,3 +1,4 @@
+import json
 import math
 import tracemalloc
 
@@ -8,9 +9,11 @@ from scipy.integrate import quad
 import slowdrive.propagation
 from slowdrive.operators import (
     HermitianOperator,
+    format_matrix,
     hermitian_eigendecomposition,
     operator_norm,
     pauli,
+    unitarity_drift,
     unitary_exponential,
 )
 from slowdrive.propagation import (
@@ -770,12 +773,49 @@ class TestPropagatorResult:
             assert np.array_equal(a, b)
         assert back.scheme == res.scheme
 
+    def test_load_re_measures_the_matrices(self, tmp_path):
+        # the stored max_drift is not trusted: a matrix scaled after save is
+        # refused when the file loads
+        res = evolve(random_hermitian(3, 4), seeded_pair_path(3, 0.5, 6), 10.0, GRID)
+        p = tmp_path / "run_test_10.prop"
+        res.save(p)
+        text = p.read_text()
+        assert json.loads(text.splitlines()[0])["max_drift"] <= 1e-12
+        last = format_matrix(res.unitaries[-1])
+        assert text.count(last) == 1
+        p.write_text(text.replace(last, format_matrix(1.1 * res.unitaries[-1])))
+        with pytest.raises(PropagationError, match="at s=1.0"):
+            PropagatorResult.load(p)
+
+    def test_nan_unitary_refused(self):
+        nan = np.full((2, 2), np.nan, dtype=complex)
+        eye = np.eye(2, dtype=complex)
+        grid = np.array([0.0, 1.0])
+        with pytest.raises(PropagationError, match=r"drift nan exceeds 1e-08 at s=1.0 \(x, "):
+            PropagatorResult(tau=1.0, s_grid=grid, unitaries=[eye, nan], step=0.1, scheme="x")
+        with pytest.raises(ValueError, match="identity"):
+            PropagatorResult(tau=1.0, s_grid=grid, unitaries=[nan, eye], step=0.1, scheme="x")
+
+    @pytest.mark.parametrize(
+        "drive, step, scheme",
+        [("ramp", None, "magnus-filon"), ("ramp", 1e-3, "midpoint-exponential"),
+         ("constant", None, "exact-constant")],
+    )
+    def test_max_drift_is_the_largest_measured(self, drive, step, scheme):
+        h = random_hermitian(6, 2)
+        path = seeded_pair_path(6, 1.0, 3)
+        if drive == "constant":
+            path = GeneratorPath.constant(path.form.a)
+        res = evolve(h, path, 50.0, GRID, step=step)
+        assert res.scheme == scheme
+        assert res.max_drift == max(unitarity_drift(u) for u in res.unitaries)
+
     def test_drift_invariant_enforced(self):
         bad = np.stack([np.eye(2), np.eye(2) * 1.1]).astype(complex)
         with pytest.raises(PropagationError):
             PropagatorResult(
                 tau=1.0, s_grid=np.array([0.0, 1.0]), unitaries=bad,
-                step=0.1, max_drift=0.21, scheme="x",
+                step=0.1, scheme="x",
             )
 
     def test_must_start_at_identity(self):
@@ -783,7 +823,7 @@ class TestPropagatorResult:
         with pytest.raises(ValueError, match="identity"):
             PropagatorResult(
                 tau=1.0, s_grid=np.array([0.0, 1.0]), unitaries=stack,
-                step=0.1, max_drift=0.0, scheme="x",
+                step=0.1, scheme="x",
             )
 
 

@@ -728,15 +728,15 @@ class TestCli:
             pytest.param(1e300, 1, "failing", id="1e+300-1"),
             pytest.param(1e160, 0, "numpy", id="1e+160-0"),
             pytest.param(1e300, 0, "numpy", id="1e+300-0"),
-            pytest.param(1.7e308, 1, "numpy", id="1.7e+308-1"),
+            pytest.param(1.7e308, 0, "numpy", id="1.7e+308-0"),
         ],
     )
     def test_exit_1_when_the_scenario_cannot_be_diagonalised(
         self, amplitude, code, eigensolver, monkeypatch, tmp_path, capsys
     ):
         # The reconstruction residual is relative to ||H_o||, so amplitudes up
-        # to 1e300 build and sweep. An eigensolver that fails exits 1, and so
-        # does 1.7e308, where the symmetrised H_o overflows to inf and NaN.
+        # to 1.7e308 build and sweep: H_o is symmetrised as A/2 + A†/2, which
+        # cannot overflow. An eigensolver that fails exits 1.
         if eigensolver == "failing":
             def fail(*args, **kwargs):
                 raise EigensolverError("eigenvectors are not orthonormal")
@@ -757,6 +757,26 @@ class TestCli:
             assert "two_level_rotating cannot be built" in err
         else:
             assert err == ""
+
+    def test_exit_1_on_a_nan_propagator(self, tmp_path, capsys):
+        # tau H_o overflows, so the exact constant propagator is NaN after
+        # s = 0: its drift is NaN, which is refused rather than passed
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({
+            "scenario": "two_level_rotating",
+            "params": {"amplitude": 1e300},
+            "taus": [1e10],
+            "s_grid": {"points": 3},
+            "metrics": ["heisenberg_norm"],
+        }))
+        out = tmp_path / "out"
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert main(["sweep", str(cfg_path), "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert "PASS" not in captured.out
+        assert captured.err.startswith("execution error: ") and captured.err.count("\n") == 1
+        assert "unitarity drift nan" in captured.err and "at s=0.5" in captured.err
+        assert not list(out.glob("*.csv"))
 
     @pytest.mark.parametrize(
         "change, argv, message",

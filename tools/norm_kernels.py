@@ -67,7 +67,7 @@ def measure(dim: int, points: int, repeat: int = 3) -> list[tuple]:
     unitaries = [np.eye(dim)] + [_random_unitary(rng, dim) for _ in range(points - 1)]
     result = PropagatorResult(
         tau=1.0, s_grid=np.linspace(0.0, 1.0, points), unitaries=np.array(unitaries),
-        step=1.0, max_drift=0.0, scheme="random",
+        step=1.0, scheme="random",
     )
     observables = {
         "half-rank": projection_leq(d, float(np.median(d.eigenvalues))),

@@ -9,8 +9,9 @@ to ``OUT/<name>/``, and one line per config gives its exit code.
 every ``summary.json`` without its ``timestamp``. It prints one line per file
 that differs or exists on one side only, and exits 1 if there is any such
 file, else 0. Under a differing CSV it prints the largest absolute and
-relative deviation over the fields that parse as numbers on both sides, and
-the first other field that differs, if any. Under a differing
+relative deviation over the fields that parse as numbers on both sides (a
+field that differs and is NaN on either side counts as an infinite
+deviation), and the first other field that differs, if any. Under a differing
 ``summary.json`` it prints the top-level keys that differ and, when the
 ``propagation`` records differ, the largest ``max_drift`` on each side,
 whether the ``scheme`` and ``steps`` of every record match, and one line
@@ -32,6 +33,7 @@ import importlib.util
 import io
 import itertools
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -101,10 +103,16 @@ def _csv_deviations(left: Path, right: Path) -> tuple[float, float, list[str]]:
             if u is None or v is None:
                 if x != y and not other:
                     other = [f"  first non-numeric difference: line {i}: {x!r} != {y!r}"]
-            elif u != v:
-                worst_abs = max(worst_abs, abs(u - v))
-                worst_rel = max(worst_rel, abs(u - v) / max(abs(u), abs(v)))
+            elif x != y and u != v:
+                worst_abs = _worse(worst_abs, abs(u - v))
+                worst_rel = _worse(worst_rel, abs(u - v) / max(abs(u), abs(v)))
     return worst_abs, worst_rel, other
+
+
+def _worse(worst: float, deviation: float) -> float:
+    """The larger of the two, with a NaN deviation (a NaN field, or inf
+    against inf) counted as infinite: max() would drop it."""
+    return math.inf if math.isnan(deviation) else max(worst, deviation)
 
 
 def _deviation(worst_abs: float, worst_rel: float) -> str:
