@@ -400,8 +400,7 @@ def schrodinger_limit_distance(
     for j, s in enumerate(grid):
         om_eig = vh @ omegas[j] @ vecs
         block = mask * om_eig
-        lam = np.asarray(path.sampler(float(s)), dtype=complex)
-        kern = d.interaction_kernel(result.tau * s, lam)
+        kern = d.interaction_kernel(result.tau * s, path(float(s)))
         integrand[j] = (mask * (kern @ (om_eig - block))) @ eig_psis
         moved = vecs @ (block @ eig_psis) - omega_inf.unitaries[j] @ psis
         block_dist[:, j] = np.linalg.norm(moved, axis=0)

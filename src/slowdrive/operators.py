@@ -214,7 +214,8 @@ class SpectralDecomposition:
             )
         if np.abs(w - level_values).max() > DECOMPOSITION_TOL * scale:
             raise EigensolverError("column eigenvalues stray from their level's eigenvalue")
-        gaps = np.diff(values)
+        with np.errstate(over="ignore"):  # an infinite gap is still a gap
+            gaps = np.diff(values)
         if len(gaps) and gaps.min() <= self.cluster_tol:
             raise EigensolverError("level eigenvalues are not separated by > cluster_tol")
         levels = tuple(
@@ -326,7 +327,8 @@ def hermitian_eigendecomposition(
     if cluster_tol < 0:
         raise ValueError("cluster_tol must be >= 0")
     w, v = h._eigh
-    splits = np.flatnonzero(np.diff(w) > cluster_tol) + 1
+    with np.errstate(over="ignore"):  # an infinite gap is above any tolerance
+        splits = np.flatnonzero(np.diff(w) > cluster_tol) + 1
     offsets = (0, *splits.tolist(), len(w))
     return SpectralDecomposition(
         vectors=v,

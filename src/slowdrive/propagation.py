@@ -2,20 +2,21 @@
 
 Provides:
 
-* ``evolve`` — the scaled-time propagator W_tau(s): for a ramp drive, a
-  Magnus-Filon scheme in the eigenbasis of H_o whose step does not depend on
-  tau; otherwise, or with an explicit step, a second-order exponential
-  midpoint scheme. Each step's exponential is applied to W by a Taylor series
-  truncated below unit roundoff (the action of the exponential). The
-  returned ``PropagatorResult`` checks the unitarity drift at every grid
-  point.
+* ``evolve`` — the scaled-time propagator W_tau(s): exact for a constant
+  drive; for a ramp drive, a Magnus-Filon scheme in the eigenbasis of H_o
+  whose step does not depend on tau; for a step or mollified drive, or with
+  an explicit step, a second-order exponential midpoint scheme. Each step's
+  exponential is applied to W by a Taylor series truncated below unit
+  roundoff (the action of the exponential). The returned
+  ``PropagatorResult`` checks the unitarity drift at every grid point.
 * ``comparison_operator`` — Omega_tau(t,s) = exp(i tau (t-s) H_o) W(t) W(s)^+,
   the unperturbed-frame comparison evolution.
 * ``dyson_term`` / ``dyson_series`` — the time-ordered Volterra iterates of
   Omega_tau, used as an independent oracle for moderate tau.
-* ``GeneratorPath.drive`` — the drive form Lambda(s) = A + p(s) B (fixed
+* ``GeneratorPath`` — the one drive type, Lambda(s) = A + p(s) B (fixed
   Hermitian A, B; a ramp, step or mollified-step profile p, or no B for a
-  constant drive), whose metadata follow from the form.
+  constant drive), built by ``GeneratorPath.drive``, whose metadata follow
+  from the form.
 * ``mollify`` — convolution smoothing of a step drive into a C1 drive by
   convolving its profile, with the propagator deviation controlled by
   int ||Lambda_eps - Lambda||.
@@ -31,7 +32,7 @@ import json
 import math
 import warnings
 from dataclasses import dataclass, field, replace
-from typing import Callable, Iterator
+from typing import Iterator
 
 import numpy as np
 
@@ -52,7 +53,6 @@ __all__ = [
     "GridError",
     "DysonResolutionWarning",
     "GeneratorPath",
-    "DriveForm",
     "MollifierSpec",
     "PropagatorResult",
     "DysonExpansion",
@@ -88,26 +88,25 @@ class DysonResolutionWarning(UserWarning):
     """quad_points is below the resolution needed for the oscillatory kernel."""
 
 
-def _hermitian_sample(sampler, s: float, dim: int) -> np.ndarray:
-    m = np.asarray(sampler(s), dtype=complex)
-    if m.shape != (dim, dim):
-        raise ValueError(f"sampler returned shape {m.shape}, expected ({dim}, {dim})")
-    return m
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GeneratorPath:
-    """The perturbation path s -> Lambda(s) on [0,1] with smoothness metadata.
+    """The perturbation path Lambda(s) = a + p(s) * b on [0, 1]: fixed
+    Hermitian ``a`` and ``b`` and a nondecreasing scalar profile p with
+    values in [0, 1]; ``b`` is None for the constant drive ``a``. p is the
+    ramp p(s) = s when ``at`` is None, the unit step at 0 < ``at`` < 1 (0
+    before it, 1 from it on), or that step convolved with the bump of
+    ``mollifier``, which is the bump's distribution function at
+    (s - at) / epsilon. Called with s, the path returns Lambda(s).
 
     ``kappa`` = sup_s ||Lambda(s)||, ``kappa_dot`` = sup_s ||dLambda/ds||
-    (None for a path that is not C1), ``l1_norm`` = int_0^1 ||Lambda(s)|| ds.
-    A drive built by :meth:`drive` (or :meth:`constant`) has a
-    :class:`DriveForm` as its sampler and derives all three from that form;
-    :meth:`from_sampler` measures them on a probe grid for an opaque sampler.
+    (None for a path that is not C1), ``l1_norm`` = int_0^1 ||Lambda(s)|| ds;
+    :meth:`drive` derives all three from the form.
     """
 
-    dim: int
-    sampler: Callable[[float], np.ndarray]
+    a: np.ndarray
+    b: np.ndarray | None
+    at: float | None
+    mollifier: MollifierSpec | None
     kappa: float
     kappa_dot: float | None = None
     l1_norm: float | None = None
@@ -115,110 +114,19 @@ class GeneratorPath:
     def __post_init__(self):
         if not math.isfinite(self.kappa) or self.kappa < 0:
             raise ValueError("kappa must be finite and >= 0")
+        if self.at is not None and not 0.0 < self.at < 1.0:
+            raise ValueError("a step profile needs 0 < at < 1")
+        if self.at is None and self.mollifier is not None:
+            raise ValueError("only a step profile is mollified")
+
+    @property
+    def dim(self) -> int:
+        return self.a.shape[0]
 
     @property
     def smoothness(self) -> str:
         """``norm_C1`` when the path carries kappa_dot, else ``norm_L1``."""
         return SMOOTH_L1 if self.kappa_dot is None else SMOOTH_C1
-
-    @property
-    def form(self) -> "DriveForm | None":
-        """The form A + p(s) B behind the sampler; None for an opaque sampler."""
-        return self.sampler if isinstance(self.sampler, DriveForm) else None
-
-    @classmethod
-    def from_sampler(
-        cls,
-        dim: int,
-        sampler: Callable[[float], np.ndarray],
-        probe_points: int = 1001,
-    ) -> "GeneratorPath":
-        """A norm_C1 path whose kappa, kappa_dot and L1 norm are measured on a
-        uniform probe grid, validating Hermiticity of every probed sample."""
-        if probe_points < 3:
-            raise ValueError("probe_points must be >= 3")
-        grid = np.linspace(0.0, 1.0, probe_points)
-        h = grid[1] - grid[0]
-        norms = np.empty(probe_points)
-        fd_max = 0.0
-        prev: np.ndarray | None = None
-        for i, s in enumerate(grid):
-            m = _hermitian_sample(sampler, float(s), dim)
-            defect = np.abs(m - m.conj().T).max()
-            if defect > 1e-10 * max(1.0, np.abs(m).max()):
-                raise ValueError(f"sampler is not Hermitian at s={s}: defect {defect:.3e}")
-            norms[i] = hermitian_norm(m)
-            if prev is not None:
-                fd_max = max(fd_max, hermitian_norm((m - prev) / h))
-            prev = m
-        return cls(
-            dim=dim,
-            sampler=sampler,
-            kappa=float(norms.max()),
-            kappa_dot=fd_max,
-            l1_norm=float(np.trapezoid(norms, grid)),
-        )
-
-    @classmethod
-    def drive(cls, a, b, at: float | None, mollifier: "MollifierSpec | None") -> "GeneratorPath":
-        """The drive Lambda(s) = a + p(s) * b of :class:`DriveForm`, or the
-        constant drive a when ``b`` is None (``at`` and ``mollifier`` are then
-        ignored).
-
-        ``a`` and ``b`` are checked to be Hermitian once. ||a + p b|| is convex
-        in p and p is nondecreasing, so kappa is the larger of the two
-        endpoint norms; kappa_dot = ||b|| sup p' (C1 profiles only); l1_norm
-        is a 16-node Gauss rule on each panel between the profile's breaks.
-        Every norm comes from one batched eigvalsh.
-        """
-        a = HermitianOperator(a).matrix
-        if b is None:
-            kappa = hermitian_norm(a)
-            return cls(a.shape[0], DriveForm(a, None, None, None), kappa, 0.0, kappa)
-        form = DriveForm(a, HermitianOperator(b).matrix, at, mollifier)
-        if form.b.shape != a.shape:
-            raise ValueError(f"drive matrices differ in shape: {a.shape} and {form.b.shape}")
-        slope, breaks = form.slope_and_breaks()
-        nodes, weights = _gauss_panels([0.0, *breaks, 1.0], _GL16)
-        samples = [form(0.0), form(1.0), form.b, *(form(float(x)) for x in nodes)]
-        norms = hermitian_norm(np.array(samples))
-        return cls(
-            dim=a.shape[0],
-            sampler=form,
-            kappa=float(max(norms[0], norms[1])),
-            kappa_dot=None if slope is None else float(norms[2]) * slope,
-            l1_norm=float(weights @ norms[3:]),
-        )
-
-    @classmethod
-    def constant(cls, matrix) -> "GeneratorPath":
-        return cls.drive(matrix, None, None, None)
-
-    @classmethod
-    def zero(cls, dim: int) -> "GeneratorPath":
-        return cls.constant(np.zeros((dim, dim)))
-
-
-@dataclass(frozen=True, eq=False)
-class DriveForm:
-    """Lambda(s) = a + p(s) * b: fixed Hermitian ``a`` and ``b`` and a
-    nondecreasing scalar profile p on [0, 1] with values in [0, 1]; ``b`` is
-    None for the constant drive ``a``. p is the ramp p(s) = s when ``at`` is
-    None, the unit step at 0 < ``at`` < 1 (0 before it, 1 from it on), or
-    that step convolved with the bump of ``mollifier``, which is the bump's
-    distribution function at (s - at) / epsilon. Called with s, the form is
-    the sampler of its :class:`GeneratorPath`."""
-
-    a: np.ndarray
-    b: np.ndarray | None
-    at: float | None
-    mollifier: MollifierSpec | None
-
-    def __post_init__(self):
-        if self.at is not None and not 0.0 < self.at < 1.0:
-            raise ValueError("a step profile needs 0 < at < 1")
-        if self.at is None and self.mollifier is not None:
-            raise ValueError("only a step profile is mollified")
 
     def __call__(self, s: float) -> np.ndarray:
         return self.a if self.b is None else self.a + self.profile(s) * self.b
@@ -242,6 +150,44 @@ class DriveForm:
         eps = self.mollifier.epsilon
         breaks = [x for x in (self.at - eps, self.at + eps) if 0.0 < x < 1.0]
         return float(default_bump(0.0)) / eps, breaks
+
+    @classmethod
+    def drive(cls, a, b, at: float | None, mollifier: "MollifierSpec | None") -> "GeneratorPath":
+        """The drive Lambda(s) = a + p(s) * b, or the constant drive a when
+        ``b`` is None (``at`` and ``mollifier`` are then ignored).
+
+        ``a`` and ``b`` are checked to be Hermitian once. ||a + p b|| is convex
+        in p and p is nondecreasing, so kappa is the larger of the two
+        endpoint norms; kappa_dot = ||b|| sup p' (C1 profiles only); l1_norm
+        is a 16-node Gauss rule on each panel between the profile's breaks.
+        Every norm comes from one batched eigvalsh.
+        """
+        a = HermitianOperator(a).matrix
+        if b is None:
+            kappa = hermitian_norm(a)
+            return cls(a, None, None, None, kappa, 0.0, kappa)
+        b = HermitianOperator(b).matrix
+        if b.shape != a.shape:
+            raise ValueError(f"drive matrices differ in shape: {a.shape} and {b.shape}")
+        path = cls(a, b, at, mollifier, 0.0)  # the metadata follow from its samples
+        slope, breaks = path.slope_and_breaks()
+        nodes, weights = _gauss_panels([0.0, *breaks, 1.0], _GL16)
+        samples = [path(0.0), path(1.0), b, *(path(float(x)) for x in nodes)]
+        norms = hermitian_norm(np.array(samples))
+        return replace(
+            path,
+            kappa=float(max(norms[0], norms[1])),
+            kappa_dot=None if slope is None else float(norms[2]) * slope,
+            l1_norm=float(weights @ norms[3:]),
+        )
+
+    @classmethod
+    def constant(cls, matrix) -> "GeneratorPath":
+        return cls.drive(matrix, None, None, None)
+
+    @classmethod
+    def zero(cls, dim: int) -> "GeneratorPath":
+        return cls.constant(np.zeros((dim, dim)))
 
 
 # --- mollifier ------------------------------------------------------------
@@ -308,19 +254,18 @@ def mollify(path: GeneratorPath, spec: MollifierSpec) -> GeneratorPath:
     int phi_eps(s - s') Lambda(s') ds', Lambda extended constantly outside
     [0, 1]. Returns a norm_C1 path.
 
-    The convolution acts on the scalar profile of the drive's form alone. A
+    The convolution acts on the scalar profile of the drive alone. A
     constant drive is returned as it is. A step A + H(s - at) B becomes
     A + p_eps(s) B, where p_eps(s) is the bump's distribution function at
-    (s - at) / eps (:class:`DriveForm`); since 0 < at < 1, the constant
-    extension outside [0, 1] leaves the step as it is. Any other drive is
-    refused: a ramp is C1 already, and an opaque sampler has no profile.
+    (s - at) / eps (:meth:`GeneratorPath.profile`); since 0 < at < 1, the
+    constant extension outside [0, 1] leaves the step as it is. Any other
+    drive is refused: a ramp is C1 already, and a mollified step is smooth.
     """
-    form = path.form
-    if form is not None and form.b is None:
+    if path.b is None:
         return path
-    if form is None or form.at is None or form.mollifier is not None:
+    if path.at is None or path.mollifier is not None:
         raise ValueError("mollify takes a constant drive or a step drive")
-    return GeneratorPath.drive(form.a, form.b, form.at, spec)
+    return GeneratorPath.drive(path.a, path.b, path.at, spec)
 
 
 # --- the propagator -------------------------------------------------------
@@ -474,8 +419,8 @@ def evolve(
 ) -> PropagatorResult:
     """Integrate i dW/ds = (tau*H_o + Lambda(s)) W over the s-grid.
 
-    A constant drive (a form with no B, :meth:`GeneratorPath.constant`) is
-    solved exactly:
+    A constant drive (no B, :meth:`GeneratorPath.constant`) is solved
+    exactly:
     W(s) = V exp(-i s w) V† from one eigendecomposition V diag(w) V† of
     tau*H_o + Lambda; ``step`` has no effect, the result's ``step`` is the
     largest grid interval and its ``steps`` is 0.
@@ -495,13 +440,14 @@ def evolve(
     matrix product. A build costs about 4-7.5 ms at dim 66, so a grid with
     many distinct interval lengths runs faster with an explicit ``step``.
 
-    Every other path, every explicit ``step``, and a ramp that would need
-    more than ``_MAX_STEPS`` Magnus-Filon steps use the exponential
-    midpoint scheme W_{k+1} = exp(-i h (tau*H_o + Lambda(s_mid))) W_k,
-    where the exponential is applied to W_k by a Taylor series whose
-    truncation error is below unit roundoff (:func:`_exp_step`); no
-    eigendecomposition is formed. Local error is O(h^3); with ``step`` None
-    the step comes from :func:`default_step`. L1 paths are integrated
+    A step or mollified drive, every explicit ``step``, and a ramp that
+    would need more than ``_MAX_STEPS`` Magnus-Filon steps use the
+    exponential midpoint scheme
+    W_{k+1} = exp(-i h (tau*H_o + Lambda(s_mid))) W_k, where the exponential
+    is applied to W_k by a Taylor series whose truncation error is below
+    unit roundoff (:func:`_exp_step`); no eigendecomposition is formed.
+    Local error is O(h^3); with ``step`` None the step comes from
+    :func:`default_step`. L1 paths are integrated
     directly from midpoint samples and flagged lower-accuracy in the scheme
     descriptor (prefer :func:`mollify` first). A step that would need more
     than ``_MAX_STEPS`` steps over the grid raises ValueError before any step
@@ -525,19 +471,21 @@ def evolve(
         raise ValueError("step must be positive")
     spans = np.diff(grid)
 
-    form = path.form
-    if form is not None and form.b is None:
+    if path.b is None:
         scheme = "exact-constant"
         taken = float(spans.max(initial=0.0))
         steps = 0
-        states = _exact_states(tau * h_o.matrix + form.a, grid)
+        # an overflowed generator gives a NaN propagator, which PropagatorResult refuses
+        with np.errstate(over="ignore"):
+            gen = tau * h_o.matrix + path.a
+        states = _exact_states(gen, grid)
     else:
         mf_step = magnus_step(path.kappa, path.kappa_dot)
-        if step is None and form is not None and form.at is None and _fits(grid, mf_step):
+        if step is None and path.at is None and _fits(grid, mf_step):
             scheme = "magnus-filon"
             # spans like 0.1 / 0.005 round up past 20 without the slack
             nsubs = _substeps(spans, mf_step, 1e-9)
-            states = _magnus_filon_states(h_o.decomposition, form, tau, grid, nsubs)
+            states = _magnus_filon_states(h_o.decomposition, path, tau, grid, nsubs)
         else:
             scheme = "midpoint-exponential"
             if path.smoothness == SMOOTH_L1:
@@ -630,14 +578,13 @@ def _midpoint_states(
 ) -> Iterator[np.ndarray]:
     """W at every grid point after the first, stepping each interval in
     ``nsubs`` equal exponential-midpoint steps."""
-    dim = h_mat.shape[0]
     scaled = tau * h_mat
-    w_cur = np.eye(dim, dtype=complex)
+    w_cur = np.eye(h_mat.shape[0], dtype=complex)
     for s0, s1, nsub in zip(grid, grid[1:], nsubs):
         h = (s1 - s0) / nsub
         for k in range(nsub):
             mid = s0 + (k + 0.5) * h
-            w_cur = _exp_step(scaled + _hermitian_sample(path.sampler, mid, dim), h, w_cur)
+            w_cur = _exp_step(scaled + path(mid), h, w_cur)
         yield w_cur
 
 
@@ -817,7 +764,7 @@ def _ordered_product(stack: np.ndarray) -> np.ndarray:
 
 def _magnus_filon_states(
     basis: SpectralDecomposition,
-    form: DriveForm,
+    path: GeneratorPath,
     tau: float,
     grid: np.ndarray,
     nsubs: list[int],
@@ -844,7 +791,7 @@ def _magnus_filon_states(
     matrix product."""
     v, w = basis.vectors, basis.column_values
     vh = v.conj().T
-    a, b = vh @ form.a @ v, vh @ form.b @ v
+    a, b = vh @ path.a @ v, vh @ path.b @ v
     polynomials = {}
     y = np.eye(w.size, dtype=complex)
     for s0, s1, nsub in zip(grid, grid[1:], nsubs):
@@ -953,7 +900,7 @@ def _dyson_levels(
     cur = [eye] + [np.zeros((dim, dim), dtype=complex) for _ in range(order)]
     for j in range(q):
         mid = s + (j + 0.5) * h
-        kernel = d.interaction_kernel(tau * (mid - s), _hermitian_sample(path.sampler, mid, dim))
+        kernel = d.interaction_kernel(tau * (mid - s), path(mid))
         prev_old = cur[0]
         for n in range(1, order + 1):
             old_n = cur[n]
@@ -1085,11 +1032,11 @@ def frame_reconstruction_residual(
     worst = 0.0
     for k in range(n_steps):
         s0 = k * h
-        v_mid = _exp_step(_hermitian_sample(path.sampler, s0 + 0.25 * h, dim), 0.5 * h, v)
-        lam_mid = _hermitian_sample(path.sampler, s0 + 0.5 * h, dim)
+        v_mid = _exp_step(path(s0 + 0.25 * h), 0.5 * h, v)
+        lam_mid = path(s0 + 0.5 * h)
         y = _exp_step(tau * hm - v_mid.conj().T @ lam_mid @ v_mid, h, y)
         g = _exp_step(tau * (v_mid @ hm @ v_mid.conj().T), h, g)
-        v = _exp_step(_hermitian_sample(path.sampler, s0 + 0.75 * h, dim), 0.5 * h, v_mid)
+        v = _exp_step(path(s0 + 0.75 * h), 0.5 * h, v_mid)
         worst = max(worst, operator_norm(v @ y - g))
     return worst
 
@@ -1098,11 +1045,8 @@ def block_diagonal_path(d: SpectralDecomposition, path: GeneratorPath) -> Genera
     """The drive s -> sum_E P_E Lambda(s) P_E, with A and B compressed once.
     Compression is a pinching, so the parent's kappa/kappa_dot/l1 bounds
     carry over."""
-    form = path.form
-    if form is None:
-        raise ValueError("block_diagonal_path needs a drive of the form A + p(s) B")
-    b = None if form.b is None else block_compress(d, form.b)
-    return replace(path, sampler=replace(form, a=block_compress(d, form.a), b=b))
+    b = None if path.b is None else block_compress(d, path.b)
+    return replace(path, a=block_compress(d, path.a), b=b)
 
 
 def omega_infinity(

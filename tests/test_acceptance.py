@@ -286,7 +286,7 @@ def test_criterion_09_mollifier_contract():
     fine = np.linspace(0.0, 1.0, 2001)
     for eps in (0.05, 0.01):
         meps = mollify(path, MollifierSpec(eps))
-        diffs = [operator_norm(meps.sampler(s) - path.sampler(s)) for s in fine]
+        diffs = [operator_norm(meps(s) - path(s)) for s in fine]
         l1 = float(np.trapezoid(diffs, fine))
         assert l1 <= eps * operator_norm(after - before)
         worst, budget = 0.0, 0.0

@@ -328,17 +328,14 @@ class TestResolventDistance:
         g2 = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
         b_mat = (g2 + g2.conj().T) / 4
 
-        def sampler(s):
-            return a_mat + s * b_mat
-
-        path = GeneratorPath.from_sampler(5, sampler, probe_points=101)
+        path = GeneratorPath.drive(a_mat, b_mat, None, None)
         tau, z = 40.0, 1j
         fine = np.linspace(0.0, 1.0, 801)
         res = evolve(h, path, tau, fine, step=2e-4)
         eye = np.eye(5)
 
         def resolvent_at(s):
-            return np.linalg.inv(h.matrix + sampler(s) / tau - z * eye)
+            return np.linalg.inv(h.matrix + path(s) / tau - z * eye)
 
         s_idx = -1
         w_s = res.unitaries[s_idx]

@@ -11,13 +11,13 @@ from slowdrive.operators import (
     HermitianOperator,
     format_matrix,
     hermitian_eigendecomposition,
+    hermitian_norm,
     operator_norm,
     pauli,
     unitarity_drift,
     unitary_exponential,
 )
 from slowdrive.propagation import (
-    DriveForm,
     DysonResolutionWarning,
     GeneratorPath,
     GridError,
@@ -52,8 +52,9 @@ from slowdrive.propagation import (
     richardson_error,
 )
 from slowdrive.scenarios import ScenarioConfig, build_scenario, seeded_pair_path, step_path
+from slowdrive.spectral import block_compress
 
-from test_operators import random_hermitian
+from test_operators import random_hermitian, random_unitary
 
 GRID = np.linspace(0.0, 1.0, 9)
 
@@ -75,7 +76,7 @@ def eigh_stepped(h_o, path, tau, grid, step=None):
         nsub = max(1, math.ceil((s1 - s0) / step))
         h = (s1 - s0) / nsub
         for k in range(nsub):
-            w = eigh_exp_step(tau * h_o.matrix + path.sampler(s0 + (k + 0.5) * h), h, w)
+            w = eigh_exp_step(tau * h_o.matrix + path(s0 + (k + 0.5) * h), h, w)
         out.append(w)
     return out
 
@@ -92,20 +93,13 @@ class TestGeneratorPath:
         assert p.kappa_dot == 0.0
         assert p.l1_norm == pytest.approx(0.7)
 
-    def test_from_sampler_measures(self):
-        mat = pauli("z")
-        p = GeneratorPath.from_sampler(2, lambda s: math.sin(math.pi * s) * mat, probe_points=401)
-        assert p.kappa == pytest.approx(1.0, abs=1e-4)
-        assert p.l1_norm == pytest.approx(2 / math.pi, abs=1e-4)
-        assert p.kappa_dot == pytest.approx(math.pi, rel=1e-3)
-
     def test_fd_derivative_within_declared_bound(self):
         # C1 invariant: finite differences on a 1e3 grid <= 1.1 * kappa_dot
         p = seeded_pair_path(4, 1.0, seed=5)
         grid = np.linspace(0, 1, 1001)
         h = grid[1] - grid[0]
         fd = max(
-            operator_norm(p.sampler(b) - p.sampler(a)) / h
+            operator_norm(p(b) - p(a)) / h
             for a, b in zip(grid, grid[1:])
         )
         assert fd <= 1.1 * p.kappa_dot + 1e-12
@@ -113,20 +107,24 @@ class TestGeneratorPath:
     def test_rejects_non_hermitian_sampler(self):
         bad = np.array([[0.0, 1.0], [0.0, 0.0]])
         with pytest.raises(ValueError, match="Hermitian"):
-            GeneratorPath.from_sampler(2, lambda s: bad, probe_points=11)
+            GeneratorPath.drive(pauli("z"), bad, None, None)
 
     @pytest.mark.parametrize(
         "dim, seed, real", [(4, 5, False), (6, 3, False), (16, 2, False), (66, 11, True)]
     )
     def test_form_metadata_matches_probe(self, dim, seed, real):
-        # kappa from the endpoint norms equals the 201-point probe's bit for bit
+        # kappa from the endpoint norms equals the 201-point probe's bit for bit,
+        # and kappa_dot its largest finite difference
         p = seeded_pair_path(dim, 1.0, seed, real=real)
-        probe = GeneratorPath.from_sampler(dim, p.sampler, probe_points=201)
-        assert p.kappa == probe.kappa
-        assert p.kappa_dot == pytest.approx(probe.kappa_dot, rel=1e-12, abs=0.0)
-        a, b = p.form.a, p.form.b
+        probe = np.linspace(0.0, 1.0, 201)
+        samples = [p(float(s)) for s in probe]
+        h = probe[1] - probe[0]
+        assert p.kappa == max(hermitian_norm(m) for m in samples)
+        slopes = [hermitian_norm((m - prev) / h) for prev, m in zip(samples, samples[1:])]
+        assert p.kappa_dot == pytest.approx(max(slopes), rel=1e-12, abs=0.0)
+        a, b = p.a, p.b
         for s in (0.0, 0.3, 0.625, 1.0):
-            assert np.array_equal(p.sampler(s), a + s * b)
+            assert np.array_equal(p(s), a + s * b)
 
     def test_negative_kappa_rejected(self):
         with pytest.raises(ValueError, match="kappa"):
@@ -142,9 +140,9 @@ class TestGeneratorPath:
     def test_step_form(self):
         p = step_path(pauli("z"), pauli("x"), at=0.25)
         assert p.smoothness == "norm_L1" and p.kappa_dot is None
-        assert np.array_equal(p.form.b, pauli("x") - pauli("z"))
-        assert np.array_equal(p.sampler(0.2), pauli("z"))
-        assert operator_norm(p.sampler(0.25) - pauli("x")) <= 1e-15
+        assert np.array_equal(p.b, pauli("x") - pauli("z"))
+        assert np.array_equal(p(0.2), pauli("z"))
+        assert operator_norm(p(0.25) - pauli("x")) <= 1e-15
         assert p.l1_norm == pytest.approx(1.0, rel=1e-14)
         with pytest.raises(ValueError, match="0 < at < 1"):
             step_path(pauli("z"), pauli("x"), at=1.0)
@@ -278,8 +276,9 @@ class TestFilonMoments:
 
 
 class TestAgainstEighStepper:
-    """On sampler paths evolve agrees with the same midpoint steps
-    exponentiated by eigh, counts its steps and still checks the drift."""
+    """On ramp drives with an explicit step evolve agrees with the same
+    midpoint steps exponentiated by eigh, counts its steps and still checks
+    the drift."""
 
     @staticmethod
     def assert_close(inst, tau, step=None):
@@ -323,7 +322,7 @@ class TestAgainstEighStepper:
         assert res.steps == 8 * math.ceil(0.125 / step)
         res.save(tmp_path / "run.prop")
         assert PropagatorResult.load(tmp_path / "run.prop").steps == res.steps
-        constant = evolve(inst.h_o, GeneratorPath.constant(inst.path.sampler(0.5)), 20.0, GRID)
+        constant = evolve(inst.h_o, GeneratorPath.constant(inst.path(0.5)), 20.0, GRID)
         assert constant.steps == 0
 
 
@@ -354,14 +353,14 @@ def magnus_terms_by_quadrature(w, p, b, tau, h, nodes=64):
     return omega1, h * h * omega2
 
 
-def per_step_magnus_filon(basis, form, tau, grid, nsubs):
+def per_step_magnus_filon(basis, path, tau, grid, nsubs):
     """Reference Magnus-Filon propagator: the steps of ``evolve``, with a
     generator built for every interval at its exact sub-step length and each
     exponential summed by ``_exp_step`` at its step start instead of read from
     the step polynomial. Returns W at every grid point."""
     v, w = basis.vectors, basis.column_values
     vh = v.conj().T
-    a, b = vh @ form.a @ v, vh @ form.b @ v
+    a, b = vh @ path.a @ v, vh @ path.b @ v
     y = np.eye(w.size, dtype=complex)
     out = [np.eye(w.size)]
     for s0, s1, nsub in zip(grid, grid[1:], nsubs):
@@ -392,8 +391,7 @@ def eigenbasis_ramp(inst):
     """The eigenvalues of H_o and the ramp's A, B in its eigenbasis."""
     d = inst.h_o.decomposition
     v, vh = d.vectors, d.vectors.conj().T
-    form = inst.path.form
-    return d.column_values, vh @ form.a @ v, vh @ form.b @ v
+    return d.column_values, vh @ inst.path.a @ v, vh @ inst.path.b @ v
 
 
 class TestMagnusFilon:
@@ -498,7 +496,7 @@ class TestMagnusFilon:
         assert len(set(np.diff(FINE_GRID))) > 1
         assert (res.scheme, res.steps, len(builds)) == ("magnus-filon", 300, 1)
         ref = per_step_magnus_filon(
-            inst.h_o.decomposition, inst.path.form, tau, FINE_GRID, [1] * 300
+            inst.h_o.decomposition, inst.path, tau, FINE_GRID, [1] * 300
         )
         for u, r in zip(res.unitaries, ref):
             assert operator_norm(u - r) <= 1e-13
@@ -526,7 +524,7 @@ class TestMagnusFilon:
             res = evolve(inst.h_o, inst.path, tau, grid)
         assert (res.scheme, res.steps) == ("magnus-filon", sum(nsubs))
         assert len(builds) == len(lengths)
-        ref = per_step_magnus_filon(inst.h_o.decomposition, inst.path.form, tau, grid, nsubs)
+        ref = per_step_magnus_filon(inst.h_o.decomposition, inst.path, tau, grid, nsubs)
         for u, r in zip(res.unitaries, ref):
             assert operator_norm(u - r) <= 1e-13
 
@@ -633,7 +631,7 @@ class TestMagnusFilon:
         tau = 1000.0
         res = evolve(inst.h_o, inst.path, tau, self.GRID11)
         ref = per_step_magnus_filon(
-            inst.h_o.decomposition, inst.path.form, tau, self.GRID11, self.magnus_nsubs(inst.path)
+            inst.h_o.decomposition, inst.path, tau, self.GRID11, self.magnus_nsubs(inst.path)
         )
         assert res.steps == 200
         for u, r in zip(res.unitaries, ref):
@@ -645,9 +643,9 @@ class TestMagnusFilon:
         # block of _STEP_BLOCK = 16 steps, two blocks and a one-step tail,
         # and the 200 steps of [0, 1] at h_MF (12 full blocks and 8 steps)
         inst = scenario_instance("embedded_eigenvalue", grid_points=63, multiplicity=3)
-        d, form, grid = inst.h_o.decomposition, inst.path.form, np.array([0.0, 1.0])
-        (state,) = _magnus_filon_states(d, form, 100.0, grid, [nsub])
-        ref = per_step_magnus_filon(d, form, 100.0, grid, [nsub])[1]
+        d, path, grid = inst.h_o.decomposition, inst.path, np.array([0.0, 1.0])
+        (state,) = _magnus_filon_states(d, path, 100.0, grid, [nsub])
+        ref = per_step_magnus_filon(d, path, 100.0, grid, [nsub])[1]
         assert operator_norm(state - ref) <= 1e-13
 
     def test_memory_stays_near_two_blocks(self):
@@ -671,7 +669,7 @@ class TestMagnusFilon:
         res = omega_infinity(d, inst.path, self.GRID11)
         bpath = block_diagonal_path(d, inst.path)
         zero = HermitianOperator(np.zeros((16, 16))).decomposition
-        ref = per_step_magnus_filon(zero, bpath.form, 1.0, self.GRID11, self.magnus_nsubs(bpath))
+        ref = per_step_magnus_filon(zero, bpath, 1.0, self.GRID11, self.magnus_nsubs(bpath))
         assert res.scheme == "limit-magnus-filon"
         for u, r in zip(res.unitaries, ref):
             assert operator_norm(u - r) <= 1e-13
@@ -710,6 +708,35 @@ class TestScalarShift:
                 assert deviation.max() <= 1e-13 + 5e-15 * tau
 
 
+class TestChangeOfBasis:
+    """For a unitary U, (U H_o U†, U A U†, U B U†) gives U W U† at every grid
+    point. The check needs no reference, so it reaches any tau. eigh may pick
+    another basis of a degenerate level, and the 1-norms that size the Taylor
+    and Chebyshev sums are not unitarily invariant, so the agreement is to
+    rounding."""
+
+    @pytest.mark.parametrize(
+        "grid", [np.linspace(0.0, 1.0, 11), FINE_GRID], ids=["11-point", "301-point"]
+    )
+    @pytest.mark.parametrize(
+        "name, params",
+        [("embedded_eigenvalue", {"grid_points": 15, "multiplicity": 3}),
+         ("pure_point_omega", {"dim": 16, "degenerate_pairs": 2})],
+    )
+    def test_rotated_problem_gives_rotated_propagator(self, name, params, grid):
+        inst = scenario_instance(name, **params)
+        u = random_unitary(inst.h_o.dim, 96)
+        uh = u.conj().T
+        h_o = HermitianOperator(u @ inst.h_o.matrix @ uh)
+        path = GeneratorPath.drive(u @ inst.path.a @ uh, u @ inst.path.b @ uh, None, None)
+        for tau in (10.0, 1e2, 1e3, 1e4):
+            base = evolve(inst.h_o, inst.path, tau, grid)
+            rotated = evolve(h_o, path, tau, grid)
+            assert base.scheme == rotated.scheme == "magnus-filon"
+            deviation = np.linalg.norm(rotated.unitaries - u @ base.unitaries @ uh, 2, (1, 2))
+            assert deviation.max() <= 1e-13 + 5e-15 * tau
+
+
 class TestExactConstantDrive:
     @staticmethod
     def direct_sum_instance():
@@ -731,16 +758,16 @@ class TestExactConstantDrive:
         assert len(calls) == 4
 
     def test_matches_midpoint_stepper(self):
-        # the same drive behind a plain sampler is not marked constant, so it
-        # takes the midpoint loop; both must agree at every grid point
+        # the same drive as a ramp with a zero B is not marked constant, so at
+        # an explicit step it takes the midpoint loop; both must agree at
+        # every grid point
         inst = self.direct_sum_instance()
         grid = np.array([0.0, 0.5, 1.0])
-        stepped = GeneratorPath.from_sampler(
-            inst.path.dim, lambda s: inst.path.sampler(s), probe_points=3
-        )
+        stepped = GeneratorPath.drive(inst.path.a, np.zeros_like(inst.path.a), None, None)
         for tau in (8.0, 64.0):
             exact = evolve(inst.h_o, inst.path, tau, grid)
-            mid = evolve(inst.h_o, stepped, tau, grid)
+            step = default_step(tau, inst.h_o.norm(), stepped.kappa)
+            mid = evolve(inst.h_o, stepped, tau, grid, step=step)
             assert mid.scheme == "midpoint-exponential"
             for a, b in zip(exact.unitaries, mid.unitaries):
                 assert operator_norm(a - b) <= 1e-10
@@ -805,7 +832,7 @@ class TestPropagatorResult:
         h = random_hermitian(6, 2)
         path = seeded_pair_path(6, 1.0, 3)
         if drive == "constant":
-            path = GeneratorPath.constant(path.form.a)
+            path = GeneratorPath.constant(path.a)
         res = evolve(h, path, 50.0, GRID, step=step)
         assert res.scheme == scheme
         assert res.max_drift == max(unitarity_drift(u) for u in res.unitaries)
@@ -962,7 +989,7 @@ class TestMollifier:
         p = GeneratorPath.constant(0.3 * pauli("y"))
         m = mollify(p, MollifierSpec(0.05))
         for s in (0.0, 0.31, 0.5, 1.0):
-            assert operator_norm(m.sampler(s) - 0.3 * pauli("y")) <= 1e-15
+            assert operator_norm(m(s) - 0.3 * pauli("y")) <= 1e-15
 
     def test_step_l1_deviation_bounded(self):
         # int ||L_eps - L|| <= eps * ||jump|| * c_phi with c_phi <= 1
@@ -970,7 +997,7 @@ class TestMollifier:
         p = step_path(pauli("z"), pauli("x"), at=0.5)
         m = mollify(p, MollifierSpec(eps))
         fine = np.linspace(0, 1, 2001)
-        vals = [operator_norm(m.sampler(s) - p.sampler(s)) for s in fine]
+        vals = [operator_norm(m(s) - p(s)) for s in fine]
         l1 = float(np.trapezoid(vals, fine))
         jump = operator_norm(pauli("x") - pauli("z"))
         assert l1 <= eps * jump
@@ -982,7 +1009,7 @@ class TestMollifier:
         p = step_path(np.kron(np.eye(2), pauli("z")), np.kron(np.eye(2), pauli("x")))
         m = mollify(p, MollifierSpec(0.05))
         fine = np.linspace(0, 1, 1001)
-        l1 = float(np.trapezoid([operator_norm(m.sampler(s) - p.sampler(s)) for s in fine], fine))
+        l1 = float(np.trapezoid([operator_norm(m(s) - p(s)) for s in fine], fine))
         grid = np.linspace(0, 1, 11)
         budget = 0.0
         worst = 0.0
@@ -1006,21 +1033,24 @@ class TestMollifier:
         raw = step_path(pauli("z"), pauli("x"), at=0.5)
         m = mollify(raw, MollifierSpec(0.1))
         called = []
-        profile = DriveForm.profile
-        monkeypatch.setattr(DriveForm, "profile", lambda f, s: called.append(f) or profile(f, s))
+        profile = GeneratorPath.profile
+        monkeypatch.setattr(
+            GeneratorPath, "profile", lambda f, s: called.append(f) or profile(f, s)
+        )
         for s in (0.0, 0.41, 0.5, 0.55, 0.63, 1.0):
-            want = raw.form.a + profile(m.form, s) * raw.form.b
-            assert np.array_equal(m.sampler(s), want)
+            want = raw.a + profile(m, s) * raw.b
+            assert np.array_equal(m(s), want)
         assert called and all(f.mollifier is not None for f in called)
         cdf = quad(default_bump, -1.0, 0.5)[0]
-        assert profile(m.form, 0.55) == pytest.approx(cdf, abs=1e-9)
-        assert (profile(m.form, 0.39), profile(m.form, 0.61)) == (0.0, 1.0)
+        assert profile(m, 0.55) == pytest.approx(cdf, abs=1e-9)
+        assert (profile(m, 0.39), profile(m, 0.61)) == (0.0, 1.0)
 
     def test_only_step_and_constant_drives(self):
         with pytest.raises(ValueError, match="step drive"):
             mollify(seeded_pair_path(3, 1.0, 2), MollifierSpec(0.1))
+        mollified = mollify(step_path(pauli("z"), pauli("x")), MollifierSpec(0.1))
         with pytest.raises(ValueError, match="step drive"):
-            mollify(GeneratorPath.from_sampler(2, lambda s: s * pauli("x")), MollifierSpec(0.1))
+            mollify(mollified, MollifierSpec(0.1))
 
     def test_mollified_path_is_c1(self):
         m = mollify(step_path(pauli("z"), pauli("x")), MollifierSpec(0.1))
@@ -1041,12 +1071,11 @@ class TestInteractionFrame:
             assert operator_norm(res.at(s) - ref) <= 1e-9
 
     def test_commuting_family_scalar_quadrature(self):
-        # Lambda(s) = a(s) sz: V(s) = exp(-i (int_0^s a) sz)
-        a = lambda s: math.cos(math.pi * s)  # noqa: E731
-        path = GeneratorPath.from_sampler(2, lambda s: a(s) * pauli("z"), probe_points=101)
+        # Lambda(s) = (1 - 2s) sz: V(s) = exp(-i (s - s^2) sz)
+        path = GeneratorPath.drive(pauli("z"), -2.0 * pauli("z"), None, None)
         res = interaction_frame(path, GRID, step=1e-4)
         for s in GRID:
-            integral = math.sin(math.pi * s) / math.pi
+            integral = s - s * s
             ref = unitary_exponential(HermitianOperator(pauli("z")), integral).matrix
             assert operator_norm(res.at(s) - ref) <= 1e-7
 
@@ -1084,11 +1113,7 @@ class TestOmegaInfinity:
         d = hermitian_eigendecomposition(h)
         path = seeded_pair_path(3, 1.0, 70)
         oi = omega_infinity(d, path, GRID, step=1e-4)
-
-        def sub(s):
-            return path.sampler(s)[:2, :2]
-
-        sub_path = GeneratorPath.from_sampler(2, sub, probe_points=201)
+        sub_path = GeneratorPath.drive(path.a[:2, :2], path.b[:2, :2], None, None)
         sub_v = interaction_frame(sub_path, GRID, step=1e-4)
         for a, b in zip(oi.unitaries, sub_v.unitaries):
             assert operator_norm(a[:2, :2] - b) <= 1e-8
@@ -1098,11 +1123,18 @@ class TestOmegaInfinity:
         res = omega_infinity(d, GeneratorPath.constant(random_hermitian(3, 71).matrix), GRID)
         assert res.scheme == "limit-exact-constant"
 
-    def test_opaque_sampler_refused(self):
-        d = hermitian_eigendecomposition(HermitianOperator(pauli("z")))
-        path = GeneratorPath.from_sampler(2, lambda s: s * pauli("x"), probe_points=11)
-        with pytest.raises(ValueError, match="A \\+ p\\(s\\) B"):
-            omega_infinity(d, path, GRID)
+    def test_block_diagonal_path_keeps_the_parent_metadata(self):
+        # compression is a pinching, so the parent's bounds carry over as they
+        # are; bounds derived again from the compressed A and B would move h_MF
+        inst = scenario_instance("pure_point_omega", dim=16, degenerate_pairs=4)
+        d, path = inst.h_o.decomposition, inst.path
+        bpath = block_diagonal_path(d, path)
+        assert (bpath.kappa, bpath.kappa_dot, bpath.l1_norm) == (
+            path.kappa, path.kappa_dot, path.l1_norm
+        )
+        assert np.array_equal(bpath.a, block_compress(d, path.a))
+        assert np.array_equal(bpath.b, block_compress(d, path.b))
+        assert GeneratorPath.drive(bpath.a, bpath.b, None, None).kappa < path.kappa
 
     def test_zero_operator_shared_per_dim(self, monkeypatch):
         # omega_infinity and interaction_frame evolve under one zero H_o per dim

@@ -148,7 +148,7 @@ class TestBuilders:
         )
         inst = build_scenario(cfg)
         assert np.allclose(np.diag(inst.h_o.matrix).real, [1.0, -1.0, 0.5, -0.5])
-        lam = inst.path.sampler(0.3)
+        lam = inst.path(0.3)
         assert np.allclose(lam[:2, :2], pauli("x"))
         assert np.allclose(lam[2:, 2:], pauli("x"))
 
@@ -760,7 +760,8 @@ class TestCli:
 
     def test_exit_1_on_a_nan_propagator(self, tmp_path, capsys):
         # tau H_o overflows, so the exact constant propagator is NaN after
-        # s = 0: its drift is NaN, which is refused rather than passed
+        # s = 0: its drift is NaN, which is refused rather than passed, and
+        # the overflow raises no RuntimeWarning
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps({
             "scenario": "two_level_rotating",
@@ -770,8 +771,7 @@ class TestCli:
             "metrics": ["heisenberg_norm"],
         }))
         out = tmp_path / "out"
-        with np.errstate(over="ignore", invalid="ignore"):
-            assert main(["sweep", str(cfg_path), "--out", str(out)]) == 1
+        assert main(["sweep", str(cfg_path), "--out", str(out)]) == 1
         captured = capsys.readouterr()
         assert "PASS" not in captured.out
         assert captured.err.startswith("execution error: ") and captured.err.count("\n") == 1
