@@ -133,62 +133,89 @@ def conjugation_distance_sot(
     return np.linalg.norm(w @ (a @ (w.conj().T @ psi)) - a @ psi, axis=0)
 
 
-def two_valued_blocks(
-    d: SpectralDecomposition, a: np.ndarray
-) -> tuple[float, np.ndarray, np.ndarray] | None:
-    """For A = alpha P + beta (1 - P), P a spectral projection of H (read off
-    ``d.coefficients``): (|alpha - beta|, V_in, V_out^+), where V_in holds the
-    eigenvector columns of the rarer value and V_out the others. None for any
-    other A. A single value gives |alpha - beta| = 0 and an empty V_in.
-
-    Then ||W A W^+ - A|| = |alpha - beta| ||V_out^+ W V_in||: W P W^+ and P
-    are orthogonal projections of equal rank, for which ||Q - P|| =
-    ||(1 - P) Q|| (Kato, Perturbation Theory, I 6.8), and ||(1 - P) W P W^+||
-    = ||V_out^+ W V_in|| for unitary W."""
+def _eigen_form(d: SpectralDecomposition, a: np.ndarray) -> np.ndarray:
+    """``a`` in the eigenbasis V of H: its per-column values f (a 1-D array,
+    V† a V = diag f) when it is a function of H, which every observable of
+    the catalog is; else the matrix V† a V, formed once."""
     c = d.coefficients(a)
-    if c is None:
-        return None
-    per_column = np.repeat(c, d.multiplicities)
-    lo, hi = per_column.min(), per_column.max()
+    if c is not None:
+        return np.repeat(c, d.multiplicities)
+    return d.vectors.conj().T @ a @ d.vectors
+
+
+def _times(a_e: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """a_e @ x for an eigenbasis form of :func:`_eigen_form`."""
+    return a_e[:, None] * x if a_e.ndim == 1 else a_e @ x
+
+
+def two_valued_blocks(f: np.ndarray) -> tuple[float, np.ndarray] | None:
+    """For A = alpha P + beta (1 - P), P a spectral projection of H, given as
+    its per-column values ``f`` in the eigenbasis of H (A = V diag(f) V†):
+    (|alpha - beta|, inner), where the boolean column mask ``inner`` selects
+    the rarer value. None for any other f. A single value gives
+    |alpha - beta| = 0 and an empty ``inner``.
+
+    Then ||W A W^+ - A|| = |alpha - beta| ||U[~inner, inner]|| for the frame
+    U = V† W V: W P W^+ and P are orthogonal projections of equal rank, for
+    which ||Q - P|| = ||(1 - P) Q|| (Kato, Perturbation Theory, I 6.8), and
+    ||(1 - P) W P W^+|| = ||V_out^+ W V_in|| for unitary W."""
+    lo, hi = f.min(), f.max()
     tol = FUNCTION_RTOL * max(abs(lo), abs(hi))
     if hi - lo <= 2 * tol:
-        gap, inner = 0.0, np.zeros(d.dim, dtype=bool)
-    else:
-        upper = hi - per_column <= tol
-        if not np.all(upper | (per_column - lo <= tol)):
-            return None
-        gap = float(per_column[upper].mean() - per_column[~upper].mean())
-        inner = upper if 2 * np.count_nonzero(upper) <= d.dim else ~upper
-    return gap, d.vectors[:, inner], d.vectors[:, ~inner].conj().T
+        return 0.0, np.zeros(f.size, dtype=bool)
+    upper = hi - f <= tol
+    if not np.all(upper | (f - lo <= tol)):
+        return None
+    gap = float(f[upper].mean() - f[~upper].mean())
+    return gap, upper if 2 * np.count_nonzero(upper) <= f.size else ~upper
 
 
 def heisenberg_distance_norm(
     h_o: HermitianOperator, result: PropagatorResult, a: HermitianOperator
 ) -> tuple[np.ndarray, float]:
-    """||W(s) A W(s)^+ - A|| per grid point, and its sup over the grid.
+    """||W(s) A W(s)^+ - A|| per grid point, and its sup over the grid, from
+    the frames U = V† W V in the eigenbasis V of H_o.
 
     A two-valued function of H_o (every spectral projection) takes the norm
-    of one eigenbasis block of W (``two_valued_blocks``); any other A the
-    largest |eigenvalue| of the Hermitian difference."""
-    m = a.matrix
-    blocks = two_valued_blocks(h_o.decomposition, m)
-    if blocks is None:
-        values = [hermitian_norm(w @ m @ w.conj().T - m) for w in result.unitaries]
+    of one index block of U (``two_valued_blocks``); any other A the largest
+    |eigenvalue| of the Hermitian difference U A_e U† - A_e, where A_e is
+    diag(f) for a function f of H_o (one product per point) and V† A V
+    otherwise."""
+    d = h_o.decomposition
+    frames = result.frames_in(d)
+    a_e = _eigen_form(d, a.matrix)
+    blocks = two_valued_blocks(a_e) if a_e.ndim == 1 else None
+    if blocks is not None:
+        gap, inner = blocks
+        block = np.ix_(~inner, inner)
+        values = [gap * gram_norm(u[block]) for u in frames]
     else:
-        gap, v_in, v_out_h = blocks
-        values = [gap * gram_norm(v_out_h @ (w @ v_in)) for w in result.unitaries]
+        full = np.diag(a_e) if a_e.ndim == 1 else a_e
+        values = [hermitian_norm(u @ _times(a_e, u.conj().T) - full) for u in frames]
     values = np.array(values)
     return values, float(values.max())
 
 
 def heisenberg_distance_sot(
-    result: PropagatorResult, a: HermitianOperator, vectors: TestVectorSet
+    h_o: HermitianOperator,
+    result: PropagatorResult,
+    a: HermitianOperator,
+    vectors: TestVectorSet,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """For each probe vector psi: ||(W(s) A W(s)^+ - A) psi|| per grid point.
+    """For each probe vector psi: ||(W(s) A W(s)^+ - A) psi|| per grid point,
+    as ||(U A_e U† - A_e) psi_e|| in the eigenbasis V of H_o, with
+    psi_e = V† psi and A_e = V† A V formed once per call (diagonal for a
+    function of H_o).
 
     Returns (values, sups) with values shaped (len(vectors), len(s_grid))."""
-    psis = vectors.vectors.T
-    values = [conjugation_distance_sot(w, a.matrix, psis) for w in result.unitaries]
+    d = h_o.decomposition
+    a_e = _eigen_form(d, a.matrix)
+    psis = d.vectors.conj().T @ vectors.vectors.T
+    a_psis = _times(a_e, psis)
+    values = [
+        np.linalg.norm(u @ _times(a_e, u.conj().T @ psis) - a_psis, axis=0)
+        for u in result.frames_in(d)
+    ]
     out = np.stack(values, axis=1)
     return out, out.max(axis=1)
 
@@ -212,8 +239,11 @@ def resolvent_distance(
     z: complex,
     path: GeneratorPath | None = None,
 ) -> ResolventRecord:
-    """||W(s) (H_o - z)^-1 W(s)^+ - (H_o - z)^-1|| per grid point, each the
-    Gram-matrix norm of a difference that is not Hermitian.
+    """||W(s) (H_o - z)^-1 W(s)^+ - (H_o - z)^-1|| per grid point. In the
+    eigenbasis V of H_o the resolvent is diag(rho), rho = 1/(w - z), and the
+    difference times the unitary frame U = V† W V is U diag(rho) -
+    diag(rho) U = U ∘ (rho_k - rho_j), so each value is the Gram-matrix norm
+    of that elementwise product: no inverse and no conjugation product.
 
     With the path's kappa/kappa_dot available, also checks the explicit
     decay bound value <= C / ((Im z)^2 tau) with the conservative constant
@@ -223,9 +253,10 @@ def resolvent_distance(
     z = complex(z)
     if z.imag == 0:
         raise ValueError("z must have a nonzero imaginary part")
-    dim = h_o.dim
-    r = np.linalg.inv(h_o.matrix - z * np.eye(dim))
-    values = np.array([conjugation_distance_norm(w, r) for w in result.unitaries])
+    d = h_o.decomposition
+    rho = 1.0 / (d.column_values - z)
+    spread = rho[None, :] - rho[:, None]
+    values = np.array([gram_norm(u * spread) for u in result.frames_in(d)])
     sup = float(values.max())
     constant = bound = ok = None
     if path is not None and path.kappa_dot is not None:
@@ -264,22 +295,23 @@ def offdiagonal_block_decay(
     Omega_tau(t,s) = exp(i tau (t-s) H_o) W(t) W(s)^+, and the spectral
     projections commute with the unitary phase exp(i tau (t-s) H_o), so the
     norms are those of P1 W(t) W(s)^+ P2 and P2 W(t) W(s)^+ P1: the phase is
-    never formed. With V_1 and V_2 the eigenvector columns spanning P1 and
-    P2, they are the norms of the blocks V_1^+ M V_2 and V_2^+ M V_1 of
-    M = W(t) W(s)^+; no projection is formed either."""
+    never formed. With the eigenvector columns of P1 and P2 as index
+    ranges, they are the norms of two index blocks of M = U(t) U(s)^+, the
+    frames U = V† W V in the eigenbasis V of H_o; no projection is formed
+    either."""
     if e2 <= e1:
         raise ValueError("requires e2 > e1")
     d = h_o.decomposition
     lower, upper = gap_columns(d, e1, e2)
-    v1, v2 = d.vectors[:, lower], d.vectors[:, upper]
-    m = result.at(t) @ result.at(s).conj().T
+    u_t, u_s = result.frames_in(d, [result.index_of(t), result.index_of(s)])
+    m = u_t @ u_s.conj().T
     return OffDiagonalRecord(
         e1=e1,
         e2=e2,
         t=t,
         s=s,
-        value_low_high=gram_norm(v1.conj().T @ m @ v2),
-        value_high_low=gram_norm(v2.conj().T @ m @ v1),
+        value_low_high=gram_norm(m[lower, upper]),
+        value_high_low=gram_norm(m[upper, lower]),
     )
 
 
@@ -296,16 +328,22 @@ class EmbeddedDecayRecord:
 
 
 def embedded_offblock_profile(
-    unitaries: np.ndarray, p_e: np.ndarray, vectors: TestVectorSet
+    h_o: HermitianOperator, result: PropagatorResult, p_e: np.ndarray, vectors: TestVectorSet
 ) -> np.ndarray:
     """||(1 - P_E) Omega(s_j, 0) P_E psi|| for every probe vector and grid
-    point, shaped (len(vectors), len(unitaries)), from the propagator's
-    W(s_j): 1 - P_E commutes with the phase of Omega(s, 0) = exp(i tau s H_o)
-    W(s), so the value is ||(1 - P_E) W(s_j) P_E psi||. One product per grid
-    point."""
-    pe_psis = p_e @ vectors.vectors.T
-    comp = np.eye(p_e.shape[0]) - p_e
-    return np.stack([np.linalg.norm(comp @ (w @ pe_psis), axis=0) for w in unitaries], axis=1)
+    point, shaped (len(vectors), len(s_grid)): 1 - P_E commutes with the
+    phase of Omega(s, 0) = exp(i tau s H_o) W(s), so the value is
+    ||(1 - P_E) W(s_j) P_E psi||, taken in the eigenbasis V of H_o from the
+    frame U = V† W V, P_E in that basis and psi_e = V† psi (formed once per
+    call). One product of U with the probes per grid point."""
+    d = h_o.decomposition
+    p = _eigen_form(d, p_e)
+    pe_psis = _times(p, d.vectors.conj().T @ vectors.vectors.T)
+    values = []
+    for u in result.frames_in(d):
+        moved = u @ pe_psis
+        values.append(np.linalg.norm(moved - _times(p, moved), axis=0))
+    return np.stack(values, axis=1)
 
 
 def embedded_eigenprojection_decay(
@@ -320,8 +358,8 @@ def embedded_eigenprojection_decay(
     p_e = projection_eq(d, e)
     if operator_norm(p_e.matrix) == 0.0:
         raise ValueError(f"{e} is not an eigenvalue of H_o (no level within cluster_tol)")
-    off = embedded_offblock_profile(result.unitaries, p_e.matrix, vectors)
-    _, proj = heisenberg_distance_sot(result, p_e, vectors)
+    off = embedded_offblock_profile(h_o, result, p_e.matrix, vectors)
+    _, proj = heisenberg_distance_sot(h_o, result, p_e, vectors)
     delta = 1.0 / math.sqrt(result.tau)
     band_up = band_projection(d, e, e + delta).matrix
     band_dn = band_projection(d, e - delta, e).matrix
@@ -348,15 +386,28 @@ class SchrodingerLimitRecord:
     gronwall_envelope: float  # sup_s ||R_tau(s) psi|| * exp(int ||Lambda||)
 
 
+def _limit_probes(d: SpectralDecomposition, omega_inf: PropagatorResult, psis: np.ndarray):
+    """V† Omega_inf(s_j) psi at every grid point, from thin products only."""
+    return d.vectors.conj().T @ (omega_inf.frames_in(None) @ psis)
+
+
 def schrodinger_limit_profile(
-    omegas: np.ndarray, omega_inf: PropagatorResult, vectors: TestVectorSet
+    h_o: HermitianOperator,
+    omegas: np.ndarray,
+    omega_inf: PropagatorResult,
+    vectors: TestVectorSet,
 ) -> np.ndarray:
     """||(Omega_tau(s_j) - Omega_inf(s_j)) psi|| for every probe vector and
-    grid point, shaped (len(vectors), len(omegas)); one product per grid point."""
+    grid point, shaped (len(vectors), len(omegas)), from ``omegas`` in the
+    eigenbasis V of H_o (:func:`comparison_family`): the norm of
+    V† Omega_tau psi - V† Omega_inf psi, with psi_e = V† psi formed once.
+    Each grid point takes thin products with the probes only."""
+    d = h_o.decomposition
     psis = vectors.vectors.T
+    eig_psis = d.vectors.conj().T @ psis
+    limits = _limit_probes(d, omega_inf, psis)
     return np.stack(
-        [np.linalg.norm((om - oi) @ psis, axis=0) for om, oi in zip(omegas, omega_inf.unitaries)],
-        axis=1,
+        [np.linalg.norm(om @ eig_psis - li, axis=0) for om, li in zip(omegas, limits)], axis=1
     )
 
 
@@ -380,17 +431,17 @@ def schrodinger_limit_distance(
     ):
         raise ValueError("result and omega_inf must share the same s-grid")
     d = h_o.decomposition
-    omegas = comparison_family(h_o, result)
+    omegas = comparison_family(h_o, result)  # in the eigenbasis of H_o
 
     # Level-block mask in the eigenbasis: same-level index pairs.
-    vecs, vh = d.vectors, d.vectors.conj().T
     mask = d.block_mask().astype(float)
 
     grid = result.s_grid
     n = grid.size
     l1 = path.l1_norm if path.l1_norm is not None else path.kappa
     psis = vectors.vectors.T
-    eig_psis = vh @ psis
+    eig_psis = d.vectors.conj().T @ psis
+    limits = _limit_probes(d, omega_inf, psis)
 
     # Remainder integrand D(s) psi = B[K(s) (Omega(s) - B[Omega(s)])] psi,
     # assembled in the eigenbasis where B[.] is the Schur mask; the
@@ -398,12 +449,11 @@ def schrodinger_limit_distance(
     integrand = np.empty((n, d.dim, len(vectors)), dtype=complex)
     block_dist = np.empty((len(vectors), n))
     for j, s in enumerate(grid):
-        om_eig = vh @ omegas[j] @ vecs
+        om_eig = omegas[j]
         block = mask * om_eig
         kern = d.interaction_kernel(result.tau * s, path(float(s)))
         integrand[j] = (mask * (kern @ (om_eig - block))) @ eig_psis
-        moved = vecs @ (block @ eig_psis) - omega_inf.unitaries[j] @ psis
-        block_dist[:, j] = np.linalg.norm(moved, axis=0)
+        block_dist[:, j] = np.linalg.norm(block @ eig_psis - limits[j], axis=0)
 
     # Cumulative trapezoid of -i * integrand along the grid.
     r_norm_sup = np.zeros(len(vectors))
@@ -413,7 +463,7 @@ def schrodinger_limit_distance(
         acc = acc + (-1j) * 0.5 * h * (integrand[j - 1] + integrand[j])
         r_norm_sup = np.maximum(r_norm_sup, np.linalg.norm(acc, axis=0))
 
-    dist = schrodinger_limit_profile(omegas, omega_inf, vectors)
+    dist = schrodinger_limit_profile(h_o, omegas, omega_inf, vectors)
     return [
         SchrodingerLimitRecord(
             vector_id=label,

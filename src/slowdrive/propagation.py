@@ -8,9 +8,11 @@ Provides:
   an explicit step, a second-order exponential midpoint scheme. Each step's
   exponential is applied to W by a Taylor series truncated below unit
   roundoff (the action of the exponential). The returned
-  ``PropagatorResult`` checks the unitarity drift at every grid point.
+  ``PropagatorResult`` holds W in the eigenbasis of H_o, as the frames
+  V† W V, and checks the unitarity drift at every grid point.
 * ``comparison_operator`` — Omega_tau(t,s) = exp(i tau (t-s) H_o) W(t) W(s)^+,
-  the unperturbed-frame comparison evolution.
+  the unperturbed-frame comparison evolution; ``comparison_family`` forms
+  Omega_tau(s, 0) on the grid in the eigenbasis of H_o.
 * ``dyson_term`` / ``dyson_series`` — the time-ordered Volterra iterates of
   Omega_tau, used as an independent oracle for moderate tau.
 * ``GeneratorPath`` — the one drive type, Lambda(s) = A + p(s) B (fixed
@@ -271,36 +273,63 @@ def mollify(path: GeneratorPath, spec: MollifierSpec) -> GeneratorPath:
 # --- the propagator -------------------------------------------------------
 
 
+def _basis_change(frames: np.ndarray, source, target) -> np.ndarray:
+    """The frames X U X† in the eigenbasis of ``target`` of frames U in that
+    of ``source``, with X = V_target† V_source (a None decomposition is the
+    standard basis, V = 1): X is formed once, and a shared basis returns the
+    frames as they are."""
+    if source is target:
+        return frames
+    if target is None:
+        x = source.vectors
+    else:
+        x = target.vectors.conj().T
+        if source is not None:
+            x = x @ source.vectors
+    return x @ frames @ x.conj().T
+
+
 @dataclass(frozen=True)
 class PropagatorResult:
     """W_tau(s) sampled on an s-grid, with step-size and drift metadata.
 
+    The result stores frames U(s_j) = V† W(s_j) V in the eigenbasis V of
+    ``basis``: the decomposition of H_o that :func:`evolve` used, or None for
+    the standard basis (V = 1, as for a loaded ``.prop`` file). Every metric
+    of H_o is diagonal in that basis, so a sweep reads the frames as they
+    are (:meth:`frames_in`) and never forms W; ``unitaries`` forms
+    W = V U V† for the callers that want it.
+
     ``steps`` counts the step exponentials applied (0 for ``exact-constant``)
     and ``step`` is the largest sub-step. The result owns the unitarity
-    contract: construction measures the drift of every stored unitary
-    (:func:`unitarity_drift`, the Frobenius norm of W†W - 1), refuses the
-    first grid point whose drift is not within ``drift_tol`` (so a NaN or
-    infinite drift fails), and keeps the largest as ``max_drift``.
+    contract: construction measures the drift of every stored frame
+    (:func:`unitarity_drift`, the Frobenius norm of U†U - 1, which equals
+    that of W†W - 1 up to rounding), refuses the first grid point whose drift
+    is not within ``drift_tol`` (so a NaN or infinite drift fails), and keeps
+    the largest as ``max_drift``.
     """
 
     tau: float
     s_grid: np.ndarray
-    unitaries: np.ndarray  # shape (len(s_grid), dim, dim)
+    frames: np.ndarray  # shape (len(s_grid), dim, dim), in the eigenbasis of basis
     step: float
     max_drift: float = field(init=False)
     scheme: str
     drift_tol: float = DEFAULT_DRIFT_TOL
     steps: int = 0
+    basis: SpectralDecomposition | None = None
 
     def __post_init__(self):
         grid = np.asarray(self.s_grid, dtype=float)
         object.__setattr__(self, "s_grid", grid)
-        us = np.asarray(self.unitaries, dtype=complex)
-        object.__setattr__(self, "unitaries", us)
+        us = np.asarray(self.frames, dtype=complex)
+        object.__setattr__(self, "frames", us)
         grid.flags.writeable = False
         us.flags.writeable = False
         if grid.ndim != 1 or us.shape[0] != grid.size:
-            raise ValueError("s_grid and unitaries are inconsistent")
+            raise ValueError("s_grid and frames are inconsistent")
+        if self.basis is not None and self.basis.dim != us.shape[1]:
+            raise ValueError("basis and frames differ in dimension")
         if grid[0] != 0.0:
             raise ValueError("the s-grid must start at 0")
         if not np.linalg.norm(us[0] - np.eye(us.shape[1])) <= 1e-10:
@@ -318,7 +347,20 @@ class PropagatorResult:
 
     @property
     def dim(self) -> int:
-        return self.unitaries.shape[1]
+        return self.frames.shape[1]
+
+    def frames_in(self, d: SpectralDecomposition | None, points=slice(None)) -> np.ndarray:
+        """The frames V_d† W(s_j) V_d at the grid indices ``points`` (all by
+        default) in the eigenbasis of ``d`` (None: W itself): the stored
+        frames when ``d`` is ``basis``, else rotated once."""
+        return _basis_change(self.frames[points], self.basis, d)
+
+    @functools.cached_property
+    def unitaries(self) -> np.ndarray:
+        """W(s_j) = V U(s_j) V† at every grid point, formed on first use."""
+        w = self.frames_in(None)
+        w.flags.writeable = False
+        return w
 
     def index_of(self, s: float) -> int:
         hits = np.nonzero(np.abs(self.s_grid - s) <= 1e-12)[0]
@@ -329,7 +371,8 @@ class PropagatorResult:
         return int(hits[0])
 
     def at(self, s: float) -> np.ndarray:
-        return self.unitaries[self.index_of(s)]
+        """W(s) at one grid point, without forming the others."""
+        return self.frames_in(None, [self.index_of(s)])[0]
 
     # -- one-file-per-run serialization: a JSON metadata line followed by
     #    "s <value>" + matrix text blocks, one per grid point. Loading
@@ -369,7 +412,7 @@ class PropagatorResult:
         return PropagatorResult(
             tau=float(meta["tau"]),
             s_grid=np.array(meta["s_grid"], dtype=float),
-            unitaries=np.stack(unitaries),
+            frames=np.stack(unitaries),
             step=float(meta["step"]),
             scheme=str(meta["scheme"]),
             steps=int(meta.get("steps", 0)),
@@ -409,6 +452,11 @@ def _substeps(spans: np.ndarray, step: float, slack: float = 0.0) -> list[int]:
     return [max(1, math.ceil(span / step - slack)) for span in spans]
 
 
+def _check_dims(path: GeneratorPath, h_o: HermitianOperator) -> None:
+    if path.dim != h_o.dim:
+        raise ValueError(f"path dimension {path.dim} != operator dimension {h_o.dim}")
+
+
 def evolve(
     h_o: HermitianOperator,
     path: GeneratorPath,
@@ -419,11 +467,15 @@ def evolve(
 ) -> PropagatorResult:
     """Integrate i dW/ds = (tau*H_o + Lambda(s)) W over the s-grid.
 
+    The result holds the frames V† W(s) V in the eigenbasis V of H_o
+    (``h_o.decomposition``, its ``basis``), which every scheme below forms
+    directly.
+
     A constant drive (no B, :meth:`GeneratorPath.constant`) is solved
     exactly:
-    W(s) = V exp(-i s w) V† from one eigendecomposition V diag(w) V† of
-    tau*H_o + Lambda; ``step`` has no effect, the result's ``step`` is the
-    largest grid interval and its ``steps`` is 0.
+    W(s) = V_g exp(-i s l) V_g† from one eigendecomposition V_g diag(l) V_g†
+    of tau*H_o + Lambda (:func:`_exact_states`); ``step`` has no effect, the
+    result's ``step`` is the largest grid interval and its ``steps`` is 0.
 
     A ramp drive A + s B with ``step`` None runs the Magnus-Filon scheme
     (:func:`_magnus_filon_states`, scheme ``magnus-filon``) at the
@@ -445,7 +497,8 @@ def evolve(
     exponential midpoint scheme
     W_{k+1} = exp(-i h (tau*H_o + Lambda(s_mid))) W_k, where the exponential
     is applied to W_k by a Taylor series whose truncation error is below
-    unit roundoff (:func:`_exp_step`); no eigendecomposition is formed.
+    unit roundoff (:func:`_exp_step`); no eigendecomposition is formed, and
+    each grid state is rotated into the eigenbasis once.
     Local error is O(h^3); with ``step`` None the step comes from
     :func:`default_step`. L1 paths are integrated
     directly from midpoint samples and flagged lower-accuracy in the scheme
@@ -460,8 +513,7 @@ def evolve(
     """
     if tau <= 0:
         raise ValueError("tau must be positive")
-    if path.dim != h_o.dim:
-        raise ValueError(f"path dimension {path.dim} != operator dimension {h_o.dim}")
+    _check_dims(path, h_o)
     grid = np.asarray(s_grid, dtype=float)
     if grid.ndim != 1 or grid.size < 1 or np.any(np.diff(grid) <= 0):
         raise ValueError("s_grid must be strictly increasing")
@@ -470,6 +522,7 @@ def evolve(
     if step is not None and step <= 0:
         raise ValueError("step must be positive")
     spans = np.diff(grid)
+    d = h_o.decomposition
 
     if path.b is None:
         scheme = "exact-constant"
@@ -478,14 +531,14 @@ def evolve(
         # an overflowed generator gives a NaN propagator, which PropagatorResult refuses
         with np.errstate(over="ignore"):
             gen = tau * h_o.matrix + path.a
-        states = _exact_states(gen, grid)
+        states = _exact_states(gen, grid, d.vectors)
     else:
         mf_step = magnus_step(path.kappa, path.kappa_dot)
         if step is None and path.at is None and _fits(grid, mf_step):
             scheme = "magnus-filon"
             # spans like 0.1 / 0.005 round up past 20 without the slack
             nsubs = _substeps(spans, mf_step, 1e-9)
-            states = _magnus_filon_states(h_o.decomposition, path, tau, grid, nsubs)
+            states = _magnus_filon_states(d, path, tau, grid, nsubs)
         else:
             scheme = "midpoint-exponential"
             if path.smoothness == SMOOTH_L1:
@@ -495,31 +548,36 @@ def evolve(
             if not _fits(grid, step):
                 raise ValueError(f"step {step:.3e} needs more than {_MAX_STEPS} steps over the grid")
             nsubs = _substeps(spans, step)
-            states = _midpoint_states(h_o.matrix, path, tau, grid, nsubs)
+            v, vh = d.vectors, d.vectors.conj().T
+            states = (vh @ w @ v for w in _midpoint_states(h_o.matrix, path, tau, grid, nsubs))
         taken = max((span / n for span, n in zip(spans, nsubs)), default=0.0)
         steps = sum(nsubs)
 
-    unitaries = np.empty((grid.size, h_o.dim, h_o.dim), dtype=complex)
-    unitaries[0] = np.eye(h_o.dim)
-    for j, w in enumerate(states, start=1):
-        unitaries[j] = w
+    frames = np.empty((grid.size, h_o.dim, h_o.dim), dtype=complex)
+    frames[0] = np.eye(h_o.dim)
+    for j, u in enumerate(states, start=1):
+        frames[j] = u
     return PropagatorResult(
         tau=tau,
         s_grid=grid,
-        unitaries=unitaries,
+        frames=frames,
         step=taken,
         scheme=scheme,
         drift_tol=drift_tol,
         steps=steps,
+        basis=d,
     )
 
 
-def _exact_states(gen: np.ndarray, grid: np.ndarray) -> Iterator[np.ndarray]:
-    """exp(-i s gen) at every grid point after the first, from one eigh."""
+def _exact_states(gen: np.ndarray, grid: np.ndarray, v: np.ndarray) -> Iterator[np.ndarray]:
+    """V† exp(-i s gen) V in the eigenbasis V at every grid point after the
+    first, from one eigh gen = V_g diag(l) V_g†: X exp(-i s l) X† with
+    X = V† V_g formed once, so each point takes one product."""
     vals, vecs = np.linalg.eigh(gen)
-    vh = vecs.conj().T
+    x = v.conj().T @ vecs
+    xh = x.conj().T
     for s in grid[1:]:
-        yield vecs @ (np.exp(-1j * s * vals)[:, None] * vh)
+        yield x @ (np.exp(-1j * s * vals)[:, None] * xh)
 
 
 # Unit roundoff of IEEE double precision.
@@ -769,8 +827,9 @@ def _magnus_filon_states(
     grid: np.ndarray,
     nsubs: list[int],
 ) -> Iterator[np.ndarray]:
-    """W at every grid point after the first, stepping the ramp A + s B in
-    ``nsubs`` equal Magnus-Filon steps per interval in the eigenbasis of H_o.
+    """The frame V† W V at every grid point after the first, stepping the
+    ramp A + s B in ``nsubs`` equal Magnus-Filon steps per interval in the
+    eigenbasis V of H_o, where the steps run: W itself is never formed.
     Each step of length h applies E(s0) = exp(-i tau h w) exp(-i G(s0)) with
     G from :func:`_magnus_generator`, evaluated from the Chebyshev
     coefficients of :func:`_step_polynomial`.
@@ -809,7 +868,7 @@ def _magnus_filon_states(
             steps = (rows @ coef).view(complex).reshape(starts.size, *y.shape)
             steps *= phase
             y = _ordered_product(steps) @ y
-        yield v @ y @ vh
+        yield y
 
 
 def richardson_error(
@@ -830,8 +889,9 @@ def richardson_error(
         step = default_step(tau, h_o.norm(), path.kappa)
     coarse = evolve(h_o, path, tau, s_grid, step=step)
     fine = evolve(h_o, path, tau, s_grid, step=step / 2)
+    # both runs hold their frames in the one eigenbasis, where norms are W's
     diff = max(
-        operator_norm(a - b) for a, b in zip(coarse.unitaries, fine.unitaries)
+        operator_norm(a - b) for a, b in zip(coarse.frames, fine.frames_in(coarse.basis))
     )
     return coarse, (4.0 / 3.0) * diff
 
@@ -842,21 +902,25 @@ def richardson_error(
 def comparison_operator(
     h_o: HermitianOperator, result: PropagatorResult, t: float, s: float
 ) -> UnitaryOperator:
-    """Omega_tau(t,s) = exp(i tau (t-s) H_o) W_tau(t) W_tau(s)^+ for grid t, s."""
-    m = result.at(t) @ result.at(s).conj().T
+    """Omega_tau(t,s) = exp(i tau (t-s) H_o) W_tau(t) W_tau(s)^+ for grid t, s,
+    formed in the eigenbasis V of H_o as V (exp(i tau (t-s) w) ∘ U(t) U(s)†) V†
+    from the frames U = V† W V."""
+    d = h_o.decomposition
+    u_t, u_s = result.frames_in(d, [result.index_of(t), result.index_of(s)])
+    phase = np.exp(1j * (result.tau * (t - s)) * d.column_values)[:, None]
     return UnitaryOperator(
-        h_o.decomposition.exp_times(result.tau * (t - s), m),
+        d.vectors @ (phase * (u_t @ u_s.conj().T)) @ d.vectors.conj().T,
         drift_tol=max(DEFAULT_DRIFT_TOL, 3 * result.max_drift + 1e-12),
     )
 
 
 def comparison_family(h_o: HermitianOperator, result: PropagatorResult) -> np.ndarray:
-    """Omega_tau(s_j, 0) for every grid point, as an (n, dim, dim) array."""
+    """Omega_tau(s_j, 0) for every grid point in the eigenbasis V of H_o, as an
+    (n, dim, dim) array: V† Omega_tau(s_j, 0) V = exp(i tau s_j w) ∘ U(s_j),
+    the frame U = V† W V with its rows scaled by the phases (no product)."""
     d = h_o.decomposition
-    out = np.empty_like(result.unitaries)
-    for j, (s, w) in enumerate(zip(result.s_grid, result.unitaries)):
-        out[j] = d.exp_times(result.tau * s, w)
-    return out
+    times = result.tau * result.s_grid
+    return np.exp(1j * times[:, None] * d.column_values)[:, :, None] * result.frames_in(d)
 
 
 def _dyson_levels(
@@ -876,6 +940,7 @@ def _dyson_levels(
     Checks 0 <= order <= 8 (a cost guard) and s <= t, and warns with
     :class:`DysonResolutionWarning` when ``quad_points`` is below 10 points
     per oscillation of the kernel's fastest phase tau (t - s) ||H_o||."""
+    _check_dims(path, h_o)
     if order < 0:
         raise ValueError("order must be >= 0")
     if order > 8:
@@ -991,11 +1056,12 @@ def _drive_only_evolution(
     path: GeneratorPath, s_grid, step: float | None, caller: str, prefix: str
 ) -> PropagatorResult:
     """i dV/ds = Lambda(s) V, V(0) = 1: a tau=1, H_o=0 evolution whose scheme
-    is tagged with ``prefix``."""
+    is tagged with ``prefix``. H_o = 0 decomposes to V = 1, so its frames are
+    V itself and the result is in the standard basis."""
     if path.smoothness != SMOOTH_C1:
         raise ValueError(f"{caller} requires a norm_C1 path; mollify first")
     res = evolve(_zero_operator(path.dim), path, tau=1.0, s_grid=s_grid, step=step)
-    return replace(res, scheme=prefix + res.scheme)
+    return replace(res, scheme=prefix + res.scheme, basis=None)
 
 
 def interaction_frame(
@@ -1021,6 +1087,7 @@ def frame_reconstruction_residual(
     midpoint values are second-order accurate) and returns the largest
     deviation max_s ||V(s) Y(s) - G(s)||, which is O(1/n_steps^2).
     """
+    _check_dims(path, h_o)
     if path.smoothness != SMOOTH_C1:
         raise ValueError("the equivalence check needs a norm_C1 path")
     dim = path.dim

@@ -134,9 +134,10 @@ def _tau_data(tau: float, s_points, labels, values: np.ndarray, extra: dict) -> 
 # (s points, row labels, values[len(labels), len(s points)], extra).
 # Evaluations look the diagnostics and comparison_family up as this module's
 # globals when they run, so rebinding one of those names (a tracer, a test
-# double) reaches every call. Only schrodinger_limit forms Omega_tau: the
-# other metrics take norms after spectral projections of H_o, which do not
-# see its phase.
+# double) reaches every call. Every evaluation reads the result's frames
+# U = V† W V in the eigenbasis of H_o, where it stored them, and never forms
+# W. Only schrodinger_limit forms Omega_tau: the other metrics take norms
+# after spectral projections of H_o, which do not see its phase.
 
 _NORM = ("",)  # the single, empty row label of a norm metric
 
@@ -159,7 +160,7 @@ def _bind_heisenberg_sot(inst, config, obs, params):
     a = _observable(inst, obs)
 
     def evaluate(result: PropagatorResult):
-        values, _ = heisenberg_distance_sot(result, a, inst.vectors)
+        values, _ = heisenberg_distance_sot(inst.h_o, result, a, inst.vectors)
         return result.s_grid, inst.vectors.labels, values, {}
 
     return evaluate
@@ -201,7 +202,7 @@ def _bind_embedded_offblock(inst, config, obs, params):
     p_e = projection_eq(inst.h_o.decomposition, inst.embedded_level).matrix
 
     def evaluate(result: PropagatorResult):
-        values = embedded_offblock_profile(result.unitaries, p_e, inst.vectors)
+        values = embedded_offblock_profile(inst.h_o, result, p_e, inst.vectors)
         return result.s_grid, inst.vectors.labels, values, {}
 
     return evaluate
@@ -215,7 +216,7 @@ def _bind_schrodinger_limit(inst, config, obs, params):
 
     def evaluate(result: PropagatorResult):
         omegas = comparison_family(inst.h_o, result)
-        values = schrodinger_limit_profile(omegas, omega_inf, inst.vectors)
+        values = schrodinger_limit_profile(inst.h_o, omegas, omega_inf, inst.vectors)
         return result.s_grid, inst.vectors.labels, values, {"commutant_defect": defect}
 
     return evaluate

@@ -172,7 +172,7 @@ def test_criterion_04_norm_failure_counterexample():
         norm_values[tau] = float(values[1])
         assert values[1] >= floor, (tau, values[1])
         if tau == 64.0:
-            _, sups = heisenberg_distance_sot(res, p_neg, inst.vectors)
+            _, sups = heisenberg_distance_sot(inst.h_o, res, p_neg, inst.vectors)
             sot_at_64 = float(sups[inst.vectors.labels.index("block1_up")])
     assert sot_at_64 <= 0.05
     print(f"PASS criterion 4: norm metric at s=0.5 stays >= {floor:.4f} "

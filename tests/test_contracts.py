@@ -22,7 +22,13 @@ from slowdrive.diagnostics import (
     schrodinger_limit_distance,
 )
 from slowdrive.operators import SpectralDecomposition
-from slowdrive.propagation import default_step, evolve, interaction_frame, omega_infinity
+from slowdrive.propagation import (
+    PropagatorResult,
+    default_step,
+    evolve,
+    interaction_frame,
+    omega_infinity,
+)
 from slowdrive.scenarios import ScenarioConfig, build_scenario
 from slowdrive.sweeps import run_sweep
 
@@ -148,7 +154,7 @@ class TestTraceContract:
 
 class TestOmegaOnlyForTheLimit:
     """Omega_tau is formed (through the sweep's comparison_family) only by
-    schrodinger_limit; the projection metrics read W."""
+    schrodinger_limit; the projection metrics read the frames V† W V."""
 
     @staticmethod
     def count_comparisons(config, monkeypatch):
@@ -185,6 +191,74 @@ class TestOmegaOnlyForTheLimit:
     def test_pure_point_limit_config(self, monkeypatch):
         config = ScenarioConfig.from_file(ROOT / "configs" / "pure_point_limit.json")
         assert self.count_comparisons(config, monkeypatch) == len(config.taus)
+
+
+class TestFramesOnly:
+    """A sweep reads each propagator's frames U = V† W V in the eigenbasis of
+    H_o, where evolve stored them, and never forms W for a propagated
+    metric: W would sit beside the frames, and the benchmark's peak_rss_mb
+    would count both. A saved result still holds W, and loaded back (in the
+    standard basis, so every metric rotates it on entry) it gives the values
+    of the evolved one."""
+
+    @pytest.mark.parametrize("name", sorted(WORKLOADS))
+    def test_workload_sweep_never_forms_w(self, name, monkeypatch):
+        evolved, formed = [], []
+        real_evolve = slowdrive.sweeps.evolve
+        unitaries = PropagatorResult.unitaries
+
+        def recorded_evolve(*args, **kwargs):
+            evolved.append(real_evolve(*args, **kwargs))
+            return evolved[-1]
+
+        def counted_unitaries(self):
+            formed.append(self)
+            return unitaries.func(self)
+
+        monkeypatch.setattr(slowdrive.sweeps, "evolve", recorded_evolve)
+        monkeypatch.setattr(PropagatorResult, "unitaries", property(counted_unitaries))
+        config = ScenarioConfig.from_mapping(WORKLOADS[name].make_config(0))
+        assert run_sweep(dataclasses.replace(config, out_dir=None)).all_pass
+        assert len(evolved) == len(config.taus)
+        assert not [r for r in formed if any(r is e for e in evolved)]
+
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            {"scenario": "fermi_observable", "params": {"grid_points": 15, "multiplicity": 3},
+             "seed": 11, "metrics": [
+                 "resolvent", "heisenberg_norm:fermi", "heisenberg_norm:filled_below_mu",
+                 "heisenberg_sot:p_embedded", "embedded_offblock", "offdiag_low_high",
+                 "offdiag_high_low"]},
+            {"scenario": "pure_point_omega", "params": {"dim": 8, "degenerate_pairs": 2},
+             "seed": 0, "metrics": ["schrodinger_limit", "heisenberg_norm:lower_half"]},
+        ],
+        ids=["fermi", "pure_point"],
+    )
+    def test_loaded_result_gives_the_evolved_values(self, doc, tmp_path, monkeypatch):
+        config = ScenarioConfig.from_mapping(dict(doc, taus=[10.0, 20.0], s_grid={"points": 5}))
+        real_evolve = slowdrive.sweeps.evolve
+        loaded = []
+
+        def through_a_file(*args, **kwargs):
+            res = real_evolve(*args, **kwargs)
+            path = tmp_path / f"run_{res.tau:g}.prop"
+            res.save(path)
+            back = PropagatorResult.load(path)
+            # the file holds W itself, and the loaded result holds it as is
+            assert back.basis is None and np.array_equal(back.frames, res.unitaries)
+            loaded.append(back)
+            return back
+
+        want = run_sweep(config).outcomes
+        monkeypatch.setattr(slowdrive.sweeps, "evolve", through_a_file)
+        got = run_sweep(config).outcomes
+        assert len(loaded) == 2
+        for w, g in zip(want, got):
+            assert [(r.tau, r.s, r.vector_id) for r in g.rows] == [
+                (r.tau, r.s, r.vector_id) for r in w.rows
+            ]
+            assert max(abs(a.value - b.value) for a, b in zip(g.rows, w.rows)) <= 1e-13
 
 
 FERMI_SMALL = {

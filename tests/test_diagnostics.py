@@ -32,7 +32,6 @@ from slowdrive.operators import (
 from slowdrive.propagation import (
     GeneratorPath,
     PropagatorResult,
-    comparison_family,
     comparison_operator,
     evolve,
     omega_infinity,
@@ -49,6 +48,15 @@ from slowdrive.spectral import (
 from test_operators import random_hermitian, random_unitary
 
 GRID = np.linspace(0.0, 1.0, 9)
+
+
+def scenario_instance(name):
+    """The embedded scenario, or its Fermi variant, at dim 18 (multiplicity 3)."""
+    cfg = ScenarioConfig(
+        scenario=name, params={"grid_points": 15, "multiplicity": 3}, taus=(1.0,), metrics=(),
+        seed=0,
+    )
+    return build_scenario(cfg)
 
 
 class TestVectors:
@@ -122,7 +130,7 @@ class TestHeisenbergDistances:
         a = HermitianOperator(np.diag([2.0, 3.0]))
         e0 = np.array([1.0, 0.0], dtype=complex)
         vs = TestVectorSet(vectors=e0[None, :], labels=("e0",), provenance=("eigenvector",))
-        _, sups = heisenberg_distance_sot(res, a, vs)
+        _, sups = heisenberg_distance_sot(h, res, a, vs)
         assert sups[0] <= 1e-12
 
     def test_sot_below_norm(self):
@@ -131,7 +139,7 @@ class TestHeisenbergDistances:
         res = evolve(h, path, 15.0, GRID)
         a = random_hermitian(6, 4)
         values, sup = heisenberg_distance_norm(h, res, a)
-        svalues, ssups = heisenberg_distance_sot(res, a, TestVectorSet.seeded_gaussian(6, 4, 5))
+        svalues, ssups = heisenberg_distance_sot(h, res, a, TestVectorSet.seeded_gaussian(6, 4, 5))
         assert np.all(svalues <= values[None, :] + 1e-12)
         assert ssups.max() <= sup + 1e-12
 
@@ -172,10 +180,15 @@ def level_system(mults, seed):
     h = HermitianOperator((q * levels) @ q.conj().T)
     ws = [np.eye(levels.size)] + [random_unitary(levels.size, seed + k) for k in (1, 2, 3)]
     res = PropagatorResult(
-        tau=1.0, s_grid=np.linspace(0.0, 1.0, 4), unitaries=np.array(ws), step=1.0,
+        tau=1.0, s_grid=np.linspace(0.0, 1.0, 4), frames=np.array(ws), step=1.0,
         scheme="test",
     )
     return h, res
+
+
+def columns(d, a):
+    """The per-column values in the eigenbasis of d of a function ``a`` of H."""
+    return np.repeat(d.coefficients(a), d.multiplicities)
 
 
 def svd_distances(res, a):
@@ -202,11 +215,11 @@ class TestNormRoutes:
         d = h.decomposition
         p = d.compose(np.arange(len(self.MULTS)) < levels)
         a = HermitianOperator(alpha * p + beta * (np.eye(8) - p))
-        blocks = two_valued_blocks(d, a.matrix)
+        blocks = two_valued_blocks(columns(d, a.matrix))
         assert blocks is not None
-        gap, v_in, v_out_h = blocks
+        gap, inner = blocks
         assert gap == pytest.approx(abs(alpha - beta), rel=1e-13)
-        assert v_in.shape[1] == min(rank, 8 - rank) and v_out_h.shape[0] == 8 - v_in.shape[1]
+        assert np.count_nonzero(inner) == min(rank, 8 - rank)
         values, sup = heisenberg_distance_norm(h, res, a)
         assert_matches_svd(values, svd_distances(res, a.matrix))
         assert sup == values.max()
@@ -215,12 +228,13 @@ class TestNormRoutes:
     def test_projection_on_part_of_a_level(self, rank):
         # columns 1:3 and 4:7 of V span the 2- and 3-fold levels: ranks 2, 5
         # and 6 cut one, and rank 1 in the eigenbasis of another H_o is no
-        # function of this one; all take the eigvalsh route
+        # function of this one; none is a function of H_o, so all take the
+        # eigvalsh route
         h, res = level_system(self.MULTS, 61)
         v = h.decomposition.vectors if rank != 1 else random_unitary(8, 62)
         p = v[:, :rank] @ v[:, :rank].conj().T
         a = HermitianOperator(-0.5 * p + 2.0 * (np.eye(8) - p))
-        assert two_valued_blocks(h.decomposition, a.matrix) is None
+        assert h.decomposition.coefficients(a.matrix) is None
         values, _ = heisenberg_distance_norm(h, res, a)
         assert_matches_svd(values, svd_distances(res, a.matrix))
 
@@ -239,7 +253,7 @@ class TestNormRoutes:
         h, res = level_system(mults, seed)
         p = h.decomposition.compose(chosen)
         a = HermitianOperator(alpha * p + beta * (np.eye(h.dim) - p))
-        assert two_valued_blocks(h.decomposition, a.matrix) is not None
+        assert two_valued_blocks(columns(h.decomposition, a.matrix)) is not None
         values, _ = heisenberg_distance_norm(h, res, a)
         assert_matches_svd(values, svd_distances(res, a.matrix))
 
@@ -247,8 +261,8 @@ class TestNormRoutes:
     def test_one_value_gives_zero(self, alpha):
         h, res = level_system(self.MULTS, 63)
         a = HermitianOperator(h.decomposition.compose(np.full(len(self.MULTS), alpha)))
-        gap, v_in, _ = two_valued_blocks(h.decomposition, a.matrix)
-        assert gap == 0.0 and v_in.shape[1] == 0
+        gap, inner = two_valued_blocks(columns(h.decomposition, a.matrix))
+        assert gap == 0.0 and not inner.any()
         values, sup = heisenberg_distance_norm(h, res, a)
         assert sup == 0.0
         assert svd_distances(res, a.matrix).max() <= 1e-14
@@ -259,7 +273,7 @@ class TestNormRoutes:
         d = h.decomposition
         a = calculus_continuous(d, fermi_dirac(0.1, 10.0))
         assert d.coefficients(a.matrix) is not None
-        assert two_valued_blocks(d, a.matrix) is None
+        assert two_valued_blocks(columns(d, a.matrix)) is None
         values, _ = heisenberg_distance_norm(h, res, a)
         assert_matches_svd(values, svd_distances(res, a.matrix))
 
@@ -413,11 +427,11 @@ class TestPhaseFreeForms:
         p_e = projection_eq(inst.h_o.decomposition, inst.embedded_level).matrix
         comp = np.eye(66) - p_e
         pe_psis = p_e @ inst.vectors.vectors.T
-        omegas = comparison_family(inst.h_o, res)
+        omegas = [comparison_operator(inst.h_o, res, s, 0.0).matrix for s in self.GRID11]
         from_omega = np.stack([np.linalg.norm(comp @ (om @ pe_psis), axis=0) for om in omegas], 1)
-        from_w = embedded_offblock_profile(res.unitaries, p_e, inst.vectors)
-        assert from_w.shape == from_omega.shape
-        assert np.abs(from_w - from_omega).max() <= 1e-12
+        from_frames = embedded_offblock_profile(inst.h_o, res, p_e, inst.vectors)
+        assert from_frames.shape == from_omega.shape
+        assert np.abs(from_frames - from_omega).max() <= 1e-12
 
     @pytest.mark.parametrize("tau", [100.0, 1000.0])
     @pytest.mark.parametrize(
@@ -435,6 +449,79 @@ class TestPhaseFreeForms:
             rec = offdiagonal_block_decay(inst.h_o, res, -0.25, 0.25, t, s)
             assert abs(rec.value_low_high - operator_norm(p1 @ om @ p2)) <= 1e-12
             assert abs(rec.value_high_low - operator_norm(p2 @ om @ p1)) <= 1e-12
+
+
+def standard_basis(res):
+    """The same propagator held as W in the standard basis, as a loaded
+    ``.prop`` file holds it, so every metric rotates it on entry."""
+    return PropagatorResult(
+        tau=res.tau, s_grid=res.s_grid, frames=res.unitaries, step=res.step, scheme=res.scheme
+    )
+
+
+class TestMetricIdentities:
+    """Every metric value is a property of the problem, not of its basis:
+    the rotated problem (U H_o U†, U A U†, U B U†) with observables U O U†
+    and probes U psi, and the shifted problem H_o + c 1 with every energy
+    moved by c, give the values of the original. The catalog's H_o is
+    diagonal, so its eigenbasis is a permutation; the complex rotation makes
+    it dense, so a basis fault in a metric route, or in the rotation of a
+    result held in another basis, shows."""
+
+    GRID11 = np.linspace(0.0, 1.0, 11)
+    TIMES = ((1.0, 0.0), (0.7, 0.3))
+
+    @staticmethod
+    def values(inst, h_o, path, u=None, shift=0.0, held=lambda res: res):
+        """Every metric's values for the problem (h_o, path), with the
+        scenario's observables and probes rotated by ``u`` and its energies
+        moved by ``shift``; ``held`` re-holds each evolved result."""
+        u = np.eye(inst.h_o.dim) if u is None else u
+        rotate = lambda m: u @ m @ u.conj().T
+        vecs = TestVectorSet(
+            vectors=inst.vectors.vectors @ u.T, labels=inst.vectors.labels,
+            provenance=inst.vectors.provenance,
+        )
+        p_e = rotate(projection_eq(inst.h_o.decomposition, inst.embedded_level).matrix)
+        e1, e2 = (e + shift for e in inst.gap_pair)
+        out = {}
+        for tau in (10.0, 100.0):
+            res = held(evolve(h_o, path, tau, TestMetricIdentities.GRID11))
+            for name, a in inst.observables:
+                obs = HermitianOperator(rotate(a.matrix))
+                out["norm", name, tau] = heisenberg_distance_norm(h_o, res, obs)[0]
+                out["sot", name, tau] = heisenberg_distance_sot(h_o, res, obs, vecs)[0]
+            out["resolvent", tau] = resolvent_distance(h_o, res, 0.1 + 1j + shift).values
+            out["offblock", tau] = embedded_offblock_profile(h_o, res, p_e, vecs)
+            recs = [offdiagonal_block_decay(h_o, res, e1, e2, t, s) for t, s in
+                    TestMetricIdentities.TIMES]
+            out["offdiag", tau] = np.array([(r.value_low_high, r.value_high_low) for r in recs])
+        return out
+
+    @staticmethod
+    def assert_same(got, want):
+        assert got.keys() == want.keys()
+        for key, w in want.items():
+            assert np.all(np.abs(got[key] - w) <= 1e-12 * np.abs(w) + 1e-14), key
+
+    @pytest.mark.parametrize("held", [lambda res: res, standard_basis], ids=["frames", "W"])
+    @pytest.mark.parametrize("name", ["embedded_eigenvalue", "fermi_observable"])
+    def test_rotated_problem_gives_the_same_values(self, name, held):
+        inst = scenario_instance(name)
+        u = random_unitary(inst.h_o.dim, 96)
+        rotate = lambda m: u @ m @ u.conj().T
+        h_o = HermitianOperator(rotate(inst.h_o.matrix))
+        path = GeneratorPath.drive(rotate(inst.path.a), rotate(inst.path.b), None, None)
+        want = self.values(inst, inst.h_o, inst.path)
+        self.assert_same(self.values(inst, h_o, path, u, held=held), want)
+
+    @pytest.mark.parametrize("c", [0.37, -1.3])
+    @pytest.mark.parametrize("name", ["embedded_eigenvalue", "fermi_observable"])
+    def test_scalar_shift_gives_the_same_values(self, name, c):
+        inst = scenario_instance(name)
+        h_o = HermitianOperator(inst.h_o.matrix + c * np.eye(inst.h_o.dim))
+        want = self.values(inst, inst.h_o, inst.path)
+        self.assert_same(self.values(inst, h_o, inst.path, shift=c), want)
 
 
 class TestEmbeddedDecay:
@@ -486,7 +573,7 @@ class TestEmbeddedDecay:
         p = projection_eq(d, e).matrix
         path = seeded_pair_path(8, 1.0, 34)
         res = evolve(h, path, 20.0, GRID)
-        omegas = comparison_family(h, res)
+        omegas = [comparison_operator(h, res, s, 0.0).matrix for s in GRID]
         psi = TestVectorSet.seeded_gaussian(8, 1, 35).vectors[0]
         eye = np.eye(8)
         for om in omegas:

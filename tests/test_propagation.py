@@ -37,6 +37,7 @@ from slowdrive.propagation import (
     _step_polynomial,
     _taylor_degree,
     block_diagonal_path,
+    comparison_family,
     comparison_operator,
     default_bump,
     default_step,
@@ -183,7 +184,9 @@ class TestEvolve:
         h = random_hermitian(6, 2)
         res = evolve(h, seeded_pair_path(6, 1.0, 3), 50.0, GRID)
         assert res.max_drift <= 1e-8
-        assert operator_norm(res.at(0.0) - np.eye(6)) == 0.0
+        # the stored frame is exactly 1; W(0) = V 1 V† only to rounding
+        assert np.array_equal(res.frames[0], np.eye(6))
+        assert operator_norm(res.at(0.0) - np.eye(6)) <= 1e-14
 
     def test_grid_validation(self):
         h = random_hermitian(2, 0)
@@ -644,9 +647,9 @@ class TestMagnusFilon:
         # and the 200 steps of [0, 1] at h_MF (12 full blocks and 8 steps)
         inst = scenario_instance("embedded_eigenvalue", grid_points=63, multiplicity=3)
         d, path, grid = inst.h_o.decomposition, inst.path, np.array([0.0, 1.0])
-        (state,) = _magnus_filon_states(d, path, 100.0, grid, [nsub])
+        (frame,) = _magnus_filon_states(d, path, 100.0, grid, [nsub])
         ref = per_step_magnus_filon(d, path, 100.0, grid, [nsub])[1]
-        assert operator_norm(state - ref) <= 1e-13
+        assert operator_norm(d.vectors @ frame @ d.vectors.conj().T - ref) <= 1e-13
 
     def test_memory_stays_near_two_blocks(self):
         # the 200 steps of [0, 1] are one interval; forming all their step
@@ -661,7 +664,7 @@ class TestMagnusFilon:
             tracemalloc.stop()
         assert (res.scheme, res.steps) == ("magnus-filon", 200)
         block = _STEP_BLOCK * inst.h_o.dim**2 * 16
-        assert peak - res.unitaries.nbytes < 4 * block < res.steps * inst.h_o.dim**2 * 16
+        assert peak - res.frames.nbytes < 4 * block < res.steps * inst.h_o.dim**2 * 16
 
     def test_limit_matches_per_step_exponentials(self):
         inst = scenario_instance("pure_point_omega", dim=16, degenerate_pairs=4)
@@ -819,9 +822,9 @@ class TestPropagatorResult:
         eye = np.eye(2, dtype=complex)
         grid = np.array([0.0, 1.0])
         with pytest.raises(PropagationError, match=r"drift nan exceeds 1e-08 at s=1.0 \(x, "):
-            PropagatorResult(tau=1.0, s_grid=grid, unitaries=[eye, nan], step=0.1, scheme="x")
+            PropagatorResult(tau=1.0, s_grid=grid, frames=[eye, nan], step=0.1, scheme="x")
         with pytest.raises(ValueError, match="identity"):
-            PropagatorResult(tau=1.0, s_grid=grid, unitaries=[nan, eye], step=0.1, scheme="x")
+            PropagatorResult(tau=1.0, s_grid=grid, frames=[nan, eye], step=0.1, scheme="x")
 
     @pytest.mark.parametrize(
         "drive, step, scheme",
@@ -835,13 +838,13 @@ class TestPropagatorResult:
             path = GeneratorPath.constant(path.a)
         res = evolve(h, path, 50.0, GRID, step=step)
         assert res.scheme == scheme
-        assert res.max_drift == max(unitarity_drift(u) for u in res.unitaries)
+        assert res.max_drift == max(unitarity_drift(u) for u in res.frames)
 
     def test_drift_invariant_enforced(self):
         bad = np.stack([np.eye(2), np.eye(2) * 1.1]).astype(complex)
         with pytest.raises(PropagationError):
             PropagatorResult(
-                tau=1.0, s_grid=np.array([0.0, 1.0]), unitaries=bad,
+                tau=1.0, s_grid=np.array([0.0, 1.0]), frames=bad,
                 step=0.1, scheme="x",
             )
 
@@ -849,7 +852,7 @@ class TestPropagatorResult:
         stack = np.stack([1j * np.eye(2), np.eye(2)])
         with pytest.raises(ValueError, match="identity"):
             PropagatorResult(
-                tau=1.0, s_grid=np.array([0.0, 1.0]), unitaries=stack,
+                tau=1.0, s_grid=np.array([0.0, 1.0]), frames=stack,
                 step=0.1, scheme="x",
             )
 
@@ -884,6 +887,41 @@ class TestComparisonOperator:
         res = evolve(h, GeneratorPath.zero(2), 1.0, GRID)
         with pytest.raises(GridError):
             comparison_operator(h, res, 0.33, 0.0)
+
+    @pytest.mark.parametrize("stored", ["evolved", "standard basis"])
+    def test_family_is_omega_in_the_eigenbasis(self, stored):
+        # comparison_family gives V† Omega(s, 0) V, whichever basis holds W
+        h = random_hermitian(5, 12)
+        res = evolve(h, seeded_pair_path(5, 1.0, 13), 30.0, GRID)
+        if stored != "evolved":
+            res = PropagatorResult(
+                tau=res.tau, s_grid=res.s_grid, frames=res.unitaries, step=res.step,
+                scheme=res.scheme,
+            )
+        v = h.decomposition.vectors
+        for s, om in zip(GRID, comparison_family(h, res)):
+            ref = comparison_operator(h, res, s, 0.0).matrix
+            assert operator_norm(v @ om @ v.conj().T - ref) <= 1e-12
+
+
+class TestDimensionCheck:
+    """Every entry point that takes H_o and a drive refuses a drive of
+    another dimension with one line, before any numpy product can fail."""
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda h, p: evolve(h, p, 1.0, GRID),
+            lambda h, p: dyson_term(h, p, 1.0, 1, 1.0, 0.0, 64),
+            lambda h, p: dyson_series(h, p, 1.0, 1.0, 0.0, order=2, quad_points=64),
+            lambda h, p: frame_reconstruction_residual(h, p, 1.0, n_steps=8),
+        ],
+        ids=["evolve", "dyson_term", "dyson_series", "frame_reconstruction_residual"],
+    )
+    def test_mismatch_refused(self, call):
+        path = GeneratorPath.drive(pauli("z"), pauli("x"), None, None)
+        with pytest.raises(ValueError, match=r"^path dimension 2 != operator dimension 3$"):
+            call(random_hermitian(3, 0), path)
 
 
 class TestDyson:

@@ -1,16 +1,20 @@
 """Cost and accuracy of the norm kernels behind heisenberg_norm and resolvent.
 
 For each dimension, H_o is a seeded random Hermitian matrix (a dense
-eigenbasis, nondegenerate) and W runs over seeded random unitaries. For each
-route the script prints the microseconds per grid point of the full SVD of
-W A W^+ - A (``operator_norm``, the reference) and of the library's kernel,
-and the largest relative deviation of the kernel from the reference:
+eigenbasis V, nondegenerate) and the frames U = V^+ W V run over seeded random
+unitaries. The result holds them in the eigenbasis of H_o, as ``evolve``
+stores them, so the kernels take the route a sweep takes. For each route the
+script prints the microseconds per grid point of the full SVD of
+W A W^+ - A with W = V U V^+ (``operator_norm``, the reference) and of the
+library's kernel, and the largest relative deviation of the kernel from the
+reference:
 
-* ``half-rank``  chi(H_o <= median): the eigenbasis block of a two-valued A;
+* ``half-rank``  chi(H_o <= median): an index block of U for a two-valued A;
 * ``rank-3``     chi(H_o <= third eigenvalue): the same route, a thin block;
 * ``fermi``      the Fermi function at mu = 0, beta = 10: eigvalsh of the
-  Hermitian difference;
-* ``resolvent``  (H_o - i)^-1: eigvalsh of the Gram matrix X^+ X.
+  Hermitian difference (U * f) U^+ - diag(f);
+* ``resolvent``  (H_o - i)^-1: eigvalsh of the Gram matrix of
+  U * (rho_k - rho_j), rho = 1/(w - i).
 
 A second table times the unitarity check of every grid point on near-unitaries
 W + 1e-9 * noise: the SVD 2-norm of W^+ W - 1 (the reference) against
@@ -58,17 +62,18 @@ def _best_seconds(fns, repeat: int):
 
 def measure(dim: int, points: int, repeat: int = 3) -> list[tuple]:
     """(route, SVD us per point, kernel us per point, largest relative
-    deviation) for each route at one dimension; W(0) = 1 and points - 1
-    random unitaries."""
+    deviation) for each route at one dimension; U(0) = 1 and points - 1
+    random unitary frames in the eigenbasis of H_o."""
     rng = np.random.default_rng(0)
     g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     h_o = HermitianOperator((g + g.conj().T) / 2)
     d = h_o.decomposition
-    unitaries = [np.eye(dim)] + [_random_unitary(rng, dim) for _ in range(points - 1)]
+    frames = [np.eye(dim)] + [_random_unitary(rng, dim) for _ in range(points - 1)]
     result = PropagatorResult(
-        tau=1.0, s_grid=np.linspace(0.0, 1.0, points), unitaries=np.array(unitaries),
-        step=1.0, scheme="random",
+        tau=1.0, s_grid=np.linspace(0.0, 1.0, points), frames=np.array(frames),
+        step=1.0, scheme="random", basis=d,
     )
+    unitaries = result.unitaries
     observables = {
         "half-rank": projection_leq(d, float(np.median(d.eigenvalues))),
         "rank-3": projection_leq(d, float(d.eigenvalues[2])),
