@@ -303,7 +303,7 @@ def offdiagonal_block_decay(
         raise ValueError("requires e2 > e1")
     d = h_o.decomposition
     lower, upper = gap_columns(d, e1, e2)
-    u_t, u_s = result.frames_in(d, [result.index_of(t), result.index_of(s)])
+    u_t, u_s = result.frames_in(d)[[result.index_of(t), result.index_of(s)]]
     m = u_t @ u_s.conj().T
     return OffDiagonalRecord(
         e1=e1,

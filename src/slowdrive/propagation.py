@@ -277,7 +277,8 @@ def _basis_change(frames: np.ndarray, source, target) -> np.ndarray:
     """The frames X U X† in the eigenbasis of ``target`` of frames U in that
     of ``source``, with X = V_target† V_source (a None decomposition is the
     standard basis, V = 1): X is formed once, and a shared basis returns the
-    frames as they are."""
+    frames as they are. The first frame is W(0) = 1, which every basis
+    leaves as it is, so it is copied rather than rotated and stays exact."""
     if source is target:
         return frames
     if target is None:
@@ -286,7 +287,9 @@ def _basis_change(frames: np.ndarray, source, target) -> np.ndarray:
         x = target.vectors.conj().T
         if source is not None:
             x = x @ source.vectors
-    return x @ frames @ x.conj().T
+    rotated = x @ frames @ x.conj().T
+    rotated[0] = frames[0]
+    return rotated
 
 
 @dataclass(frozen=True)
@@ -349,11 +352,11 @@ class PropagatorResult:
     def dim(self) -> int:
         return self.frames.shape[1]
 
-    def frames_in(self, d: SpectralDecomposition | None, points=slice(None)) -> np.ndarray:
-        """The frames V_d† W(s_j) V_d at the grid indices ``points`` (all by
-        default) in the eigenbasis of ``d`` (None: W itself): the stored
-        frames when ``d`` is ``basis``, else rotated once."""
-        return _basis_change(self.frames[points], self.basis, d)
+    def frames_in(self, d: SpectralDecomposition | None) -> np.ndarray:
+        """The frames V_d† W(s_j) V_d at every grid point in the eigenbasis
+        of ``d`` (None: W itself): the stored frames when ``d`` is
+        ``basis``, else rotated once."""
+        return _basis_change(self.frames, self.basis, d)
 
     @functools.cached_property
     def unitaries(self) -> np.ndarray:
@@ -371,8 +374,8 @@ class PropagatorResult:
         return int(hits[0])
 
     def at(self, s: float) -> np.ndarray:
-        """W(s) at one grid point, without forming the others."""
-        return self.frames_in(None, [self.index_of(s)])[0]
+        """W(s) at one grid point."""
+        return self.unitaries[self.index_of(s)]
 
     # -- one-file-per-run serialization: a JSON metadata line followed by
     #    "s <value>" + matrix text blocks, one per grid point. Loading
@@ -390,7 +393,8 @@ class PropagatorResult:
         }
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(json.dumps(meta) + "\n")
-            for s, u in zip(self.s_grid, self.unitaries):
+            # W is rotated here and freed on return, never cached on the result
+            for s, u in zip(self.s_grid, self.frames_in(None)):
                 fh.write(f"s {s:.17g}\n")
                 fh.write(format_matrix(u))
 
@@ -906,7 +910,7 @@ def comparison_operator(
     formed in the eigenbasis V of H_o as V (exp(i tau (t-s) w) ∘ U(t) U(s)†) V†
     from the frames U = V† W V."""
     d = h_o.decomposition
-    u_t, u_s = result.frames_in(d, [result.index_of(t), result.index_of(s)])
+    u_t, u_s = result.frames_in(d)[[result.index_of(t), result.index_of(s)]]
     phase = np.exp(1j * (result.tau * (t - s)) * d.column_values)[:, None]
     return UnitaryOperator(
         d.vectors @ (phase * (u_t @ u_s.conj().T)) @ d.vectors.conj().T,

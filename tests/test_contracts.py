@@ -244,6 +244,8 @@ class TestFramesOnly:
             res = real_evolve(*args, **kwargs)
             path = tmp_path / f"run_{res.tau:g}.prop"
             res.save(path)
+            # save rotates the frames for the file and keeps no W on the result
+            assert "unitaries" not in vars(res)
             back = PropagatorResult.load(path)
             # the file holds W itself, and the loaded result holds it as is
             assert back.basis is None and np.array_equal(back.frames, res.unitaries)

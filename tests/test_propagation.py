@@ -184,9 +184,8 @@ class TestEvolve:
         h = random_hermitian(6, 2)
         res = evolve(h, seeded_pair_path(6, 1.0, 3), 50.0, GRID)
         assert res.max_drift <= 1e-8
-        # the stored frame is exactly 1; W(0) = V 1 V† only to rounding
         assert np.array_equal(res.frames[0], np.eye(6))
-        assert operator_norm(res.at(0.0) - np.eye(6)) <= 1e-14
+        assert operator_norm(res.at(0.0) - np.eye(6)) == 0.0
 
     def test_grid_validation(self):
         h = random_hermitian(2, 0)
