@@ -739,6 +739,49 @@ class TestChangeOfBasis:
             assert deviation.max() <= 1e-13 + 5e-15 * tau
 
 
+class TestTimeReversal:
+    """On a grid symmetric about S/2 (S its last point), the reversed and
+    conjugated drive G~(sigma) = conj G(S - sigma), the ramp (conj H_o,
+    conj A + S conj B, -conj B), gives W~(sigma) = (W(S) W(S - sigma)†)^T.
+    It is checked as W~(S - s)^T W(s) = W(S), a product of the two computed
+    propagators, so that neither one's unitarity drift enters as it would
+    through an adjoint. A Magnus step cut after Omega_2 is symmetric, so the
+    identity holds to rounding and needs no reference. Unlike a change of
+    basis, it reaches a fault that depends on the spectrum alone, such as a
+    conjugate dropped in the Filon moments. Both problems are rotated by a
+    complex unitary, since a real eigenbasis makes the conjugation
+    trivial."""
+
+    @pytest.mark.parametrize(
+        "grid", [np.linspace(0.0, 1.0, 11), FINE_GRID], ids=["11-point", "301-point"]
+    )
+    @pytest.mark.parametrize(
+        "name, params",
+        [("embedded_eigenvalue", {"grid_points": 15, "multiplicity": 3}),
+         ("pure_point_omega", {"dim": 16, "degenerate_pairs": 2})],
+    )
+    def test_reversed_drive_gives_reversed_propagator(self, name, params, grid):
+        inst = scenario_instance(name, **params)
+        u = random_unitary(inst.h_o.dim, 96)
+        uh = u.conj().T
+        h_o = HermitianOperator(u @ inst.h_o.matrix @ uh)
+        a, b = u @ inst.path.a @ uh, u @ inst.path.b @ uh
+        path = GeneratorPath.drive(a, b, None, None)
+        end = grid[-1]
+        reversed_h_o = HermitianOperator(h_o.matrix.conj())
+        reversed_path = GeneratorPath.drive(a.conj() + end * b.conj(), -b.conj(), None, None)
+        mirror = end - grid[::-1]
+        for tau in (10.0, 1e2, 1e3, 1e4):
+            forward = evolve(h_o, path, tau, grid)
+            backward = evolve(reversed_h_o, reversed_path, tau, mirror)
+            assert forward.scheme == backward.scheme == "magnus-filon"
+            assert forward.steps == backward.steps
+            w = forward.unitaries
+            product = backward.unitaries[::-1].transpose(0, 2, 1) @ w
+            deviation = np.linalg.norm(product - w[-1], 2, (1, 2))
+            assert deviation.max() <= 1e-13 + 5e-15 * tau
+
+
 class TestExactConstantDrive:
     @staticmethod
     def direct_sum_instance():
