@@ -167,17 +167,12 @@ class ScenarioConfig:
             raise ConfigError(f"malformed config: {exc}") from None
 
     @staticmethod
-    def from_json(text: str) -> "ScenarioConfig":
-        """Parse JSON text; NaN and infinite numbers, which Python's json
-        accepts, raise ConfigError."""
-        return ScenarioConfig.from_mapping(
-            json.loads(text, parse_constant=_finite_number, parse_float=_finite_number)
-        )
-
-    @staticmethod
     def from_file(path) -> "ScenarioConfig":
+        """Parse a JSON config file; NaN and infinite numbers, which Python's
+        json accepts, raise ConfigError."""
         with open(path, "r", encoding="utf-8") as fh:
-            return ScenarioConfig.from_json(fh.read())
+            doc = json.load(fh, parse_constant=_finite_number, parse_float=_finite_number)
+        return ScenarioConfig.from_mapping(doc)
 
 
 def _finite_number(token: str) -> float:

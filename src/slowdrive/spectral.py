@@ -15,11 +15,10 @@ the tests for steps, point masses, Fermi functions, and sums).
 from __future__ import annotations
 
 import bisect
-import json
 import math
 from dataclasses import dataclass, field
 from operator import attrgetter
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -87,9 +86,6 @@ class Jump:
 
 def _zero(_x: float) -> float:
     return 0.0
-
-
-_zero._bv_name = "zero"
 
 
 @dataclass(frozen=True)
@@ -163,59 +159,6 @@ class BVFunction:
         """Limit of the continuous part at +inf, implied by f(+inf)."""
         return self.at_infinity - self._offsets[-1]
 
-    # -- JSON schema: {"jumps":[{"at","left","right"(,"value")}],
-    #                  "continuous": name or {"table": [[x,y],...]},
-    #                  "at_infinity": v, "variation": v}
-
-    def to_json(self) -> dict:
-        """Raises MalformedBVFunctionError when the continuous part has no
-        JSON name (a callable supplied by hand, or a sum of two named parts)."""
-        name = getattr(self.continuous, "_bv_name", None)
-        if name is None:
-            raise MalformedBVFunctionError(f"continuous part {self.continuous!r} has no JSON form")
-        return {
-            "jumps": [
-                {"at": j.at, "left": j.left, "right": j.right, "value": j.value}
-                for j in self.jumps
-            ],
-            "continuous": name,
-            "at_infinity": self.at_infinity,
-            "variation": self.variation,
-        }
-
-    @staticmethod
-    def from_json(doc: dict | str) -> "BVFunction":
-        if isinstance(doc, str):
-            doc = json.loads(doc)
-        known = {"jumps", "continuous", "at_infinity", "variation"}
-        extra = set(doc) - known
-        if extra:
-            raise MalformedBVFunctionError(f"unknown BVFunction keys: {sorted(extra)}")
-        jumps = tuple(
-            Jump(
-                at=float(j["at"]),
-                left=float(j["left"]),
-                right=float(j["right"]),
-                value=float(j["value"]) if "value" in j else None,
-            )
-            for j in doc.get("jumps", ())
-        )
-        cont = doc.get("continuous", "zero")
-        if isinstance(cont, dict) and "table" in cont:
-            continuous = _piecewise_linear(cont["table"])
-        elif isinstance(cont, dict) and cont.get("name") == "fermi":
-            continuous = _fermi_callable(float(cont["mu"]), float(cont["beta"]))
-        elif cont == "zero":
-            continuous = _zero
-        else:
-            raise MalformedBVFunctionError(f"unknown continuous part spec: {cont!r}")
-        return BVFunction(
-            continuous=continuous,
-            jumps=jumps,
-            at_infinity=float(doc.get("at_infinity", 0.0)),
-            variation=float(doc.get("variation", 0.0)),
-        )
-
     def __add__(self, other: "BVFunction") -> "BVFunction":
         if not isinstance(other, BVFunction):
             return NotImplemented
@@ -224,7 +167,7 @@ class BVFunction:
             (la, va, ra), (lb, vb, rb) = self._limits(at), other._limits(at)
             merged.append(Jump(at, la + lb, ra + rb, value=va + vb))
         f, g = self.continuous, other.continuous
-        # A zero side keeps the other side's (named, serializable) part.
+        # A zero side keeps the other side's part as it is.
         summed = g if f is _zero else f if g is _zero else lambda x: f(x) + g(x)
         return BVFunction(
             continuous=summed,
@@ -232,19 +175,6 @@ class BVFunction:
             at_infinity=self.at_infinity + other.at_infinity,
             variation=self.variation + other.variation,
         )
-
-
-def _piecewise_linear(table: Sequence[Sequence[float]]) -> Callable[[float], float]:
-    xs = np.array([row[0] for row in table], dtype=float)
-    ys = np.array([row[1] for row in table], dtype=float)
-    if np.any(np.diff(xs) <= 0):
-        raise MalformedBVFunctionError("piecewise-linear table abscissae must increase")
-
-    def f(x: float) -> float:
-        return float(np.interp(x, xs, ys))
-
-    f._bv_name = {"table": [[float(a), float(b)] for a, b in zip(xs, ys)]}
-    return f
 
 
 def _fermi_callable(mu: float, beta: float) -> Callable[[float], float]:
@@ -255,7 +185,6 @@ def _fermi_callable(mu: float, beta: float) -> Callable[[float], float]:
             return math.exp(-t) / (1.0 + math.exp(-t))
         return 1.0 / (1.0 + math.exp(t))
 
-    f._bv_name = {"name": "fermi", "mu": mu, "beta": beta}
     return f
 
 

@@ -1,5 +1,4 @@
 import functools
-import json
 import math
 import operator
 
@@ -219,46 +218,6 @@ class TestBVFunction:
         got = calculus_bv(decomp(np.diag(eigs)), f).matrix
         assert np.allclose(got, np.diag([direct(e) for e in eigs]), atol=1e-12)
         assert all(f(e) == pytest.approx(direct(e), abs=1e-12) for e in eigs)
-
-    def test_json_roundtrip(self):
-        f = step_function(0.25)
-        doc = f.to_json()
-        g = BVFunction.from_json(json.dumps(doc))
-        assert g.jumps == f.jumps
-        assert g.at_infinity == f.at_infinity
-
-    def test_json_fermi_and_table(self):
-        f = BVFunction.from_json(
-            {"jumps": [], "continuous": {"name": "fermi", "mu": 0.0, "beta": 2.0},
-             "at_infinity": 0.0, "variation": 1.0}
-        )
-        assert f(0.0) == pytest.approx(0.5)
-        g = BVFunction.from_json(
-            {"jumps": [], "continuous": {"table": [[-1.0, 0.0], [1.0, 2.0]]},
-             "at_infinity": 2.0, "variation": 2.0}
-        )
-        assert g(0.0) == pytest.approx(1.0)
-
-    def test_json_rejects_unknown_keys(self):
-        with pytest.raises(MalformedBVFunctionError, match="unknown"):
-            BVFunction.from_json({"jumps": [], "weird": 1})
-
-    def test_sum_with_one_continuous_part_roundtrips(self):
-        f = step_function(0.0) + fermi_dirac(0.0, 1.0)
-        g = BVFunction.from_json(json.dumps(f.to_json()))
-        assert f(1.0) == pytest.approx(1.0 / (1.0 + math.e), abs=1e-15)
-        for x in (-2.0, 0.0, 1.0, 3.0):
-            assert g(x) == f(x)
-
-    def test_json_rejects_unnamed_continuous_part(self):
-        with pytest.raises(MalformedBVFunctionError, match="no JSON form"):
-            (fermi_dirac(0.0, 1.0) + fermi_dirac(1.0, 2.0)).to_json()
-        with pytest.raises(MalformedBVFunctionError, match="no JSON form"):
-            BVFunction(continuous=math.sin, variation=2.0).to_json()
-
-    def test_json_custom_is_not_zero(self):
-        with pytest.raises(MalformedBVFunctionError, match="custom"):
-            BVFunction.from_json({"jumps": [], "continuous": "custom"})
 
 
 class TestBVCalculus:
