@@ -635,6 +635,41 @@ def _exp_step(gen: np.ndarray, h: float, w: np.ndarray) -> np.ndarray:
     return w
 
 
+def _taylor_exponential(gen: np.ndarray) -> np.ndarray:
+    """exp(-i gen) for a Hermitian ``gen``, formed as a matrix: the Taylor
+    series of :func:`_exp_step` with h = 1, split into the same q equal parts
+    and summed to the same degree m, evaluated by the Paterson-Stockmeyer
+    scheme (Higham, Functions of Matrices, SIAM 2008, Sec. 4.2). With the
+    powers of X = -i gen / q up to X^s, s = ceil(sqrt(m)), Horner's rule in
+    X^s over blocks of s terms takes about 2 sqrt(m) products instead of the
+    m that the action on the identity takes; the part is then raised to the
+    q-th power."""
+    theta = float(np.abs(gen).sum(axis=0).max())
+    q = max(1, math.ceil(theta / _THETA_MAX))
+    m = _taylor_degree(theta / q)
+    s = math.isqrt(max(m - 1, 0)) + 1
+    powers = [np.eye(gen.shape[0], dtype=complex), (-1j / q) * gen]
+    while len(powers) <= s:
+        powers.append(powers[-1] @ powers[1])
+
+    def block(j: int) -> np.ndarray:
+        """sum_i X^i / (j s + i)! over the terms j s + i <= m, i < s."""
+        return sum(powers[k - j * s] / math.factorial(k) for k in range(j * s, min(j * s + s, m + 1)))
+
+    r, rest = divmod(m, s)
+    if rest == 0 and r > 0:  # the top block is X^(r s) / m! alone: no product
+        part = powers[s] / math.factorial(m) + block(r - 1)
+        r -= 1
+    else:
+        part = block(r)
+    for j in range(r - 1, -1, -1):
+        part = part @ powers[s] + block(j)
+    out = part
+    for _ in range(q - 1):
+        out = out @ part
+    return out
+
+
 def _midpoint_states(
     h_mat: np.ndarray, path: GeneratorPath, tau: float, grid: np.ndarray, nsubs: list[int]
 ) -> Iterator[np.ndarray]:
@@ -763,65 +798,133 @@ def _chebyshev_length(g1: float, g2: float) -> int:
     s0 = (1 + u)/2 has |Re s0| <= (1 + a)/2 and |Im s0| <= b/2, so the
     anti-Hermitian part of G is at most log M = b/2 (g1 + (1 + a) g2), and
     ||exp(-i G)|| <= M. Then ||c_j|| <= 2 M rho^-j, and the coefficients from
-    N on sum to at most 2 M rho^-N / (rho - 1): the least N over a grid of
-    rho is returned.
+    N on sum to at most 2 M rho^(1-N) / (rho - 1). An interpolant in the N
+    Chebyshev points differs from the first N coefficients by the aliased
+    tail (Thm 8.2), so its error is at most twice that,
+    4 M rho^(1-N) / (rho - 1): the least N over a grid of rho is returned.
     """
-    rho = np.geomspace(1.25, 1e8, 128)
-    a, b = 0.5 * (rho + 1.0 / rho), 0.5 * (rho - 1.0 / rho)
+    a, b, log_gap, log_rho = _bernstein_ellipses()
     log_m = 0.5 * b * (g1 + (1.0 + a) * g2)
-    log_tail = math.log(2.0 / _UNIT_ROUNDOFF) + log_m - np.log(rho - 1.0)
-    return int(np.ceil(log_tail / np.log(rho)).min())
+    log_tail = math.log(4.0 / _UNIT_ROUNDOFF) + log_m - log_gap
+    return 1 + int(np.ceil(log_tail / log_rho).min())
+
+
+@functools.cache
+def _bernstein_ellipses() -> tuple[np.ndarray, ...]:
+    """The grid of rho from 1.25 to 1e8 that :func:`_chebyshev_length`
+    searches, as the semi-axes a, b of E_rho, log(rho - 1) and log(rho),
+    formed once."""
+    rho = np.geomspace(1.25, 1e8, 128)
+    return 0.5 * (rho + 1.0 / rho), 0.5 * (rho - 1.0 / rho), np.log(rho - 1.0), np.log(rho)
+
+
+def _chebyshev_interpolant(node_value, n: int, length: float, shape) -> np.ndarray:
+    """The n Chebyshev coefficients in u = 2 x / length - 1 of the matrix
+    function ``node_value`` on x in [0, length], interpolated at the roots
+    u_k of T_n: c_j = (2 - [j = 0]) / n sum_k T_j(u_k) f(x_k). They differ
+    from f's own first n coefficients only by the aliased tail from n on: at
+    the roots of T_n, T_{2ln +- j} equals +-T_j (Trefethen, ATAP, Thm 4.2
+    for these points).
+
+    The node values are formed one at a time into the array that returns the
+    coefficients, which one real product by the n x n matrix T_j(u_k) then
+    turns into coefficients in place, a block of about 1/n of the columns at
+    a time, so the work space stays near one matrix of ``shape``."""
+    angles = math.pi * (np.arange(n) + 0.5) / n
+    coef = np.empty((n, *shape), dtype=complex)
+    for k, angle in enumerate(angles):
+        coef[k] = node_value(0.5 * length * (math.cos(angle) + 1.0))
+    transform = np.cos(np.arange(n)[:, None] * angles) * (2.0 / n)
+    transform[0] *= 0.5
+    flat = coef.view(np.float64).reshape(n, -1)
+    block = -(-flat.shape[1] // n)
+    for first in range(0, flat.shape[1], block):
+        flat[:, first : first + block] = transform @ flat[:, first : first + block]
+    return coef
+
+
+def _generator_norms(g: np.ndarray) -> tuple[float, float]:
+    """The 1-norms of g_1 and g_2, which bound their 2-norms."""
+    return tuple(float(np.abs(x).sum(axis=0).max()) for x in g[1:])
 
 
 def _step_polynomial(g: np.ndarray) -> np.ndarray:
     """E(s0) = exp(-i G(s0)) with G(s0) = g_0 + s0 (g_1 + s0 g_2) from
     :func:`_magnus_generator`, the Magnus-Filon step without its frame
     phase, as the stack of its Chebyshev coefficients in u = 2 s0 - 1 on s0
-    in [0, 1].
-
-    E is interpolated at the n = :func:`_chebyshev_length` Chebyshev points
-    u_k (the roots of T_n), with the node values from :func:`_exp_step`, and
-    all n coefficients c_j = (2 - [j = 0]) / n sum_k T_j(u_k) E(s_k) are
-    kept, summed node by node. They differ from E's own first n
-    coefficients only by the aliased tail from n on: at the roots of T_n,
-    T_{2ln +- j} equals +-T_j (Trefethen, ATAP, Thm 4.2 for these points),
-    and that length bounds the tail below unit roundoff.
+    in [0, 1]: E is interpolated (:func:`_chebyshev_interpolant`) at the
+    n = :func:`_chebyshev_length` Chebyshev points, with the node values
+    from :func:`_taylor_exponential`, and that length bounds the
+    interpolation error below unit roundoff.
     """
-    n = _chebyshev_length(*(float(np.abs(x).sum(axis=0).max()) for x in g[1:]))
-    orders = np.arange(n)
-    eye = np.eye(g.shape[1], dtype=complex)
-    coef = np.zeros((n, *eye.shape), dtype=complex)
-    for k in range(n):
-        angle = math.pi * (k + 0.5) / n
-        s0 = 0.5 * (math.cos(angle) + 1.0)
-        node = _exp_step(g[0] + s0 * (g[1] + s0 * g[2]), 1.0, eye)
-        weights = np.cos(orders * angle) * (2.0 / n)
-        weights[0] *= 0.5
-        for c, t in zip(coef, weights):
-            c += t * node
-    return coef
+    return _chebyshev_interpolant(
+        lambda s0: _taylor_exponential(g[0] + s0 * (g[1] + s0 * g[2])),
+        _chebyshev_length(*_generator_norms(g)),
+        1.0,
+        g.shape[1:],
+    )
 
 
-# Consecutive Magnus-Filon steps of one interval are formed and multiplied
-# this many at a time: the coefficient stack is read once per block, and the
-# Python calls per block grow as log2 of its length, while the temporaries
-# stay near two blocks of step matrices however many sub-steps an interval
-# has (1.1 MB at dim 66).
-_STEP_BLOCK = 16
+def _chebyshev_values(level: tuple[float, np.ndarray], xs) -> np.ndarray:
+    """The matrix polynomial ``level`` = (length, its Chebyshev coefficients
+    on [0, length]) at each point of ``xs``, stacked: one real product of
+    the rows T_j(2 x / length - 1) with the coefficients' real view."""
+    length, coef = level
+    n = coef.shape[0]
+    rows = np.cos(np.arccos(2.0 * np.asarray(xs) / length - 1.0)[:, None] * np.arange(n))
+    values = rows @ coef.view(np.float64).reshape(n, -1)
+    return values.view(complex).reshape(rows.shape[0], *coef.shape[1:])
 
 
-def _ordered_product(stack: np.ndarray) -> np.ndarray:
-    """stack[-1] @ ... @ stack[0], by a balanced tree of stacked products:
-    each level multiplies neighbouring pairs, later on the left, and carries
-    an odd last matrix up unchanged. Takes len(stack) - 1 products."""
-    while stack.shape[0] > 1:
-        pairs = stack.shape[0] // 2
-        level = np.empty_like(stack[: stack.shape[0] - pairs])
-        np.matmul(stack[1::2], stack[:-1:2], out=level[:pairs])
-        if stack.shape[0] % 2:
-            level[pairs] = stack[-1]
-        stack = level
-    return stack[0]
+def _step_levels(
+    w: np.ndarray, a: np.ndarray, b: np.ndarray, tau: float, h: float, counts: list[int]
+) -> dict[int, tuple[float, np.ndarray]]:
+    """The step tables of the ramp a + s b in the eigenbasis at tau for one
+    sub-step length h, for intervals that take ``counts`` steps of length h
+    before their last.
+
+    Level 1 is E(s0) of :func:`_step_polynomial`, without its frame phase
+    exp(-i tau h w): it serves every interval's last step, whose phase is
+    its own. Level 2k is the product of 2k consecutive steps of length h
+    from x, frame phases included, as Chebyshev coefficients on
+    [0, 1 - (2k - 1) h], from level k at its own nodes:
+    P_2k(x) = P_k(x + k h) P_k(x), one product per node, where P_1 is level 1
+    times the phase. The domains are nested, so no level is evaluated
+    outside the one it comes from, and on the Bernstein ellipse of that
+    domain each of the 2k factors keeps the bound that
+    :func:`_chebyshev_length` takes for one step: 2k steps take the length
+    for 2k times the generator norms.
+
+    A level costs one product per node and saves, in an interval of m
+    steps, m // 2k products over the levels below it, so it is built only
+    while that saving over ``counts`` exceeds its node count. A level that
+    no interval uses is dropped once the next is built. Each level is
+    (length, its coefficients) for :func:`_chebyshev_values`.
+    """
+    g = _magnus_generator(w, a, b, tau, h)
+    norms = _generator_norms(g)
+    levels = {1: (1.0, _step_polynomial(g))}
+    del g  # the levels hold all that the steps need
+    phase = np.exp(-1j * tau * h * w)[:, None]
+    k = 1
+    while True:
+        n = _chebyshev_length(2 * k * norms[0], 2 * k * norms[1])
+        if sum(m // (2 * k) for m in counts) <= n:
+            return levels
+
+        def node(x: float, k: int = k) -> np.ndarray:
+            later, first = _chebyshev_values(levels[k], [x + k * h, x])
+            if k == 1:
+                later *= phase
+                first *= phase
+            return later @ first
+
+        length = 1.0 - (2 * k - 1) * h
+        coef = _chebyshev_interpolant(node, n, length, phase.shape[:1] * 2)
+        if k > 1 and not any(m % (2 * k) >= k for m in counts):
+            del levels[k]
+        k *= 2
+        levels[k] = (length, coef)
 
 
 def _magnus_filon_states(
@@ -832,46 +935,54 @@ def _magnus_filon_states(
     nsubs: list[int],
 ) -> Iterator[np.ndarray]:
     """The frame V† W V at every grid point after the first, stepping the
-    ramp A + s B in ``nsubs`` equal Magnus-Filon steps per interval in the
+    ramp A + s B in ``nsubs`` Magnus-Filon steps per interval in the
     eigenbasis V of H_o, where the steps run: W itself is never formed.
-    Each step of length h applies E(s0) = exp(-i tau h w) exp(-i G(s0)) with
-    G from :func:`_magnus_generator`, evaluated from the Chebyshev
-    coefficients of :func:`_step_polynomial`.
+    A step of length h from s0 applies exp(-i tau h w) exp(-i G(s0)) with G
+    from :func:`_magnus_generator`.
 
-    Builds are keyed by h to 11 significant digits, and each build takes the
-    first exact h of its key: the sub-steps of a uniform grid differ in their
-    last bits, and G depends smoothly on h, so sharing it between lengths
-    that agree to about 5e-12 costs only rounding. The frame phase, which
-    tau multiplies, is not shared: every interval takes its own exact
-    h = span / nsub for it and for its step starts. A grid with many
-    distinct lengths pays one build for each.
-
-    An interval's steps go in blocks of at most ``_STEP_BLOCK``: one real
-    product of the rows T_j(2 s0 - 1) with the coefficients' real view gives
-    the block's step matrices, which the interval's phase column scales,
-    :func:`_ordered_product` multiplies them in order, and one complex
-    product applies that to the state, so each step still costs one complex
-    matrix product."""
+    Step lengths are keyed to 11 significant digits, and each key builds its
+    tables once (:func:`_step_levels`) at its first exact length h_k: the
+    sub-steps of a uniform grid differ in their last bits, and G depends
+    smoothly on h, so sharing it between lengths that agree to about 5e-12
+    costs only rounding. An interval of span = nsub h takes m = nsub - 1
+    steps of length h_k from its start, frame phases included, and then one
+    last step of length h + m (h - h_k) from s0 + m h_k, which takes its own
+    exact frame phase, so the interval's phase is that of its span: the
+    largest level at most m as often as it fits, then one level per set
+    bit of the rest, each one product applied to the state. An interval of
+    one step (m = 0) is exactly that step. A key's tables are freed after
+    its last interval."""
     v, w = basis.vectors, basis.column_values
     vh = v.conj().T
     a, b = vh @ path.a @ v, vh @ path.b @ v
-    polynomials = {}
+    spans = np.diff(grid)
+    keys = [f"{span / nsub:.11g}" for span, nsub in zip(spans, nsubs)]
+    counts, last = {}, {}
+    for j, (key, nsub) in enumerate(zip(keys, nsubs)):
+        counts.setdefault(key, []).append(nsub - 1)
+        last[key] = j
+    tables = {}
     y = np.eye(w.size, dtype=complex)
-    for s0, s1, nsub in zip(grid, grid[1:], nsubs):
-        h = (s1 - s0) / nsub
-        key = f"{h:.11g}"
-        if key not in polynomials:
-            coef = _step_polynomial(_magnus_generator(w, a, b, tau, h))
-            n = coef.shape[0]
-            polynomials[key] = np.arange(n), coef.view(np.float64).reshape(n, -1)
-        orders, coef = polynomials[key]
-        phase = np.exp(-1j * tau * h * w)[:, None]
-        for first in range(0, nsub, _STEP_BLOCK):
-            starts = s0 + np.arange(first, min(first + _STEP_BLOCK, nsub)) * h
-            rows = np.cos(np.arccos(2.0 * starts - 1.0)[:, None] * orders)
-            steps = (rows @ coef).view(complex).reshape(starts.size, *y.shape)
-            steps *= phase
-            y = _ordered_product(steps) @ y
+    for j, (s0, span, nsub, key) in enumerate(zip(grid, spans, nsubs, keys)):
+        h = span / nsub
+        if key not in tables:
+            tables[key] = h, _step_levels(w, a, b, tau, h, counts[key])
+        h_k, levels = tables[key]
+        phase = np.exp(-1j * tau * h_k * w)[:, None]
+        top = max(levels)
+        m, done = nsub - 1, 0
+        while done < m:
+            k = top if m - done >= top else 1 << ((m - done).bit_length() - 1)
+            (value,) = _chebyshev_values(levels[k], [s0 + done * h_k])
+            if k == 1:
+                value *= phase
+            y = value @ y
+            done += k
+        (value,) = _chebyshev_values(levels[1], [s0 + m * h_k])
+        value *= np.exp(-1j * tau * (h + m * (h - h_k)) * w)[:, None]
+        y = value @ y
+        if last[key] == j:
+            del tables[key]
         yield y
 
 

@@ -26,16 +26,19 @@ from slowdrive.propagation import (
     PropagatorResult,
     _FILON_NEAR,
     _SERIES_RADIUS,
-    _STEP_BLOCK,
     _THETA_MAX,
+    _chebyshev_interpolant,
     _chebyshev_length,
+    _chebyshev_values,
     _exp_step,
     _filon_moments,
     _magnus_filon_states,
     _magnus_generator,
     _magnus_terms,
+    _step_levels,
     _step_polynomial,
     _taylor_degree,
+    _taylor_exponential,
     block_diagonal_path,
     comparison_family,
     comparison_operator,
@@ -227,7 +230,9 @@ class TestTaylorStep:
         norm1 = np.abs(gen).sum(axis=0).max()
         for theta in (0.0, 1e-6, 0.1, 0.5, 2.0, 50.0):
             h = theta / norm1
-            assert operator_norm(_exp_step(gen, h, w) - eigh_exp_step(gen, h, w)) <= 1e-13
+            ref = eigh_exp_step(gen, h, w)
+            assert operator_norm(_exp_step(gen, h, w) - ref) <= 1e-13
+            assert operator_norm(_taylor_exponential(h * gen) @ w - ref) <= 1e-13
 
     @pytest.mark.parametrize("theta", [0.0, 1e-3, 1.0, 4.0])
     def test_taylor_degree_is_the_smallest_that_meets_the_bound(self, theta):
@@ -359,18 +364,26 @@ def per_step_magnus_filon(basis, path, tau, grid, nsubs):
     """Reference Magnus-Filon propagator: the steps of ``evolve``, with a
     generator built for every interval at its exact sub-step length and each
     exponential summed by ``_exp_step`` at its step start instead of read from
-    the step polynomial. Returns W at every grid point."""
+    a step table. The steps are placed as ``evolve`` places them: sub-step
+    lengths are keyed to 11 significant digits, and an interval of nsub steps
+    of length h takes nsub - 1 steps of its key's first exact length h_k and
+    a last step of length h + (nsub - 1)(h - h_k), each with the frame phase
+    of its own length. Returns W at every grid point."""
     v, w = basis.vectors, basis.column_values
     vh = v.conj().T
     a, b = vh @ path.a @ v, vh @ path.b @ v
     y = np.eye(w.size, dtype=complex)
     out = [np.eye(w.size)]
+    first = {}
     for s0, s1, nsub in zip(grid, grid[1:], nsubs):
         h = (s1 - s0) / nsub
+        h_k = first.setdefault(f"{h:.11g}", h)
         g = _magnus_generator(w, a, b, tau, h)
-        phase = np.exp(-1j * tau * h * w)[:, None]
+        m = nsub - 1
         for k in range(nsub):
-            start = s0 + k * h
+            start = s0 + k * h_k
+            length = h_k if k < m else h + m * (h - h_k)
+            phase = np.exp(-1j * tau * length * w)[:, None]
             y = phase * _exp_step(g[0] + start * (g[1] + start * g[2]), 1.0, y)
         out.append(v @ y @ vh)
     return out
@@ -585,12 +598,12 @@ class TestMagnusFilon:
         g = _magnus_generator(w, a, b, tau, h)
         nodes = []
 
-        def counted(*args):
-            nodes.append(args[1])
-            return _exp_step(*args)
+        def counted(gen):
+            nodes.append(gen)
+            return _taylor_exponential(gen)
 
         with monkeypatch.context() as patch:
-            patch.setattr(slowdrive.propagation, "_exp_step", counted)
+            patch.setattr(slowdrive.propagation, "_taylor_exponential", counted)
             coef = _step_polynomial(g)
         # one exponential per Chebyshev point, and one coefficient per point
         assert len(nodes) == self.chebyshev_points(g) == coef.shape[0]
@@ -602,21 +615,71 @@ class TestMagnusFilon:
             interpolated = np.polynomial.chebyshev.chebval(2.0 * s0 - 1.0, coef)
             assert operator_norm(interpolated - direct) <= 1e-14
 
+    @pytest.mark.parametrize("case", ["embedded-10", "embedded-1000", "synthetic"])
+    def test_step_levels_match_taylor_exponentials(self, case, monkeypatch):
+        # every interval takes 31 steps before its last (3 for the synthetic
+        # step of length 1/4), so every level up to 16 (2) is built and kept
+        if case == "synthetic":
+            w, a, b, tau, h = self.synthetic_generator()
+            counts, top = [3] * 100, 2
+        else:
+            inst = scenario_instance("embedded_eigenvalue", grid_points=63, multiplicity=3)
+            tau = float(case.split("-")[1])
+            h = magnus_step(inst.path.kappa, inst.path.kappa_dot)
+            w, a, b = eigenbasis_ramp(inst)
+            counts, top = [31] * 20, 16
+        g = _magnus_generator(w, a, b, tau, h)
+        tables = []
+
+        def counted(node_value, n, length, shape):
+            nodes = []
+            coef = _chebyshev_interpolant(
+                lambda x: nodes.append(x) or node_value(x), n, length, shape
+            )
+            tables.append((len(nodes), coef.shape[0], length))
+            return coef
+
+        with monkeypatch.context() as patch:
+            patch.setattr(slowdrive.propagation, "_chebyshev_interpolant", counted)
+            levels = _step_levels(w, a, b, tau, h, counts)
+        assert sorted(levels) == [2**j for j in range(top.bit_length())]
+        # one node per coefficient, at the length for k times the generator
+        # norms, on the nested domain [0, 1 - (k - 1) h]
+        g1, g2 = (np.abs(x).sum(axis=0).max() for x in g[1:])
+        for (nodes, kept, length), k in zip(tables, sorted(levels)):
+            assert nodes == kept == _chebyshev_length(k * g1, k * g2)
+            assert length == 1.0 - (k - 1) * h
+            assert levels[k][1].shape[0] == kept
+        phase = np.exp(-1j * tau * h * w)[:, None]
+        eye = np.eye(w.size)
+        for x in np.random.default_rng(94).uniform(0.0, levels[top][0], 50):
+            direct = eye
+            for k in range(1, top + 1):
+                start = x + (k - 1) * h
+                direct = phase * _exp_step(g[0] + start * (g[1] + start * g[2]), 1.0, direct)
+                if k in levels:
+                    (table,) = _chebyshev_values(levels[k], [x])
+                    if k == 1:
+                        table = phase * table
+                    assert operator_norm(table - direct) <= 1e-14 * k
+
     @pytest.mark.parametrize("tau", [10.0, 1000.0])
     def test_exponentials_only_at_build(self, tau, monkeypatch):
-        # each build sums one exponential per Chebyshev point; the 200 steps none
+        # each build forms one exponential per Chebyshev point; the 200 steps
+        # none, and none is applied by a Taylor action
         calls, builds = [], []
 
-        def counted_exp(*args):
-            calls.append(args[1])
-            return _exp_step(*args)
+        def counted_exp(gen):
+            calls.append(gen)
+            return _taylor_exponential(gen)
 
         def counted_build(*args):
             g = _magnus_generator(*args)
             builds.append(self.chebyshev_points(g))
             return g
 
-        monkeypatch.setattr(slowdrive.propagation, "_exp_step", counted_exp)
+        monkeypatch.setattr(slowdrive.propagation, "_taylor_exponential", counted_exp)
+        monkeypatch.setattr(slowdrive.propagation, "_exp_step", None)
         monkeypatch.setattr(slowdrive.propagation, "_magnus_generator", counted_build)
         inst = scenario_instance("embedded_eigenvalue", grid_points=63, multiplicity=3)
         res = evolve(inst.h_o, inst.path, tau, self.GRID11)
@@ -639,11 +702,13 @@ class TestMagnusFilon:
         for u, r in zip(res.unitaries, ref):
             assert operator_norm(u - r) <= 1e-13
 
-    @pytest.mark.parametrize("nsub", [1, 15, 16, 17, 33, 200])
+    @pytest.mark.parametrize("nsub", [1, 2, 3, 16, 17, 20, 33, 200])
     def test_block_edges_match_per_step_exponentials(self, nsub):
-        # one interval in nsub steps: less than, exactly and just over one
-        # block of _STEP_BLOCK = 16 steps, two blocks and a one-step tail,
-        # and the 200 steps of [0, 1] at h_MF (12 full blocks and 8 steps)
+        # one interval in nsub steps, so m = nsub - 1 steps before the last:
+        # no step before it, one, two (no level), 15 and 16 steps (level 2
+        # only), the 19 of the 11-point grid's intervals, 32 (levels up to 4,
+        # each once) and the 199 of [0, 1] at h_MF (level 16 twelve times,
+        # then levels 4, 2 and 1)
         inst = scenario_instance("embedded_eigenvalue", grid_points=63, multiplicity=3)
         d, path, grid = inst.h_o.decomposition, inst.path, np.array([0.0, 1.0])
         (frame,) = _magnus_filon_states(d, path, 100.0, grid, [nsub])
@@ -652,7 +717,9 @@ class TestMagnusFilon:
 
     def test_memory_stays_near_two_blocks(self):
         # the 200 steps of [0, 1] are one interval; forming all their step
-        # matrices at once would take 200 dim^2 complex numbers (13.9 MB)
+        # matrices at once would take 200 dim^2 complex numbers (13.9 MB),
+        # while the step tables and their work space stay within 64, the
+        # bound that two blocks of 16 step matrices and their products held
         inst = scenario_instance("embedded_eigenvalue", grid_points=63, multiplicity=3)
         inst.h_o.decomposition
         tracemalloc.start()
@@ -662,8 +729,8 @@ class TestMagnusFilon:
         finally:
             tracemalloc.stop()
         assert (res.scheme, res.steps) == ("magnus-filon", 200)
-        block = _STEP_BLOCK * inst.h_o.dim**2 * 16
-        assert peak - res.frames.nbytes < 4 * block < res.steps * inst.h_o.dim**2 * 16
+        bound = 4 * 16 * inst.h_o.dim**2 * 16
+        assert peak - res.frames.nbytes < bound < res.steps * inst.h_o.dim**2 * 16
 
     def test_limit_matches_per_step_exponentials(self):
         inst = scenario_instance("pure_point_omega", dim=16, degenerate_pairs=4)
