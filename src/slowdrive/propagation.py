@@ -487,14 +487,17 @@ def evolve(
     within ``_MAX_STEPS``; an interval shorter than the step is one step.
     It diagonalises H_o once (its own ``decomposition``), and once per
     sub-step length (to 11 significant digits) derives the Magnus terms
-    (:func:`_magnus_generator`) and tabulates the step's exponential as a
+    (:func:`_magnus_generator`), tabulates the step's exponential as a
     Chebyshev polynomial in the step start (:func:`_step_polynomial`, one
-    exponential per coefficient kept, 4-5 on the catalog scenarios). The
-    steps then go in blocks of up to ``_STEP_BLOCK``: one real product
-    evaluates a block's step matrices from the coefficients, each interval
-    applies its own exact frame phase, and each step costs one complex
-    matrix product. A build costs about 4-7.5 ms at dim 66, so a grid with
-    many distinct interval lengths runs faster with an explicit ``step``.
+    exponential per coefficient kept, 4-5 on the catalog scenarios), and
+    tabulates the products of 2, 4, 8, ... consecutive steps, frame phases
+    included, the same way (:func:`_step_levels`), each only while it saves
+    the grid's intervals more products than its nodes cost. An interval of
+    nsub steps then costs one complex matrix product per table it reads,
+    about log2(nsub), and one for its last step, which takes the
+    interval's own exact frame phase (:func:`_magnus_filon_states`). A
+    build costs about 4.5-5.5 ms at dim 66, so a grid with many distinct
+    interval lengths runs faster with an explicit ``step``.
 
     A step or mollified drive, every explicit ``step``, and a ramp that
     would need more than ``_MAX_STEPS`` Magnus-Filon steps use the
@@ -652,18 +655,22 @@ def _taylor_exponential(gen: np.ndarray) -> np.ndarray:
     while len(powers) <= s:
         powers.append(powers[-1] @ powers[1])
 
-    def block(j: int) -> np.ndarray:
-        """sum_i X^i / (j s + i)! over the terms j s + i <= m, i < s."""
-        return sum(powers[k - j * s] / math.factorial(k) for k in range(j * s, min(j * s + s, m + 1)))
+    def add_block(j: int, part: np.ndarray) -> np.ndarray:
+        """part plus sum_i X^i / (j s + i)! over i < s and j s + i <= m, in
+        place; X^0 is added on the diagonal."""
+        part.flat[:: part.shape[0] + 1] += 1.0 / math.factorial(j * s)
+        for i in range(1, min(s, m + 1 - j * s)):
+            part += powers[i] / math.factorial(j * s + i)
+        return part
 
     r, rest = divmod(m, s)
     if rest == 0 and r > 0:  # the top block is X^(r s) / m! alone: no product
-        part = powers[s] / math.factorial(m) + block(r - 1)
+        part = add_block(r - 1, powers[s] / math.factorial(m))
         r -= 1
     else:
-        part = block(r)
+        part = add_block(r, np.zeros_like(powers[0]))
     for j in range(r - 1, -1, -1):
-        part = part @ powers[s] + block(j)
+        part = add_block(j, part @ powers[s])
     out = part
     for _ in range(q - 1):
         out = out @ part
@@ -797,16 +804,17 @@ def _chebyshev_length(g1: float, g2: float) -> int:
     Approximation Practice, SIAM 2013, Thm 8.1), with a, b = (rho +- 1/rho)/2,
     s0 = (1 + u)/2 has |Re s0| <= (1 + a)/2 and |Im s0| <= b/2, so the
     anti-Hermitian part of G is at most log M = b/2 (g1 + (1 + a) g2), and
-    ||exp(-i G)|| <= M. Then ||c_j|| <= 2 M rho^-j, and the coefficients from
-    N on sum to at most 2 M rho^(1-N) / (rho - 1). An interpolant in the N
-    Chebyshev points differs from the first N coefficients by the aliased
-    tail (Thm 8.2), so its error is at most twice that,
-    4 M rho^(1-N) / (rho - 1): the least N over a grid of rho is returned.
+    ||exp(-i G)|| <= M. Then ||c_j|| <= 2 M rho^-j, and the coefficients
+    after c_N sum to at most 2 M rho^-N / (rho - 1): the least N over a grid
+    of rho is returned. The interpolant in N points also drops c_N and
+    aliases the tail (Thm 8.2), which this bound leaves out; on the catalog
+    ramps its measured error at the 1-norms of g_1 and g_2 stays at rounding
+    (at most 1e-15 at dims 16 to 512), and a point more only adds rounding.
     """
     a, b, log_gap, log_rho = _bernstein_ellipses()
     log_m = 0.5 * b * (g1 + (1.0 + a) * g2)
-    log_tail = math.log(4.0 / _UNIT_ROUNDOFF) + log_m - log_gap
-    return 1 + int(np.ceil(log_tail / log_rho).min())
+    log_tail = math.log(2.0 / _UNIT_ROUNDOFF) + log_m - log_gap
+    return int(np.ceil(log_tail / log_rho).min())
 
 
 @functools.cache
@@ -844,8 +852,12 @@ def _chebyshev_interpolant(node_value, n: int, length: float, shape) -> np.ndarr
 
 
 def _generator_norms(g: np.ndarray) -> tuple[float, float]:
-    """The 1-norms of g_1 and g_2, which bound their 2-norms."""
-    return tuple(float(np.abs(x).sum(axis=0).max()) for x in g[1:])
+    """Upper bounds on the 2-norms of the Hermitian g_1 and g_2 for the step
+    tables of :func:`_step_levels`, one product each:
+    ||x||_2 = ||x^2||_2^(1/2) <= ||x^2||_1^(1/2). On the catalog ramps that
+    is 2.5 (dim 66) to 4 (dim 512) times tighter than ||x||_1, so a table
+    takes fewer nodes and less memory."""
+    return tuple(math.sqrt(float(np.abs(x @ x).sum(axis=0).max())) for x in g[1:])
 
 
 def _step_polynomial(g: np.ndarray) -> np.ndarray:
@@ -853,13 +865,15 @@ def _step_polynomial(g: np.ndarray) -> np.ndarray:
     :func:`_magnus_generator`, the Magnus-Filon step without its frame
     phase, as the stack of its Chebyshev coefficients in u = 2 s0 - 1 on s0
     in [0, 1]: E is interpolated (:func:`_chebyshev_interpolant`) at the
-    n = :func:`_chebyshev_length` Chebyshev points, with the node values
-    from :func:`_taylor_exponential`, and that length bounds the
-    interpolation error below unit roundoff.
+    n = :func:`_chebyshev_length` Chebyshev points for the 1-norms of g_1
+    and g_2, with the node values from :func:`_taylor_exponential`. The
+    slack of the 1-norms covers the node that the length leaves out: with
+    the bounds of :func:`_generator_norms` instead, a jittered-grid check
+    against per-step exponentials misses its 1e-13 (1.5e-13).
     """
     return _chebyshev_interpolant(
         lambda s0: _taylor_exponential(g[0] + s0 * (g[1] + s0 * g[2])),
-        _chebyshev_length(*_generator_norms(g)),
+        _chebyshev_length(*(float(np.abs(x).sum(axis=0).max()) for x in g[1:])),
         1.0,
         g.shape[1:],
     )
@@ -868,12 +882,20 @@ def _step_polynomial(g: np.ndarray) -> np.ndarray:
 def _chebyshev_values(level: tuple[float, np.ndarray], xs) -> np.ndarray:
     """The matrix polynomial ``level`` = (length, its Chebyshev coefficients
     on [0, length]) at each point of ``xs``, stacked: one real product of
-    the rows T_j(2 x / length - 1) with the coefficients' real view."""
+    the rows T_j(u), u = 2 x / length - 1, with the coefficients' real view.
+    The rows come from T_(j+1) = 2 u T_j - T_(j-1) in floats, which for the
+    few points and coefficients of a step costs less than numpy calls."""
     length, coef = level
     n = coef.shape[0]
-    rows = np.cos(np.arccos(2.0 * np.asarray(xs) / length - 1.0)[:, None] * np.arange(n))
-    values = rows @ coef.view(np.float64).reshape(n, -1)
-    return values.view(complex).reshape(rows.shape[0], *coef.shape[1:])
+    rows = []
+    for x in xs:
+        u = 2.0 * x / length - 1.0
+        row = [1.0, u]
+        while len(row) < n:
+            row.append(2.0 * u * row[-1] - row[-2])
+        rows.append(row[:n])
+    values = np.array(rows) @ coef.view(np.float64).reshape(n, -1)
+    return values.view(complex).reshape(len(rows), *coef.shape[1:])
 
 
 def _step_levels(
@@ -893,7 +915,11 @@ def _step_levels(
     outside the one it comes from, and on the Bernstein ellipse of that
     domain each of the 2k factors keeps the bound that
     :func:`_chebyshev_length` takes for one step: 2k steps take the length
-    for 2k times the generator norms.
+    for 2k times the bounds of :func:`_generator_norms`, and one node more,
+    since a level's node values carry the error of the level below and its
+    interpolant aliases the tail that the length leaves out (ATAP, Thm 8.2).
+    Without that node, two checks against per-step exponentials miss their
+    1e-13 (1.05e-13 and 1.38e-13) and a drift check its 1e-12 (1.39e-12).
 
     A level costs one product per node and saves, in an interval of m
     steps, m // 2k products over the levels below it, so it is built only
@@ -908,19 +934,18 @@ def _step_levels(
     phase = np.exp(-1j * tau * h * w)[:, None]
     k = 1
     while True:
-        n = _chebyshev_length(2 * k * norms[0], 2 * k * norms[1])
+        n = _chebyshev_length(2 * k * norms[0], 2 * k * norms[1]) + 1
         if sum(m // (2 * k) for m in counts) <= n:
             return levels
 
         def node(x: float, k: int = k) -> np.ndarray:
-            later, first = _chebyshev_values(levels[k], [x + k * h, x])
+            pair = _chebyshev_values(levels[k], [x + k * h, x])
             if k == 1:
-                later *= phase
-                first *= phase
-            return later @ first
+                pair *= phase
+            return pair[0] @ pair[1]
 
         length = 1.0 - (2 * k - 1) * h
-        coef = _chebyshev_interpolant(node, n, length, phase.shape[:1] * 2)
+        coef = _chebyshev_interpolant(node, n, length, (w.size, w.size))
         if k > 1 and not any(m % (2 * k) >= k for m in counts):
             del levels[k]
         k *= 2
@@ -945,13 +970,13 @@ def _magnus_filon_states(
     sub-steps of a uniform grid differ in their last bits, and G depends
     smoothly on h, so sharing it between lengths that agree to about 5e-12
     costs only rounding. An interval of span = nsub h takes m = nsub - 1
-    steps of length h_k from its start, frame phases included, and then one
-    last step of length h + m (h - h_k) from s0 + m h_k, which takes its own
-    exact frame phase, so the interval's phase is that of its span: the
-    largest level at most m as often as it fits, then one level per set
-    bit of the rest, each one product applied to the state. An interval of
-    one step (m = 0) is exactly that step. A key's tables are freed after
-    its last interval."""
+    steps of length h_k from its start, frame phases included: the largest
+    level at most m as often as it fits, then one level per set bit of the
+    rest, each one product applied to the state. Its last step, of length
+    h + m (h - h_k) from s0 + m h_k, takes its own exact frame phase, so
+    the interval's phase is that of its span, and an interval of one step
+    (m = 0) is exactly that step. A key's tables are freed after its last
+    interval."""
     v, w = basis.vectors, basis.column_values
     vh = v.conj().T
     a, b = vh @ path.a @ v, vh @ path.b @ v
@@ -966,9 +991,9 @@ def _magnus_filon_states(
     for j, (s0, span, nsub, key) in enumerate(zip(grid, spans, nsubs, keys)):
         h = span / nsub
         if key not in tables:
-            tables[key] = h, _step_levels(w, a, b, tau, h, counts[key])
-        h_k, levels = tables[key]
-        phase = np.exp(-1j * tau * h_k * w)[:, None]
+            phase = np.exp(-1j * tau * h * w)[:, None]
+            tables[key] = h, phase, _step_levels(w, a, b, tau, h, counts[key])
+        h_k, phase, levels = tables[key]
         top = max(levels)
         m, done = nsub - 1, 0
         while done < m:

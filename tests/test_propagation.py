@@ -580,6 +580,13 @@ class TestMagnusFilon:
         return _chebyshev_length(*(np.abs(x).sum(axis=0).max() for x in g[1:]))
 
     @staticmethod
+    def norm_bounds(g):
+        """||x^2||_1^(1/2) of x = g_1 and g_2, bounds on their 2-norms."""
+        bounds = [np.sqrt(np.abs(x @ x).sum(axis=0).max()) for x in g[1:]]
+        assert all(b >= operator_norm(x) for b, x in zip(bounds, g[1:]))
+        return bounds
+
+    @staticmethod
     def synthetic_generator():
         # a long step of a strong drive: theta_max > 1 splits the exponential
         w = np.linspace(-1.0, 1.0, 8)
@@ -643,11 +650,15 @@ class TestMagnusFilon:
             patch.setattr(slowdrive.propagation, "_chebyshev_interpolant", counted)
             levels = _step_levels(w, a, b, tau, h, counts)
         assert sorted(levels) == [2**j for j in range(top.bit_length())]
-        # one node per coefficient, at the length for k times the generator
-        # norms, on the nested domain [0, 1 - (k - 1) h]
-        g1, g2 = (np.abs(x).sum(axis=0).max() for x in g[1:])
+        # one node per coefficient, on the nested domain [0, 1 - (k - 1) h]:
+        # level 1 at the length for the 1-norms, level k >= 2 at the length
+        # for k times the tighter norm bounds, and one node more
+        g1, g2 = self.norm_bounds(g)
         for (nodes, kept, length), k in zip(tables, sorted(levels)):
-            assert nodes == kept == _chebyshev_length(k * g1, k * g2)
+            if k == 1:
+                assert nodes == kept == self.chebyshev_points(g)
+            else:
+                assert nodes == kept == _chebyshev_length(k * g1, k * g2) + 1
             assert length == 1.0 - (k - 1) * h
             assert levels[k][1].shape[0] == kept
         phase = np.exp(-1j * tau * h * w)[:, None]
