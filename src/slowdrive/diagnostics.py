@@ -383,7 +383,7 @@ class SchrodingerLimitRecord:
     vector_id: str
     distance_sup: float  # sup_s ||(Omega_tau(s) - Omega_inf(s)) psi||
     block_distance_sup: float  # same with Omega_tau block-compressed
-    gronwall_envelope: float  # sup_s ||R_tau(s) psi|| * exp(int ||Lambda||)
+    gronwall_envelope: float  # sup_s ||R_tau(s) psi|| * exp(path.l1_norm())
 
 
 def _limit_probes(d: SpectralDecomposition, omega_inf: PropagatorResult, psis: np.ndarray):
@@ -421,7 +421,8 @@ def schrodinger_limit_distance(
     """Per-vector distance between the comparison evolution Omega_tau(s) =
     exp(i tau s H_o) W_tau(s) and the limit evolution Omega_inf(s), plus the
     Gronwall envelope sup_s ||R_tau(s) psi|| * exp(int_0^1 ||Lambda||) built
-    from the off-block-diagonal Volterra remainder (grid trapezoid).
+    from the off-block-diagonal Volterra remainder (grid trapezoid). The
+    integral is formed here, on request, by ``path.l1_norm()``.
 
     H_o is taken pure point, which is automatic in finite dimension; the
     hypothesis is recorded here for fidelity to the limit statement.
@@ -438,7 +439,7 @@ def schrodinger_limit_distance(
 
     grid = result.s_grid
     n = grid.size
-    l1 = path.l1_norm if path.l1_norm is not None else path.kappa
+    l1 = path.l1_norm()
     psis = vectors.vectors.T
     eig_psis = d.vectors.conj().T @ psis
     limits = _limit_probes(d, omega_inf, psis)

@@ -100,9 +100,11 @@ class GeneratorPath:
     ``mollifier``, which is the bump's distribution function at
     (s - at) / epsilon. Called with s, the path returns Lambda(s).
 
-    ``kappa`` = sup_s ||Lambda(s)||, ``kappa_dot`` = sup_s ||dLambda/ds||
-    (None for a path that is not C1), ``l1_norm`` = int_0^1 ||Lambda(s)|| ds;
-    :meth:`drive` derives all three from the form.
+    ``kappa`` = sup_s ||Lambda(s)|| and ``kappa_dot`` = sup_s ||dLambda/ds||
+    (None for a path that is not C1), which :meth:`drive` derives from the
+    form. int_0^1 ||Lambda(s)|| ds is formed on request by :meth:`l1_norm`,
+    whose one reader is the Gronwall envelope of
+    :func:`slowdrive.diagnostics.schrodinger_limit_distance`.
     """
 
     a: np.ndarray
@@ -111,7 +113,6 @@ class GeneratorPath:
     mollifier: MollifierSpec | None
     kappa: float
     kappa_dot: float | None = None
-    l1_norm: float | None = None
 
     def __post_init__(self):
         if not math.isfinite(self.kappa) or self.kappa < 0:
@@ -153,6 +154,16 @@ class GeneratorPath:
         breaks = [x for x in (self.at - eps, self.at + eps) if 0.0 < x < 1.0]
         return float(default_bump(0.0)) / eps, breaks
 
+    def l1_norm(self) -> float:
+        """int_0^1 ||Lambda(s)|| ds: a 16-node Gauss rule on each panel between
+        the profile's breaks, the node norms from one batched eigvalsh; kappa
+        for a constant drive."""
+        if self.b is None:
+            return self.kappa
+        _, breaks = self.slope_and_breaks()
+        nodes, weights = _gauss_panels([0.0, *breaks, 1.0], _GL16)
+        return float(weights @ hermitian_norm(np.array([self(float(x)) for x in nodes])))
+
     @classmethod
     def drive(cls, a, b, at: float | None, mollifier: "MollifierSpec | None") -> "GeneratorPath":
         """The drive Lambda(s) = a + p(s) * b, or the constant drive a when
@@ -160,27 +171,23 @@ class GeneratorPath:
 
         ``a`` and ``b`` are checked to be Hermitian once. ||a + p b|| is convex
         in p and p is nondecreasing, so kappa is the larger of the two
-        endpoint norms; kappa_dot = ||b|| sup p' (C1 profiles only); l1_norm
-        is a 16-node Gauss rule on each panel between the profile's breaks.
-        Every norm comes from one batched eigvalsh.
+        endpoint norms; kappa_dot = ||b|| sup p' (C1 profiles only). Both come
+        from one batched eigvalsh of Lambda(0), Lambda(1) and b; no quadrature
+        is run here, since :meth:`l1_norm` forms int ||Lambda|| when read.
         """
         a = HermitianOperator(a).matrix
         if b is None:
-            kappa = hermitian_norm(a)
-            return cls(a, None, None, None, kappa, 0.0, kappa)
+            return cls(a, None, None, None, hermitian_norm(a), 0.0)
         b = HermitianOperator(b).matrix
         if b.shape != a.shape:
             raise ValueError(f"drive matrices differ in shape: {a.shape} and {b.shape}")
         path = cls(a, b, at, mollifier, 0.0)  # the metadata follow from its samples
-        slope, breaks = path.slope_and_breaks()
-        nodes, weights = _gauss_panels([0.0, *breaks, 1.0], _GL16)
-        samples = [path(0.0), path(1.0), b, *(path(float(x)) for x in nodes)]
-        norms = hermitian_norm(np.array(samples))
+        slope, _ = path.slope_and_breaks()
+        norms = hermitian_norm(np.array([path(0.0), path(1.0), b]))
         return replace(
             path,
             kappa=float(max(norms[0], norms[1])),
             kappa_dot=None if slope is None else float(norms[2]) * slope,
-            l1_norm=float(weights @ norms[3:]),
         )
 
     @classmethod
@@ -1250,8 +1257,9 @@ def frame_reconstruction_residual(
 
 def block_diagonal_path(d: SpectralDecomposition, path: GeneratorPath) -> GeneratorPath:
     """The drive s -> sum_E P_E Lambda(s) P_E, with A and B compressed once.
-    Compression is a pinching, so the parent's kappa/kappa_dot/l1 bounds
-    carry over."""
+    Compression is a pinching, so the parent's kappa/kappa_dot bounds carry
+    over. Its :meth:`GeneratorPath.l1_norm` would integrate the compressed
+    drive, but nothing reads it."""
     b = None if path.b is None else block_compress(d, path.b)
     return replace(path, a=block_compress(d, path.a), b=b)
 
