@@ -251,8 +251,9 @@ def resolvent_distance(
     dominates the sharp three-term constant whenever kappa + |Im z| >= 1).
     """
     z = complex(z)
-    if z.imag == 0:
-        raise ValueError("z must have a nonzero imaginary part")
+    # the bound divides by (Im z)^2, which must neither underflow nor overflow
+    if not 0.0 < z.imag * z.imag < math.inf:
+        raise ValueError(f"z needs an imaginary part with 0 < (Im z)^2 < inf, got {z}")
     d = h_o.decomposition
     rho = 1.0 / (d.column_values - z)
     spread = rho[None, :] - rho[:, None]
@@ -386,11 +387,6 @@ class SchrodingerLimitRecord:
     gronwall_envelope: float  # sup_s ||R_tau(s) psi|| * exp(path.l1_norm())
 
 
-def _limit_probes(d: SpectralDecomposition, omega_inf: PropagatorResult, psis: np.ndarray):
-    """V† Omega_inf(s_j) psi at every grid point, from thin products only."""
-    return d.vectors.conj().T @ (omega_inf.frames_in(None) @ psis)
-
-
 def schrodinger_limit_profile(
     h_o: HermitianOperator,
     omegas: np.ndarray,
@@ -400,12 +396,13 @@ def schrodinger_limit_profile(
     """||(Omega_tau(s_j) - Omega_inf(s_j)) psi|| for every probe vector and
     grid point, shaped (len(vectors), len(omegas)), from ``omegas`` in the
     eigenbasis V of H_o (:func:`comparison_family`): the norm of
-    V† Omega_tau psi - V† Omega_inf psi, with psi_e = V† psi formed once.
-    Each grid point takes thin products with the probes only."""
+    V† Omega_tau psi - V† Omega_inf psi, with psi_e = V† psi formed once
+    and V† Omega_inf psi read from the frames V† Omega_inf V that
+    :func:`omega_infinity` stores in the same basis. Each grid point takes
+    thin products with the probes only."""
     d = h_o.decomposition
-    psis = vectors.vectors.T
-    eig_psis = d.vectors.conj().T @ psis
-    limits = _limit_probes(d, omega_inf, psis)
+    eig_psis = d.vectors.conj().T @ vectors.vectors.T
+    limits = omega_inf.frames_in(d) @ eig_psis
     return np.stack(
         [np.linalg.norm(om @ eig_psis - li, axis=0) for om, li in zip(omegas, limits)], axis=1
     )
@@ -440,9 +437,8 @@ def schrodinger_limit_distance(
     grid = result.s_grid
     n = grid.size
     l1 = path.l1_norm()
-    psis = vectors.vectors.T
-    eig_psis = d.vectors.conj().T @ psis
-    limits = _limit_probes(d, omega_inf, psis)
+    eig_psis = d.vectors.conj().T @ vectors.vectors.T
+    limits = omega_inf.frames_in(d) @ eig_psis
 
     # Remainder integrand D(s) psi = B[K(s) (Omega(s) - B[Omega(s)])] psi,
     # assembled in the eigenbasis where B[.] is the Schur mask; the

@@ -41,6 +41,7 @@ import numpy as np
 from .operators import (
     DEFAULT_DRIFT_TOL,
     HermitianOperator,
+    SpectralDecomposition,
     UnitaryOperator,
     format_matrix,
     hermitian_norm,
@@ -48,7 +49,6 @@ from .operators import (
     parse_matrix,
     unitarity_drift,
 )
-from .spectral import SpectralDecomposition, block_compress
 
 __all__ = [
     "PropagationError",
@@ -70,7 +70,6 @@ __all__ = [
     "mollify",
     "interaction_frame",
     "frame_reconstruction_residual",
-    "block_diagonal_path",
     "omega_infinity",
 ]
 
@@ -478,25 +477,26 @@ def evolve(
 ) -> PropagatorResult:
     """Integrate i dW/ds = (tau*H_o + Lambda(s)) W over the s-grid.
 
-    The result holds the frames V† W(s) V in the eigenbasis V of H_o
-    (``h_o.decomposition``, its ``basis``), which every scheme below forms
-    directly.
+    Every scheme runs in the eigenbasis V of H_o (``h_o.decomposition``):
+    the drive is rotated there once, to A~ + p(s) B~ with A~ = V† A V and
+    B~ = V† B V (:func:`_eigenbasis_drive`), H_o is diag(w) there, and the
+    result holds the frames V† W(s) V with ``basis`` that decomposition.
 
     A constant drive (no B, :meth:`GeneratorPath.constant`) is solved
-    exactly:
-    W(s) = V_g exp(-i s l) V_g† from one eigendecomposition V_g diag(l) V_g†
-    of tau*H_o + Lambda (:func:`_exact_states`); ``step`` has no effect, the
-    result's ``step`` is the largest grid interval and its ``steps`` is 0.
+    exactly: the frame exp(-i s G) of G = diag(tau w) + A~ from one
+    eigendecomposition of G (:func:`_exact_states`); ``step`` has no
+    effect, the result's ``step`` is the largest grid interval and its
+    ``steps`` is 0.
 
     A ramp drive A + s B with ``step`` None runs the Magnus-Filon scheme
     (:func:`_magnus_filon_states`, scheme ``magnus-filon``) at the
     tau-independent step :func:`magnus_step`, whenever that covers the grid
     within ``_MAX_STEPS``; an interval shorter than the step is one step.
-    It diagonalises H_o once (its own ``decomposition``), and once per
-    sub-step length (to 11 significant digits) derives the Magnus terms
-    (:func:`_magnus_generator`), tabulates the step's exponential as a
-    Chebyshev polynomial in the step start (:func:`_step_polynomial`, one
-    exponential per coefficient kept, 4-5 on the catalog scenarios), and
+    Once per sub-step length (to 11 significant digits) it derives the
+    Magnus terms (:func:`_magnus_generator`), tabulates the step's
+    exponential as a Chebyshev polynomial in the step start
+    (:func:`_step_polynomial`, one exponential per coefficient kept, 5-6 on
+    the catalog scenarios), and
     tabulates the products of 2, 4, 8, ... consecutive steps, frame phases
     included, the same way (:func:`_step_levels`), each only while it saves
     the grid's intervals more products than its nodes cost. An interval of
@@ -508,11 +508,11 @@ def evolve(
 
     A step or mollified drive, every explicit ``step``, and a ramp that
     would need more than ``_MAX_STEPS`` Magnus-Filon steps use the
-    exponential midpoint scheme
-    W_{k+1} = exp(-i h (tau*H_o + Lambda(s_mid))) W_k, where the exponential
-    is applied to W_k by a Taylor series whose truncation error is below
-    unit roundoff (:func:`_exp_step`); no eigendecomposition is formed, and
-    each grid state is rotated into the eigenbasis once.
+    exponential midpoint scheme on the frames,
+    U_{k+1} = exp(-i h (diag(tau w) + A~ + p(s_mid) B~)) U_k, where the
+    exponential is applied to U_k by a Taylor series whose truncation error
+    is below unit roundoff (:func:`_exp_step`); no eigendecomposition is
+    formed (:func:`_midpoint_states`).
     Local error is O(h^3); with ``step`` None the step comes from
     :func:`default_step`. L1 paths are integrated
     directly from midpoint samples and flagged lower-accuracy in the scheme
@@ -537,22 +537,23 @@ def evolve(
         raise ValueError("step must be positive")
     spans = np.diff(grid)
     d = h_o.decomposition
+    drive = _eigenbasis_drive(d, path)
+    # an overflowed generator gives a NaN propagator, which PropagatorResult refuses
+    with np.errstate(over="ignore"):
+        fixed = np.diag(tau * d.column_values) + drive.a
 
-    if path.b is None:
+    if drive.b is None:
         scheme = "exact-constant"
         taken = float(spans.max(initial=0.0))
         steps = 0
-        # an overflowed generator gives a NaN propagator, which PropagatorResult refuses
-        with np.errstate(over="ignore"):
-            gen = tau * h_o.matrix + path.a
-        states = _exact_states(gen, grid, d.vectors)
+        states = _exact_states(fixed, grid)
     else:
         mf_step = magnus_step(path.kappa, path.kappa_dot)
         if step is None and path.at is None and _fits(grid, mf_step):
             scheme = "magnus-filon"
             # spans like 0.1 / 0.005 round up past 20 without the slack
             nsubs = _substeps(spans, mf_step, 1e-9)
-            states = _magnus_filon_states(d, path, tau, grid, nsubs)
+            states = _magnus_filon_states(d.column_values, drive, tau, grid, nsubs)
         else:
             scheme = "midpoint-exponential"
             if path.smoothness == SMOOTH_L1:
@@ -562,8 +563,7 @@ def evolve(
             if not _fits(grid, step):
                 raise ValueError(f"step {step:.3e} needs more than {_MAX_STEPS} steps over the grid")
             nsubs = _substeps(spans, step)
-            v, vh = d.vectors, d.vectors.conj().T
-            states = (vh @ w @ v for w in _midpoint_states(h_o.matrix, path, tau, grid, nsubs))
+            states = _midpoint_states(fixed, drive, grid, nsubs)
         taken = max((span / n for span, n in zip(spans, nsubs)), default=0.0)
         steps = sum(nsubs)
 
@@ -583,12 +583,19 @@ def evolve(
     )
 
 
-def _exact_states(gen: np.ndarray, grid: np.ndarray, v: np.ndarray) -> Iterator[np.ndarray]:
-    """V† exp(-i s gen) V in the eigenbasis V at every grid point after the
-    first, from one eigh gen = V_g diag(l) V_g†: X exp(-i s l) X† with
-    X = V† V_g formed once, so each point takes one product."""
-    vals, vecs = np.linalg.eigh(gen)
-    x = v.conj().T @ vecs
+def _eigenbasis_drive(d: SpectralDecomposition, path: GeneratorPath) -> GeneratorPath:
+    """The drive in the eigenbasis V of ``d``, V† A V + p(s) V† B V: the one
+    place where a scheme's drive is rotated. The profile, kappa and kappa_dot
+    are the parent's, which a unitary change of basis leaves as they are."""
+    v, vh = d.vectors, d.vectors.conj().T
+    b = None if path.b is None else vh @ path.b @ v
+    return replace(path, a=vh @ path.a @ v, b=b)
+
+
+def _exact_states(gen: np.ndarray, grid: np.ndarray) -> Iterator[np.ndarray]:
+    """exp(-i s gen) at every grid point after the first, from one eigh
+    gen = X diag(l) X†: X exp(-i s l) X†, one product per point."""
+    vals, x = np.linalg.eigh(gen)
     xh = x.conj().T
     for s in grid[1:]:
         yield x @ (np.exp(-1j * s * vals)[:, None] * xh)
@@ -685,17 +692,18 @@ def _taylor_exponential(gen: np.ndarray) -> np.ndarray:
 
 
 def _midpoint_states(
-    h_mat: np.ndarray, path: GeneratorPath, tau: float, grid: np.ndarray, nsubs: list[int]
+    fixed: np.ndarray, drive: GeneratorPath, grid: np.ndarray, nsubs: list[int]
 ) -> Iterator[np.ndarray]:
-    """W at every grid point after the first, stepping each interval in
-    ``nsubs`` equal exponential-midpoint steps."""
-    scaled = tau * h_mat
-    w_cur = np.eye(h_mat.shape[0], dtype=complex)
+    """The frame at every grid point after the first, stepping each interval
+    in ``nsubs`` equal exponential-midpoint steps of the generator
+    ``fixed`` + p(s_mid) B~ in the eigenbasis, where ``fixed`` =
+    diag(tau w) + A~ and ``drive`` is the drive in that basis."""
+    w_cur = np.eye(fixed.shape[0], dtype=complex)
     for s0, s1, nsub in zip(grid, grid[1:], nsubs):
         h = (s1 - s0) / nsub
         for k in range(nsub):
             mid = s0 + (k + 0.5) * h
-            w_cur = _exp_step(scaled + path(mid), h, w_cur)
+            w_cur = _exp_step(fixed + drive.profile(mid) * drive.b, h, w_cur)
         yield w_cur
 
 
@@ -802,26 +810,27 @@ def _magnus_generator(
 
 
 def _chebyshev_length(g1: float, g2: float) -> int:
-    """How many leading Chebyshev coefficients in u = 2 s0 - 1 of
+    """How many Chebyshev points in u = 2 s0 - 1 the interpolant of
     exp(-i G(s0)), G(s0) = g_0 + s0 (g_1 + s0 g_2) with Hermitian g_i and
-    ||g_1|| <= g1, ||g_2|| <= g2, are needed for a remainder below unit
-    roundoff on s0 in [0, 1].
+    ||g_1|| <= g1, ||g_2|| <= g2, needs for an error below unit roundoff on
+    s0 in [0, 1].
 
     On the Bernstein ellipse E_rho (Trefethen, Approximation Theory and
     Approximation Practice, SIAM 2013, Thm 8.1), with a, b = (rho +- 1/rho)/2,
     s0 = (1 + u)/2 has |Re s0| <= (1 + a)/2 and |Im s0| <= b/2, so the
     anti-Hermitian part of G is at most log M = b/2 (g1 + (1 + a) g2), and
-    ||exp(-i G)|| <= M. Then ||c_j|| <= 2 M rho^-j, and the coefficients
-    after c_N sum to at most 2 M rho^-N / (rho - 1): the least N over a grid
-    of rho is returned. The interpolant in N points also drops c_N and
-    aliases the tail (Thm 8.2), which this bound leaves out; on the catalog
-    ramps its measured error at the 1-norms of g_1 and g_2 stays at rounding
-    (at most 1e-15 at dims 16 to 512), and a point more only adds rounding.
+    ||exp(-i G)|| <= M. The interpolant of degree N, in N + 1 points, then
+    errs by at most 4 M rho^-N / (rho - 1) (Thm 8.2: the coefficients it
+    drops, and the tail it aliases onto those it keeps), so N + 1 is
+    returned for the least N over a grid of rho with 2 M rho^-N / (rho - 1)
+    below unit roundoff, an error within twice that. With N points instead,
+    c_N is dropped unbounded, and a step of a weak drive on a small spectrum
+    (1-norms near 4.6e-4 at dim 6) errs by 1.7e-13.
     """
     a, b, log_gap, log_rho = _bernstein_ellipses()
     log_m = 0.5 * b * (g1 + (1.0 + a) * g2)
     log_tail = math.log(2.0 / _UNIT_ROUNDOFF) + log_m - log_gap
-    return int(np.ceil(log_tail / log_rho).min())
+    return int(np.ceil(log_tail / log_rho).min()) + 1
 
 
 @functools.cache
@@ -873,10 +882,7 @@ def _step_polynomial(g: np.ndarray) -> np.ndarray:
     phase, as the stack of its Chebyshev coefficients in u = 2 s0 - 1 on s0
     in [0, 1]: E is interpolated (:func:`_chebyshev_interpolant`) at the
     n = :func:`_chebyshev_length` Chebyshev points for the 1-norms of g_1
-    and g_2, with the node values from :func:`_taylor_exponential`. The
-    slack of the 1-norms covers the node that the length leaves out: with
-    the bounds of :func:`_generator_norms` instead, a jittered-grid check
-    against per-step exponentials misses its 1e-13 (1.5e-13).
+    and g_2, with the node values from :func:`_taylor_exponential`.
     """
     return _chebyshev_interpolant(
         lambda s0: _taylor_exponential(g[0] + s0 * (g[1] + s0 * g[2])),
@@ -922,11 +928,7 @@ def _step_levels(
     outside the one it comes from, and on the Bernstein ellipse of that
     domain each of the 2k factors keeps the bound that
     :func:`_chebyshev_length` takes for one step: 2k steps take the length
-    for 2k times the bounds of :func:`_generator_norms`, and one node more,
-    since a level's node values carry the error of the level below and its
-    interpolant aliases the tail that the length leaves out (ATAP, Thm 8.2).
-    Without that node, two checks against per-step exponentials miss their
-    1e-13 (1.05e-13 and 1.38e-13) and a drift check its 1e-12 (1.39e-12).
+    for 2k times the bounds of :func:`_generator_norms`.
 
     A level costs one product per node and saves, in an interval of m
     steps, m // 2k products over the levels below it, so it is built only
@@ -941,7 +943,7 @@ def _step_levels(
     phase = np.exp(-1j * tau * h * w)[:, None]
     k = 1
     while True:
-        n = _chebyshev_length(2 * k * norms[0], 2 * k * norms[1]) + 1
+        n = _chebyshev_length(2 * k * norms[0], 2 * k * norms[1])
         if sum(m // (2 * k) for m in counts) <= n:
             return levels
 
@@ -960,15 +962,12 @@ def _step_levels(
 
 
 def _magnus_filon_states(
-    basis: SpectralDecomposition,
-    path: GeneratorPath,
-    tau: float,
-    grid: np.ndarray,
-    nsubs: list[int],
+    w: np.ndarray, drive: GeneratorPath, tau: float, grid: np.ndarray, nsubs: list[int]
 ) -> Iterator[np.ndarray]:
     """The frame V† W V at every grid point after the first, stepping the
-    ramp A + s B in ``nsubs`` Magnus-Filon steps per interval in the
-    eigenbasis V of H_o, where the steps run: W itself is never formed.
+    ramp A~ + s B~ of ``drive``, the drive in the eigenbasis V of H_o whose
+    eigenvalues are ``w``, in ``nsubs`` Magnus-Filon steps per interval:
+    W itself is never formed.
     A step of length h from s0 applies exp(-i tau h w) exp(-i G(s0)) with G
     from :func:`_magnus_generator`.
 
@@ -984,9 +983,6 @@ def _magnus_filon_states(
     the interval's phase is that of its span, and an interval of one step
     (m = 0) is exactly that step. A key's tables are freed after its last
     interval."""
-    v, w = basis.vectors, basis.column_values
-    vh = v.conj().T
-    a, b = vh @ path.a @ v, vh @ path.b @ v
     spans = np.diff(grid)
     keys = [f"{span / nsub:.11g}" for span, nsub in zip(spans, nsubs)]
     counts, last = {}, {}
@@ -999,7 +995,7 @@ def _magnus_filon_states(
         h = span / nsub
         if key not in tables:
             phase = np.exp(-1j * tau * h * w)[:, None]
-            tables[key] = h, phase, _step_levels(w, a, b, tau, h, counts[key])
+            tables[key] = h, phase, _step_levels(w, drive.a, drive.b, tau, h, counts[key])
         h_k, phase, levels = tables[key]
         top = max(levels)
         m, done = nsub - 1, 0
@@ -1200,15 +1196,16 @@ def _zero_operator(dim: int) -> HermitianOperator:
 
 
 def _drive_only_evolution(
-    path: GeneratorPath, s_grid, step: float | None, caller: str, prefix: str
+    path: GeneratorPath, s_grid, step: float | None, caller: str, prefix: str, basis=None
 ) -> PropagatorResult:
     """i dV/ds = Lambda(s) V, V(0) = 1: a tau=1, H_o=0 evolution whose scheme
-    is tagged with ``prefix``. H_o = 0 decomposes to V = 1, so its frames are
-    V itself and the result is in the standard basis."""
+    is tagged with ``prefix``. H_o = 0 decomposes to V = 1, so the frames are
+    the solution itself, returned as frames in the eigenbasis of ``basis``:
+    the basis ``path`` is written in (None: the standard basis)."""
     if path.smoothness != SMOOTH_C1:
         raise ValueError(f"{caller} requires a norm_C1 path; mollify first")
     res = evolve(_zero_operator(path.dim), path, tau=1.0, s_grid=s_grid, step=step)
-    return replace(res, scheme=prefix + res.scheme, basis=None)
+    return replace(res, scheme=prefix + res.scheme, basis=basis)
 
 
 def interaction_frame(
@@ -1255,15 +1252,6 @@ def frame_reconstruction_residual(
     return worst
 
 
-def block_diagonal_path(d: SpectralDecomposition, path: GeneratorPath) -> GeneratorPath:
-    """The drive s -> sum_E P_E Lambda(s) P_E, with A and B compressed once.
-    Compression is a pinching, so the parent's kappa/kappa_dot bounds carry
-    over. Its :meth:`GeneratorPath.l1_norm` would integrate the compressed
-    drive, but nothing reads it."""
-    b = None if path.b is None else block_compress(d, path.b)
-    return replace(path, a=block_compress(d, path.a), b=b)
-
-
 def omega_infinity(
     d: SpectralDecomposition,
     path: GeneratorPath,
@@ -1272,6 +1260,13 @@ def omega_infinity(
 ) -> PropagatorResult:
     """The limit evolution: i dOmega/ds = (sum_E P_E Lambda(s) P_E) Omega.
 
-    Block-diagonal in the eigenbasis of H_o, hence commutes with H_o."""
-    bpath = block_diagonal_path(d, path)
-    return _drive_only_evolution(bpath, s_grid, step, "omega_infinity", "limit-")
+    In the eigenbasis V of H_o (``d``) the generator is the same-level mask
+    of the drive V† Lambda(s) V, applied to A~ and B~ once. That drive is
+    evolved under H_o = 0, and the result holds the frames V† Omega V with
+    ``basis`` ``d``; they are block-diagonal by level, so Omega commutes with
+    H_o. Masking is a pinching, so the parent's kappa and kappa_dot bound the
+    masked drive and set its step."""
+    drive = _eigenbasis_drive(d, path)
+    mask = d.block_mask()
+    limit = replace(drive, a=mask * drive.a, b=None if drive.b is None else mask * drive.b)
+    return _drive_only_evolution(limit, s_grid, step, "omega_infinity", "limit-", basis=d)

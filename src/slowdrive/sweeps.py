@@ -136,7 +136,8 @@ def _tau_data(tau: float, s_points, labels, values: np.ndarray, extra: dict) -> 
 # globals when they run, so rebinding one of those names (a tracer, a test
 # double) reaches every call. Every evaluation reads the result's frames
 # U = V† W V in the eigenbasis of H_o, where it stored them, and never forms
-# W. Only schrodinger_limit forms Omega_tau: the other metrics take norms
+# W; schrodinger_limit reads the limit evolution's frames in that basis too.
+# Only schrodinger_limit forms Omega_tau: the other metrics take norms
 # after spectral projections of H_o, which do not see its phase.
 
 _NORM = ("",)  # the single, empty row label of a norm metric
@@ -168,8 +169,10 @@ def _bind_heisenberg_sot(inst, config, obs, params):
 
 def _bind_resolvent(inst, config, obs, params):
     z = complex(params.get("z_real", 0.0), params.get("z_imag", 1.0))
-    if z.imag == 0:
-        raise ConfigError("resolvent needs a nonzero z_imag")
+    # The resolvent bound and its decade check divide by z_imag squared, which
+    # must neither underflow nor overflow: |z_imag| in about [1.6e-162, 1.3e154].
+    if not 0.0 < z.imag * z.imag < math.inf:
+        raise ConfigError(f"resolvent needs z_imag with 0 < z_imag**2 < inf, got {z.imag:g}")
 
     def evaluate(result: PropagatorResult):
         rec = resolvent_distance(inst.h_o, result, z, inst.path)
@@ -209,10 +212,13 @@ def _bind_embedded_offblock(inst, config, obs, params):
 
 
 def _bind_schrodinger_limit(inst, config, obs, params):
-    omega_inf = omega_infinity(inst.h_o.decomposition, inst.path, config.s_grid, step=config.step)
-    h = inst.h_o.matrix
-    defect = max(operator_norm(u @ h - h @ u) for u in omega_inf.unitaries)
-    defect /= max(inst.h_o.norm(), 1e-300)
+    d = inst.h_o.decomposition
+    omega_inf = omega_infinity(d, inst.path, config.s_grid, step=config.step)
+    # On the frames U = V† Omega_inf V, Omega_inf H_o - H_o Omega_inf is
+    # V (U ∘ (w_k - w_j)) V†, so its norm, relative to ||H_o||, needs no
+    # standard-basis unitary.
+    spread = (d.column_values[None, :] - d.column_values[:, None]) / max(inst.h_o.norm(), 1e-300)
+    defect = max(operator_norm(u * spread) for u in omega_inf.frames_in(d))
 
     def evaluate(result: PropagatorResult):
         omegas = comparison_family(inst.h_o, result)
@@ -466,6 +472,22 @@ def _bind_metrics(config: ScenarioConfig, inst: ScenarioInstance) -> dict[str, C
     return evaluations
 
 
+def _static_unitaries(config: ScenarioConfig, inst: ScenarioInstance) -> dict[float, np.ndarray]:
+    """The static family's unitary at every tau of the config, each a whole
+    index that the family accepts, formed before the first tau runs so that
+    a bad index is refused with the config. Empty for a time-dependent
+    scenario."""
+    if inst.static_family is None:
+        return {}
+    bad = [tau for tau in config.taus if tau != int(tau)]
+    if bad:
+        raise ConfigError(f"static sweeps use integer indices in the tau list, got {bad}")
+    try:
+        return {tau: inst.static_family(int(tau)) for tau in config.taus}
+    except ValueError as exc:
+        raise ConfigError(f"static sweep: {exc}") from exc
+
+
 def _fit_and_verdict(
     metric: str, config: ScenarioConfig, per_tau: dict[float, _TauData]
 ) -> MetricOutcome:
@@ -512,6 +534,7 @@ def run_sweep(config: ScenarioConfig, single: bool = False) -> SweepResult:
             raise ConfigError(f"config lists no {what}")
     inst = build_scenario(config)
     evaluations = _bind_metrics(config, inst)
+    static = _static_unitaries(config, inst)
     taus = config.taus[:1] if single else config.taus
     out_dir = config.out_dir
     if out_dir:
@@ -520,9 +543,7 @@ def run_sweep(config: ScenarioConfig, single: bool = False) -> SweepResult:
     def job(tau: float) -> tuple[dict | None, dict[str, _TauData]]:
         record = None
         if inst.static_family is not None:
-            if tau != int(tau):
-                raise ConfigError("static sweeps use integer indices in the tau list")
-            inputs = inst.static_family(int(tau))
+            inputs = static[tau]
         else:
             inputs = result = evolve(inst.h_o, inst.path, tau, config.s_grid, step=config.step)
             if config.save_propagators and out_dir:

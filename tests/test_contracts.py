@@ -195,11 +195,12 @@ class TestOmegaOnlyForTheLimit:
 
 class TestFramesOnly:
     """A sweep reads each propagator's frames U = V† W V in the eigenbasis of
-    H_o, where evolve stored them, and never forms W for a propagated
-    metric: W would sit beside the frames, and the benchmark's peak_rss_mb
-    would count both. A saved result still holds W, and loaded back (in the
-    standard basis, so every metric rotates it on entry) it gives the values
-    of the evolved one."""
+    H_o, where evolve stored them, and the limit evolution's frames in the
+    same basis, where omega_infinity stored them, and never forms a
+    standard-basis unitary: W would sit beside the frames, and the
+    benchmark's peak_rss_mb would count both. A saved result still holds W,
+    and loaded back (in the standard basis, so every metric rotates it on
+    entry) it gives the values of the evolved one."""
 
     @pytest.mark.parametrize("name", sorted(WORKLOADS))
     def test_workload_sweep_never_forms_w(self, name, monkeypatch):
@@ -220,7 +221,7 @@ class TestFramesOnly:
         config = ScenarioConfig.from_mapping(WORKLOADS[name].make_config(0))
         assert run_sweep(dataclasses.replace(config, out_dir=None)).all_pass
         assert len(evolved) == len(config.taus)
-        assert not [r for r in formed if any(r is e for e in evolved)]
+        assert not formed
 
     @pytest.mark.parametrize(
         "doc",
@@ -470,6 +471,19 @@ class TestParityTool:
             "1 of 2 files differ; over all CSVs max abs deviation 0.000e+00, "
             "max rel deviation 0.000e+00",
         ]
+
+    def test_run_exits_1_after_running_every_config(self, tmp_path, capsys, monkeypatch):
+        # a failed sweep fails the run, and the configs after it still run
+        swap = {"scenario": "swap_sequence", "params": {"half_width": 4}, "taus": [2],
+                "metrics": ["swap_norm_shift"]}
+        runs = {"bad": dict(swap, taus=[400]), "good": swap}
+        monkeypatch.setattr(self.TOOL, "configs", lambda: runs)
+        assert self.TOOL.main(["run", str(tmp_path / "out")]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[1:] == ["bad exit 1", "good exit 0"]
+        assert (tmp_path / "out" / "good" / "summary.json").exists()
+        monkeypatch.setattr(self.TOOL, "configs", lambda: {"good": swap})
+        assert self.TOOL.main(["run", str(tmp_path / "again")]) == 0
 
     def test_lists_the_eight_parity_configs(self):
         names = list(self.TOOL.configs())

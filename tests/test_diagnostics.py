@@ -310,6 +310,14 @@ class TestResolventDistance:
         with pytest.raises(ValueError, match="imaginary"):
             resolvent_distance(h, res, 2.0)
 
+    @pytest.mark.parametrize("imag", [1e-170, 1e160])
+    def test_z_whose_imaginary_square_leaves_the_floats_rejected(self, imag):
+        # the bound divides by (Im z)^2, which underflows to 0 or overflows
+        h = random_hermitian(2, 1)
+        res = evolve(h, GeneratorPath.zero(2), 1.0, GRID)
+        with pytest.raises(ValueError, match="imaginary"):
+            resolvent_distance(h, res, complex(0.0, imag), seeded_pair_path(2, 1.0, 2))
+
     def test_tau_doubling_halves(self):
         h = random_hermitian(8, 10)
         h = HermitianOperator(h.matrix / h.norm())

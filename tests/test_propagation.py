@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import tracemalloc
@@ -21,6 +22,7 @@ from slowdrive.propagation import (
     DysonResolutionWarning,
     GeneratorPath,
     GridError,
+    MAGNUS_STEP,
     MollifierSpec,
     PropagationError,
     PropagatorResult,
@@ -30,6 +32,7 @@ from slowdrive.propagation import (
     _chebyshev_interpolant,
     _chebyshev_length,
     _chebyshev_values,
+    _eigenbasis_drive,
     _exp_step,
     _filon_moments,
     _magnus_filon_states,
@@ -39,7 +42,6 @@ from slowdrive.propagation import (
     _step_polynomial,
     _taylor_degree,
     _taylor_exponential,
-    block_diagonal_path,
     comparison_family,
     comparison_operator,
     default_bump,
@@ -416,6 +418,13 @@ def jittered_grid(points=31, seed=95):
     return np.concatenate([[0.0], np.round(base[1:-1] + jitter, 3), [1.0]])
 
 
+def block_diagonal_reference(d, path):
+    """The drive sum_E P_E Lambda(s) P_E in the standard basis, A and B
+    compressed by ``block_compress``, with the parent's kappa and kappa_dot
+    as ``omega_infinity`` takes them."""
+    return dataclasses.replace(path, a=block_compress(d, path.a), b=block_compress(d, path.b))
+
+
 def eigenbasis_ramp(inst):
     """The eigenvalues of H_o and the ramp's A, B in its eigenbasis."""
     d = inst.h_o.decomposition
@@ -666,13 +675,13 @@ class TestMagnusFilon:
         assert sorted(levels) == [2**j for j in range(top.bit_length())]
         # one node per coefficient, on the nested domain [0, 1 - (k - 1) h]:
         # level 1 at the length for the 1-norms, level k >= 2 at the length
-        # for k times the tighter norm bounds, and one node more
+        # for k times the tighter norm bounds
         g1, g2 = self.norm_bounds(g)
         for (nodes, kept, length), k in zip(tables, sorted(levels)):
             if k == 1:
                 assert nodes == kept == self.chebyshev_points(g)
             else:
-                assert nodes == kept == _chebyshev_length(k * g1, k * g2) + 1
+                assert nodes == kept == _chebyshev_length(k * g1, k * g2)
             assert length == 1.0 - (k - 1) * h
             assert levels[k][1].shape[0] == kept
         phase = np.exp(-1j * tau * h * w)[:, None]
@@ -736,7 +745,8 @@ class TestMagnusFilon:
         # then levels 4, 2 and 1)
         inst = scenario_instance("embedded_eigenvalue", grid_points=63, multiplicity=3)
         d, path, grid = inst.h_o.decomposition, inst.path, np.array([0.0, 1.0])
-        (frame,) = _magnus_filon_states(d, path, 100.0, grid, [nsub])
+        drive = _eigenbasis_drive(d, path)
+        (frame,) = _magnus_filon_states(d.column_values, drive, 100.0, grid, [nsub])
         ref = per_step_magnus_filon(d, path, 100.0, grid, [nsub])[1]
         assert operator_norm(d.vectors @ frame @ d.vectors.conj().T - ref) <= 1e-13
 
@@ -761,7 +771,7 @@ class TestMagnusFilon:
         inst = scenario_instance("pure_point_omega", dim=16, degenerate_pairs=4)
         d = inst.h_o.decomposition
         res = omega_infinity(d, inst.path, self.GRID11)
-        bpath = block_diagonal_path(d, inst.path)
+        bpath = block_diagonal_reference(d, inst.path)
         zero = HermitianOperator(np.zeros((16, 16))).decomposition
         ref = per_step_magnus_filon(zero, bpath, 1.0, self.GRID11, self.magnus_nsubs(bpath))
         assert res.scheme == "limit-magnus-filon"
@@ -829,6 +839,57 @@ class TestChangeOfBasis:
             assert base.scheme == rotated.scheme == "magnus-filon"
             deviation = np.linalg.norm(rotated.unitaries - u @ base.unitaries @ uh, 2, (1, 2))
             assert deviation.max() <= 1e-13 + 5e-15 * tau
+
+
+def rotated_ramp(dim, degenerate_pairs, seed):
+    """A pure point ramp problem with kappa = 1/2 (so kappa_dot <= 1), H_o,
+    A and B rotated by one seeded unitary."""
+    params = {"dim": dim, "degenerate_pairs": degenerate_pairs, "kappa": 0.5}
+    cfg = ScenarioConfig("pure_point_omega", params=params, taus=(1.0,), metrics=(), seed=seed)
+    inst = build_scenario(cfg)
+    u = random_unitary(dim, seed)
+    uh = u.conj().T
+    h_o = HermitianOperator(u @ inst.h_o.matrix @ uh)
+    return h_o, GeneratorPath.drive(u @ inst.path.a @ uh, u @ inst.path.b @ uh, None, None)
+
+
+def direct_sum(x, y):
+    """x ⊕ y, for two stacks of matrices of equal length."""
+    n, m = x.shape[-1], y.shape[-1]
+    out = np.zeros((*x.shape[:-2], n + m, n + m), dtype=complex)
+    out[..., :n, :n] = x
+    out[..., n:, n:] = y
+    return out
+
+
+class TestDirectSum:
+    """Two problems evolved as one, (H_1 ⊕ H_2, A_1 ⊕ A_2, B_1 ⊕ B_2), give
+    W_1 ⊕ W_2, and their limit evolutions Omega_1 ⊕ Omega_2. The combined
+    eigenbasis interleaves the two spectra, which the one rotation of the
+    drive and the same-level mask must keep apart; one problem has a
+    degenerate pair. Both have kappa, kappa_dot <= 1, so all three take the
+    same Magnus-Filon step, and the identity holds to rounding."""
+
+    @pytest.mark.parametrize(
+        "grid", [np.linspace(0.0, 1.0, 11), FINE_GRID], ids=["11-point", "301-point"]
+    )
+    def test_combined_problem_gives_the_direct_sum(self, grid):
+        (h1, p1), (h2, p2) = rotated_ramp(6, 1, 3), rotated_ramp(5, 0, 4)
+        h_o = HermitianOperator(direct_sum(h1.matrix, h2.matrix))
+        path = GeneratorPath.drive(direct_sum(p1.a, p2.a), direct_sum(p1.b, p2.b), None, None)
+        assert {magnus_step(p.kappa, p.kappa_dot) for p in (p1, p2, path)} == {MAGNUS_STEP}
+        assert 2 in h_o.decomposition.multiplicities
+        for tau in (10.0, 1e2, 1e3, 1e4):
+            parts = [evolve(h, p, tau, grid) for h, p in ((h1, p1), (h2, p2))]
+            whole = evolve(h_o, path, tau, grid)
+            assert whole.scheme == "magnus-filon" and whole.steps == parts[0].steps
+            want = direct_sum(parts[0].unitaries, parts[1].unitaries)
+            deviation = np.linalg.norm(whole.unitaries - want, 2, (1, 2))
+            assert deviation.max() <= 1e-13 + 5e-15 * tau
+        parts = [omega_infinity(h.decomposition, p, grid) for h, p in ((h1, p1), (h2, p2))]
+        whole = omega_infinity(h_o.decomposition, path, grid)
+        want = direct_sum(parts[0].unitaries, parts[1].unitaries)
+        assert np.linalg.norm(whole.unitaries - want, 2, (1, 2)).max() <= 1e-13
 
 
 class TestTimeReversal:
@@ -1295,16 +1356,19 @@ class TestOmegaInfinity:
         res = omega_infinity(d, GeneratorPath.constant(random_hermitian(3, 71).matrix), GRID)
         assert res.scheme == "limit-exact-constant"
 
-    def test_block_diagonal_path_keeps_the_parent_metadata(self):
-        # compression is a pinching, so the parent's bounds carry over as they
-        # are; bounds derived again from the compressed A and B would move h_MF
+    def test_steps_at_the_parent_metadata(self):
+        # masking is a pinching, so the parent's bounds carry over as they
+        # are; bounds derived again from the masked A and B would move h_MF
         inst = scenario_instance("pure_point_omega", dim=16, degenerate_pairs=4)
         d, path = inst.h_o.decomposition, inst.path
-        bpath = block_diagonal_path(d, path)
-        assert (bpath.kappa, bpath.kappa_dot) == (path.kappa, path.kappa_dot)
-        assert np.array_equal(bpath.a, block_compress(d, path.a))
-        assert np.array_equal(bpath.b, block_compress(d, path.b))
-        assert GeneratorPath.drive(bpath.a, bpath.b, None, None).kappa < path.kappa
+        own = GeneratorPath.drive(block_compress(d, path.a), block_compress(d, path.b), None, None)
+        assert own.kappa < path.kappa
+        h_mf = magnus_step(path.kappa, path.kappa_dot)
+        res = omega_infinity(d, path, TestMagnusFilon.GRID11)
+        assert res.scheme == "limit-magnus-filon" and res.basis is d
+        assert res.step <= h_mf * (1 + 1e-9) and res.steps == sum(
+            max(1, math.ceil(x / h_mf - 1e-9)) for x in np.diff(TestMagnusFilon.GRID11)
+        )
 
     def test_zero_operator_shared_per_dim(self, monkeypatch):
         # omega_infinity and interaction_frame evolve under one zero H_o per dim

@@ -315,25 +315,31 @@ class TestRunSweep:
             "scenario": "swap_sequence", "params": {"half_width": 4},
             "taus": [2.5], "metrics": ["swap_norm_shift"],
         })
-        from slowdrive.sweeps import SweepExecutionError
-        with pytest.raises(SweepExecutionError, match="integer"):
+        with pytest.raises(ConfigError, match="integer"):
             run_sweep(cfg)
 
-    def test_partial_results_flushed_before_abort(self, tmp_path):
-        # second tau fails (non-integer swap index): the first tau's rows
+    def test_partial_results_flushed_before_abort(self, tmp_path, monkeypatch):
+        # the second tau fails (its evaluation raises): the first tau's rows
         # land in the CSV and the summary records the error before the raise
+        real = slowdrive.sweeps.conjugation_distance_norm
+
+        def fails_at_the_third_swap(u, h):
+            if u[4, 7] == 1.0:  # levels 0 and 3 swapped (half_width 4)
+                raise RuntimeError("injected failure")
+            return real(u, h)
+
+        monkeypatch.setattr(slowdrive.sweeps, "conjugation_distance_norm", fails_at_the_third_swap)
         cfg = ScenarioConfig.from_mapping({
             "scenario": "swap_sequence", "params": {"half_width": 4},
-            "taus": [2, 3.5], "metrics": ["swap_norm_shift"],
+            "taus": [2, 3], "metrics": ["swap_norm_shift"],
             "out_dir": str(tmp_path),
         })
-        from slowdrive.sweeps import SweepExecutionError
-        with pytest.raises(SweepExecutionError, match="tau=3.5"):
+        with pytest.raises(SweepExecutionError, match="tau=3.0"):
             run_sweep(cfg)
         csv = (tmp_path / "swap_sequence_swap_norm_shift.csv").read_text().splitlines()
         assert len(csv) == 2 and csv[1].startswith("swap_sequence,swap_norm_shift,2,")
         summary = json.loads((tmp_path / "summary.json").read_text())
-        assert "tau=3.5" in summary["error"]
+        assert "tau=3.0" in summary["error"] and "injected failure" in summary["error"]
 
     def test_rows_in_csv_order(self):
         # rows come sorted by tau, s and vector label whatever the tau order
@@ -757,6 +763,44 @@ class TestCli:
             assert "two_level_rotating cannot be built" in err
         else:
             assert err == ""
+
+    @staticmethod
+    def refused_at_load(doc, tmp_path, capsys) -> str:
+        """Sweep ``doc`` through the CLI, check that it exits 1 with one
+        ``error:`` line and writes no CSV, and return that line."""
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        assert main(["sweep", str(cfg_path), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not list(out.glob("*.csv"))
+        return err
+
+    @pytest.mark.parametrize(
+        "taus, message",
+        [([2, 400], "swap index must lie in [1, 4]"), ([2.5], "integer indices")],
+        ids=["out-of-range", "fractional"],
+    )
+    def test_bad_static_index_refused_before_any_tau(self, taus, message, tmp_path, capsys):
+        doc = dict(SWAP, taus=taus, metrics=["swap_norm_shift"])
+        assert message in self.refused_at_load(doc, tmp_path, capsys)
+
+    @pytest.mark.parametrize("z_imag", [1e-170, -1e-170, 1e160])
+    def test_z_imag_whose_square_leaves_the_floats_refused(self, z_imag, tmp_path, capsys):
+        # (1e-170)^2 underflows to 0 and (1e160)^2 overflows: either would
+        # end the sweep at its first tau
+        doc = dict(EMBEDDED, metrics=["resolvent"], metric_params={"resolvent": {"z_imag": z_imag}})
+        assert "z_imag" in self.refused_at_load(doc, tmp_path, capsys)
+
+    def test_tiny_z_imag_with_a_subnormal_square_runs(self, tmp_path, capsys):
+        # z_real lies off the spectrum, so the resolvent itself stays bounded
+        cfg_path = tmp_path / "cfg.json"
+        params = {"z_real": 5.0, "z_imag": 1e-160}
+        doc = dict(EMBEDDED, metrics=["resolvent"], metric_params={"resolvent": params})
+        cfg_path.write_text(json.dumps(doc))
+        assert main(["sweep", str(cfg_path), "--out", str(tmp_path / "out")]) == 0
+        assert "PASS" in capsys.readouterr().out
 
     def test_exit_1_on_a_nan_propagator(self, tmp_path, capsys):
         # tau H_o overflows, so the exact constant propagator is NaN after

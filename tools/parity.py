@@ -3,7 +3,8 @@
 ``run OUT`` sweeps the four ``configs/*.json`` and the seed-0 config of each
 workload in ``perfbench/workloads.py`` (read, never modified) with whichever
 slowdrive is on the import path. Each config's CSVs and ``summary.json`` go
-to ``OUT/<name>/``, and one line per config gives its exit code.
+to ``OUT/<name>/``, and one line per config gives its exit code. It runs
+every config and then exits 1 if any of them exited non-zero, else 0.
 
 ``compare A B`` checks every CSV under the two directories byte for byte and
 every ``summary.json`` without its ``timestamp``. It prints one line per file
@@ -65,6 +66,7 @@ def run(out: Path) -> int:
     from slowdrive.cli import main as slowdrive_main
 
     print(f"slowdrive from {Path(slowdrive.__file__).parent}")
+    failed = False
     for name, config in configs().items():
         target = out / name
         target.mkdir(parents=True, exist_ok=True)
@@ -73,7 +75,8 @@ def run(out: Path) -> int:
         with contextlib.redirect_stdout(io.StringIO()):
             code = slowdrive_main(["sweep", str(path), "--out", str(target)])
         print(f"{name} exit {code}")
-    return 0
+        failed = failed or code != 0
+    return 1 if failed else 0
 
 
 def _summary(path: Path) -> dict:
